@@ -294,8 +294,10 @@ def train(cfg: RunConfig, log=None) -> TrainOutcome:
     pool = ThreadPoolExecutor(cfg.workers) if cfg.workers > 1 else None
     history = []
     best_epoch = -1
-    best_val = evaluate(bundle.val, params, cfg.model)
-    best_arrays = _snapshot(params)
+    best_arrays = None
+    # epoch 0 always becomes the best so far, so the initial model is
+    # evaluated only when no epoch runs
+    best_val = evaluate(bundle.val, params, cfg.model) if cfg.optimizer.epochs == 0 else {}
     step = 0
     try:
         for epoch in range(cfg.optimizer.epochs):
@@ -349,7 +351,8 @@ def train(cfg: RunConfig, log=None) -> TrainOutcome:
         if pool is not None:
             pool.shutdown()
 
-    _restore(params, best_arrays)
+    if best_arrays is not None:
+        _restore(params, best_arrays)
     test = evaluate(bundle.test, params, cfg.model)
     records.append({"record": "final", "best_epoch": best_epoch,
                     "best_val": best_val, "test": test,

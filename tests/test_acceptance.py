@@ -167,6 +167,7 @@ def test_criterion_05_psr_descent_and_zero_gradient():
            f"{monotone}, grad at target {worst_grad:.2e}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_06_majority_task_learnable(tmp_path):
     """2000/250/250 synthetic majority task (window 8, q=4, degree 3, two
     template layers) reaches >= 95% test accuracy within 30 epochs on one
@@ -188,6 +189,7 @@ def test_criterion_06_majority_task_learnable(tmp_path):
            f"(<=30 allowed), {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_07_sentiment_proxy(tmp_path):
     """Sentiment stand-in corpus at desk scale (2000 train, 500 held out,
     window 16, q=8, degree 5): accuracy at least 15 points above the

@@ -144,6 +144,24 @@ def test_ansatz_equals_dense_gate_product_q3_l2():
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("q", [2, 4, 5, 8])
+@pytest.mark.parametrize("shared", [False, True], ids=["per_row", "shared"])
+def test_ansatz_equals_dense_gate_product(q, shared):
+    # q=2: both rings act on the same pair; q=4, 5, 8: RY chunks with and
+    # without a remainder, CRX pairs and singles in every form, the wrap gates
+    rng = np.random.default_rng(2024 + q)
+    layers = 2
+    angles = rng.uniform(-np.pi, np.pi, size=kernels.angle_count(q, layers))
+    want = oracle.ansatz_unitary(q, layers, angles)
+    if shared:
+        got = template_unitary(q, layers, angles)
+    else:   # one row, k=1
+        v = random_state(rng, q)
+        got = kernels.ansatz_rows_forward(v[None, :], q, layers, angles[None, :])[0]
+        want = want @ v
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
 @pytest.mark.parametrize("q,layers", [(2, 1), (2, 3), (3, 2), (4, 1)])
 def test_ansatz_unitarity(q, layers):
     rng = np.random.default_rng(q * 10 + layers)
@@ -176,15 +194,22 @@ def test_ansatz_batch_rows_match_individual():
 
 
 def test_ansatz_row_permutation_is_exact():
-    # gates act row-wise, so permuting batch rows permutes outputs bitwise
+    # every row runs through its own matrices, so permuting batch rows
+    # permutes the forward output, the input gradient and the per-row angle
+    # gradients bitwise
     rng = np.random.default_rng(63)
-    q, layers, k = 3, 1, 6
+    q, layers, k = 5, 2, 11
     states = np.stack([random_state(rng, q) for _ in range(k)])
     angles = rng.uniform(-1, 1, size=(k, kernels.angle_count(q, layers)))
+    g = rand_complex(rng, (k, 1 << q))
     perm = rng.permutation(k)
     a = kernels.ansatz_rows_forward(states, q, layers, angles)
     b = kernels.ansatz_rows_forward(states[perm], q, layers, angles[perm])
     assert np.array_equal(a[perm], b)
+    ga, ang_a = kernels.ansatz_rows_vjp(a, q, layers, angles, g)
+    gb, ang_b = kernels.ansatz_rows_vjp(b, q, layers, angles[perm], g[perm])
+    assert np.array_equal(ga[perm], gb)
+    assert np.array_equal(ang_a[perm], ang_b)
 
 
 def _compose_forward(arr, q, layers, angles):
@@ -222,22 +247,52 @@ def _compose_vjp(out_arr, q, layers, angles, g):
     return g, g_ang
 
 
-@pytest.mark.parametrize("shared", [False, True], ids=["per_row", "shared"])
-def test_ansatz_sweeps_bitwise_equal_gate_by_gate(shared):
-    # the in-place sweeps run the single-gate kernels' arithmetic in the
-    # same order, so they must agree to the last bit
-    rng = np.random.default_rng(1905)
-    q, layers, k = 10, 3, 16
+def _sweep_inputs(shared, seed=1905, q=10, layers=3, k=16):
+    rng = np.random.default_rng(seed)
     n = kernels.angle_count(q, layers)
     states = rand_complex(rng, (k, 1 << q))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
     angles = rng.uniform(-np.pi, np.pi, size=n if shared else (k, n))
-    g = rand_complex(rng, (k, 1 << q))
+    return states, angles, rand_complex(rng, (k, 1 << q))
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["per_row", "shared"])
+def test_ansatz_sweeps_match_gate_by_gate(shared):
+    # the fused sweeps reorder the arithmetic of the single-gate kernels,
+    # so they agree with them to rounding
+    q, layers = 10, 3
+    states, angles, g = _sweep_inputs(shared)
     out = kernels.ansatz_rows_forward(states, q, layers, angles)
-    assert np.array_equal(out, _compose_forward(states, q, layers, angles))
+    assert np.max(np.abs(out - _compose_forward(states, q, layers, angles))) <= 1e-12
     g_in, g_ang = kernels.ansatz_rows_vjp(out, q, layers, angles, g)
     want_in, want_ang = _compose_vjp(out, q, layers, angles, g)
-    assert np.array_equal(g_in, want_in)
-    assert np.array_equal(g_ang, want_ang)
+    assert g_ang.shape == angles.shape
+    assert np.max(np.abs(g_in - want_in)) <= 1e-12
+    assert np.max(np.abs(g_ang - want_ang)) <= 1e-12
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["per_row", "shared"])
+def test_ansatz_sweeps_repeat_bitwise(shared):
+    q, layers = 10, 3
+    states, angles, g = _sweep_inputs(shared)
+    runs = []
+    for _ in range(2):
+        out = kernels.ansatz_rows_forward(states, q, layers, angles)
+        runs.append((out, *kernels.ansatz_rows_vjp(out, q, layers, angles, g)))
+    for first, second in zip(*runs):
+        assert np.array_equal(first, second)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["per_row", "shared"])
+def test_ansatz_sweeps_empty_batch(shared):
+    q, layers = 5, 2
+    n = kernels.angle_count(q, layers)
+    states = np.zeros((0, 1 << q), dtype=complex)
+    angles = np.zeros(n) if shared else np.zeros((0, n))
+    out = kernels.ansatz_rows_forward(states, q, layers, angles)
+    g_in, g_ang = kernels.ansatz_rows_vjp(out, q, layers, angles, states)
+    assert out.shape == g_in.shape == (0, 1 << q)
+    assert g_ang.shape == angles.shape and not np.any(g_ang)
 
 
 def test_ansatz_sweeps_leave_inputs_unmodified():
@@ -340,6 +395,38 @@ def test_fd_ansatz_rows(seed):
 
     check_op_gradients(build, [ad.tensor(states), ad.tensor(angles)], rng,
                        complex_leaves={0}, atol=5e-6)
+
+
+@pytest.mark.parametrize("q", [2, 4, 5, 8])
+@pytest.mark.parametrize("shared", [False, True], ids=["per_row", "shared"])
+def test_fd_ansatz_rows_fusion_boundaries(q, shared):
+    # per-row angles on one row (k=1); shared angles reach two rows
+    # through broadcast_rows
+    rng = np.random.default_rng(1200 + q)
+    layers = 2 if q < 8 else 1
+    k = 2 if shared else 1
+    n = kernels.angle_count(q, layers)
+    states = rand_complex(rng, (k, 1 << q))
+    angles = rng.uniform(-np.pi, np.pi, size=n if shared else (k, n))
+
+    def build(ls):
+        rows = ad.broadcast_rows(ls[1], k) if shared else ls[1]
+        return circuits.ansatz_rows(ls[0], rows, q, layers)
+
+    check_op_gradients(build, [ad.tensor(states), ad.tensor(angles)], rng,
+                       complex_leaves={0}, atol=5e-6)
+
+
+def test_shared_angle_gradients_sum_over_rows():
+    # the (L,) shared-angle vjp is the sum of the per-row gradients
+    q, layers = 5, 2
+    states, angles, g = _sweep_inputs(True, seed=77, q=q, layers=layers, k=4)
+    out = kernels.ansatz_rows_forward(states, q, layers, angles)
+    g_in, g_ang = kernels.ansatz_rows_vjp(out, q, layers, angles, g)
+    rows = np.tile(angles, (4, 1))
+    r_in, r_ang = kernels.ansatz_rows_vjp(out, q, layers, rows, g)
+    assert np.max(np.abs(g_in - r_in)) <= 1e-12
+    assert np.max(np.abs(g_ang - r_ang.sum(axis=0))) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -165,6 +165,21 @@ def test_train_zero_epochs_reports_init_metrics(tmp_path):
     assert 0.0 <= recs[-1]["test"]["accuracy"] <= 1.0
 
 
+@pytest.mark.parametrize("epochs", [1, 2])
+def test_train_evaluates_once_per_epoch_plus_test(tmp_path, monkeypatch, epochs):
+    calls = []
+    real = training.evaluate
+
+    def counted(docs, *args, **kwargs):
+        calls.append(len(docs))
+        return real(docs, *args, **kwargs)
+
+    monkeypatch.setattr(training, "evaluate", counted)
+    out = train(tiny_cfg(tmp_path / "e", optimizer=OptimizerConfig(epochs=epochs)))
+    assert len(calls) == epochs + 1
+    assert calls[-1] == len(out.bundle.test)
+
+
 def test_train_divergence_raises_with_diagnostics(tmp_path, monkeypatch):
     cfg = tiny_cfg(tmp_path / "d")
     real = training.batch_gradients
