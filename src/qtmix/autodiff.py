@@ -15,16 +15,18 @@ pairing.
 The graph is dynamic: ops executed inside a ``with Tape():`` block append
 records to that tape, and ``backward`` replays the records in reverse. Ops
 executed with no active tape run eagerly and produce untracked outputs,
-which is the intended fast path for evaluation loops.
+which is the intended fast path for evaluation loops. Leaving the ``with``
+block drops the tape's records, so a finished graph is freed by reference
+counting alone; ``backward`` must run inside the block.
 
-A tape is single-writer: concurrent forward passes need one tape per
-worker thread (the active-tape stack is thread-local).
+Ops that take a batch treat the leading axis (or axes) as independent
+windows: each window's forward arithmetic has the same shapes whatever
+the batch holds, so a window's values are bitwise the same in any batch.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,9 +40,9 @@ __all__ = [
     "Tensor", "Tape", "tensor", "parameter", "backward",
     "add", "sub", "mul", "mul_const", "add_const", "scalar_mul",
     "matvec", "matmul", "transpose", "reshape", "conj",
-    "real_part", "imag_part", "absval", "sumall", "square_norm", "spow",
-    "weighted_sum", "collapse_rows", "take_rows", "slice_vec",
-    "stack_scalars", "broadcast_rows", "relu", "tanh", "softmax",
+    "real_part", "imag_part", "absval", "sumall", "sum_last", "square_norm",
+    "spow", "weighted_sum", "collapse_rows", "segment_sum", "take_rows",
+    "slice_vec", "broadcast_rows", "relu", "tanh", "softmax",
     "cross_entropy",
 ]
 
@@ -131,34 +133,33 @@ def parameter(values) -> Tensor:
     return Tensor(values, tracked=True)
 
 
-_stack = threading.local()
-
-
-def _tape_stack() -> list:
-    stk = getattr(_stack, "tapes", None)
-    if stk is None:
-        stk = []
-        _stack.tapes = stk
-    return stk
+_tapes: list["Tape"] = []      # active tapes, innermost last
 
 
 class Tape:
-    """Ordered record of ops for one forward pass."""
+    """Ordered record of ops for one forward pass.
+
+    Leaving the ``with`` block closes the tape and drops its records; the
+    records are the only references from a tape to its outputs, so this
+    breaks the output -> tape -> output cycle.
+    """
 
     def __init__(self):
         # each record: (out, parents, vjp) where vjp(g_out) returns one
         # gradient contribution per parent (None for skip)
         self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self.closed = False
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _tapes.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        stk = _tape_stack()
-        if not stk or stk[-1] is not self:
+        if not _tapes or _tapes[-1] is not self:
             raise AutodiffError("tape stack corrupted: exiting a tape that is not active")
-        stk.pop()
+        _tapes.pop()
+        self.closed = True
+        self._records = []
 
     def __len__(self) -> int:
         return len(self._records)
@@ -170,8 +171,7 @@ class Tape:
 
 
 def _active_tape() -> Tape | None:
-    stk = _tape_stack()
-    return stk[-1] if stk else None
+    return _tapes[-1] if _tapes else None
 
 
 def _make(values: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable) -> Tensor:
@@ -214,6 +214,9 @@ def backward(scalar: Tensor, populate_leaves: bool = True) -> dict[Tensor, np.nd
         raise AutodiffError("backward target was not produced on an active tape")
 
     tape = scalar._tape
+    if tape.closed:
+        raise AutodiffError("backward called after its tape closed; call it "
+                            "inside the `with Tape():` block")
     grads: dict[int, np.ndarray] = {scalar.node_id: np.ones((), dtype=_COMPLEX)}
     leaf_sums: dict[int, tuple[Tensor, np.ndarray]] = {}
 
@@ -253,29 +256,37 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
         raise ShapeError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
 
 
-def _canonical_sum(products: np.ndarray) -> np.ndarray:
-    """Sum ``products`` over axis 0 in a canonical, order-independent way.
+def _sum_leading(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum ``g`` over the leading axes it has beyond ``shape``, in index
+    order (the adjoint of broadcasting over leading axes)."""
+    if g.shape == shape:
+        return g
+    return g.reshape((-1,) + shape).sum(axis=0)
 
-    The addends for each output element are sorted (lexicographically by
-    real then imaginary part, numpy's complex ordering) before reduction,
-    so permuting the inputs along axis 0 leaves the result bit-for-bit
-    unchanged. Used wherever the contract promises exact permutation
-    invariance of a linear combination.
-    """
-    k = products.shape[0]
-    if k == 1:
-        return products[0].copy()
-    moved = np.moveaxis(products, 0, -1)
-    ordered = np.sort(moved, axis=-1)
-    return np.add.reduce(ordered, axis=-1)
+
+def _padded_sum(padded: np.ndarray) -> np.ndarray:
+    """Sum a zero-padded (G, P, ...) layout over axis 1: the P addends of
+    each output entry are value-sorted, then added strictly left to right.
+    Adding an exact zero changes no partial sum, so the result does not
+    depend on how much padding a group carries."""
+    ordered = np.sort(padded, axis=1)
+    out = ordered[:, 0].copy()
+    for j in range(1, ordered.shape[1]):
+        out += ordered[:, j]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # elementwise and scalar ops
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
-    return _make(a.values + b.values, (a, b), lambda g: (g, g))
+    """Elementwise sum. ``b`` may also have the shape of ``a``'s trailing
+    axes (a 0-d scalar included); it is then added at every leading index."""
+    lead = a.values.ndim - b.values.ndim
+    if lead < 0 or a.shape[lead:] != b.shape:
+        raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
+    shape = b.shape
+    return _make(a.values + b.values, (a, b), lambda g: (g, _sum_leading(g, shape)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -307,13 +318,18 @@ def add_const(a: Tensor, c) -> Tensor:
 
 
 def scalar_mul(s: Tensor, t: Tensor) -> Tensor:
-    """Scalar node times tensor node (the only sanctioned broadcast)."""
-    if s.shape != ():
-        raise ShapeError(f"scalar_mul: first operand must be 0-d, got {s.shape}")
-    sv, tv = s.values, t.values
+    """Scale ``t`` by ``s``: a 0-d ``s`` scales all of ``t``; an ``s`` shaped
+    like ``t``'s leading axes scales each leading index by its own scalar."""
+    k = s.values.ndim
+    if t.shape[:k] != s.shape or t.values.ndim == k:
+        raise ShapeError(f"scalar_mul: scale shape {s.shape} must be the leading "
+                         f"axes of {t.shape}")
+    sv = s.values.reshape(s.shape + (1,) * (t.values.ndim - k))
+    tv = t.values
+    shape = s.shape
 
     def vjp(g):
-        gs = np.sum(np.conj(tv) * g)
+        gs = (np.conj(tv) * g).reshape(shape + (-1,)).sum(axis=-1)
         return (np.asarray(gs, dtype=_COMPLEX), np.conj(sv) * g)
 
     return _make(sv * tv, (s, t), vjp)
@@ -359,55 +375,79 @@ def sumall(a: Tensor) -> Tensor:
                  lambda g: (np.full(shape, complex(g), dtype=_COMPLEX),))
 
 
-def square_norm(a: Tensor) -> Tensor:
-    """sum(|z_i|^2) as a real 0-d tensor."""
-    av = a.values
-    val = float(np.vdot(av, av).real)
+def sum_last(a: Tensor) -> Tensor:
+    """Sum over the last axis: (..., m) -> (...); a vector gives a 0-d sum.
+
+    Canonical like ``sumall``: each sum's addends are value-sorted first, so
+    permuting them leaves the result unchanged, bit for bit.
+    """
+    if a.values.ndim == 0:
+        raise ShapeError("sum_last: operand must have at least one axis")
+    shape = a.shape
+    val = np.add.reduce(np.sort(a.values, axis=-1), axis=-1)
     return _make(np.asarray(val, dtype=_COMPLEX), (a,),
-                 lambda g: (2.0 * complex(g).real * av,))
+                 lambda g: (np.repeat(g[..., None], shape[-1], axis=-1),))
+
+
+def square_norm(a: Tensor) -> Tensor:
+    """sum(|z_i|^2) over the last axis, real: a vector gives a 0-d tensor,
+    a (W, m) batch one squared norm per row."""
+    av = a.values
+    if av.ndim == 0:
+        raise ShapeError("square_norm: operand must have at least one axis")
+    parts = av.view(np.float64)
+    val = np.add.reduce(parts * parts, axis=-1)
+    return _make(val.astype(_COMPLEX), (a,),
+                 lambda g: (2.0 * g.real[..., None] * av,))
 
 
 def spow(s: Tensor, p: float) -> Tensor:
-    """Real scalar power s**p for a positive real 0-d node."""
-    if s.shape != ():
-        raise ShapeError(f"spow: operand must be 0-d, got {s.shape}")
-    base = float(s.values.real)
-    if base <= 0.0:
-        raise AutodiffError(f"spow requires a positive base, got {base:.3e}")
-    val = base ** p
-    dval = p * base ** (p - 1.0)
-    return _make(np.asarray(val, dtype=_COMPLEX), (s,),
-                 lambda g: (np.asarray(complex(g).real * dval, dtype=_COMPLEX),))
+    """Elementwise real power s**p of a positive real tensor."""
+    base = s.values.real
+    if not np.all(base > 0.0):
+        raise AutodiffError(f"spow requires a positive base, got {float(base.min()):.3e}")
+    val = np.power(base, p)
+    dval = p * np.power(base, p - 1.0)
+    return _make(val.astype(_COMPLEX), (s,), lambda g: ((g.real * dval).astype(_COMPLEX),))
 
 
 # ---------------------------------------------------------------------------
 # linear algebra
 
 def matvec(m: Tensor, v: Tensor) -> Tensor:
-    """Matrix (r, c) times vector (c,)."""
-    if m.values.ndim != 2 or v.values.ndim != 1:
-        raise ShapeError(f"matvec: need 2-d and 1-d operands, got {m.shape} and {v.shape}")
-    if m.shape[1] != v.shape[0]:
+    """Matrix (r, c) times vector (c,), or times each row of a (W, c) batch
+    with one matrix-vector product per row: (W, r)."""
+    if m.values.ndim != 2 or v.values.ndim not in (1, 2):
+        raise ShapeError(f"matvec: need 2-d and 1- or 2-d operands, got {m.shape} and {v.shape}")
+    if m.shape[1] != v.shape[-1]:
         raise ShapeError(f"matvec: inner dimensions differ, {m.shape} vs {v.shape}")
     mv, vv = m.values, v.values
+    if vv.ndim == 1:
+        def vjp(g):
+            return (np.outer(g, np.conj(vv)), np.conj(mv).T @ g)
 
-    def vjp(g):
-        return (np.outer(g, np.conj(vv)), np.conj(mv).T @ g)
+        return _make(mv @ vv, (m, v), vjp)
 
-    return _make(mv @ vv, (m, v), vjp)
+    def vjp_rows(g):
+        return (g.T @ np.conj(vv), g @ np.conj(mv))
+
+    return _make(np.matmul(mv, vv[:, :, None])[:, :, 0], (m, v), vjp_rows)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 2 or b.values.ndim != 2:
-        raise ShapeError(f"matmul: need 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """(r, c) @ (c, p), or (..., r, c) @ (c, p) with one product per
+    leading index; ``b``'s gradient sums over all rows of ``a``."""
+    if a.values.ndim < 2 or b.values.ndim != 2:
+        raise ShapeError(f"matmul: need (..., r, c) and 2-d operands, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} vs {b.shape}")
     av, bv = a.values, b.values
 
     def vjp(g):
-        return (g @ np.conj(bv).T, np.conj(av).T @ g)
+        rows = av.reshape(-1, av.shape[-1])
+        return (g @ np.conj(bv).T, np.conj(rows).T @ g.reshape(rows.shape[0], -1))
 
-    return _make(av @ bv, (a, b), vjp)
+    return _make(np.matmul(av, bv), (a, b), vjp)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -443,7 +483,7 @@ def weighted_sum(coeffs: Tensor, terms: Sequence[Tensor]) -> Tensor:
         _check_same_shape(terms[0], t, "weighted_sum")
     cv = coeffs.values
     stack = np.stack([t.values.reshape(-1) for t in terms])  # (k, flat)
-    out = _canonical_sum(cv[:, None] * stack).reshape(shape)
+    out = _padded_sum((cv[:, None] * stack)[None])[0].reshape(shape)
 
     def vjp(g):
         gf = g.reshape(-1)
@@ -455,27 +495,50 @@ def weighted_sum(coeffs: Tensor, terms: Sequence[Tensor]) -> Tensor:
     return _make(out, (coeffs, *terms), vjp)
 
 
-def collapse_rows(coeffs: Tensor, rows: Tensor) -> Tensor:
+def collapse_rows(coeffs: Tensor, rows: Tensor, mask=None) -> Tensor:
     """sum_j coeffs[j] * rows[j, :] for a (k, m) tensor; canonical reduction
-    over j, same permutation guarantee as ``weighted_sum``."""
-    if coeffs.values.ndim != 1 or rows.values.ndim != 2:
-        raise ShapeError(f"collapse_rows: need (k,) and (k, m), got {coeffs.shape} and {rows.shape}")
-    if coeffs.shape[0] != rows.shape[0]:
-        raise ShapeError(f"collapse_rows: row counts differ, {coeffs.shape} vs {rows.shape}")
-    cv, rv = coeffs.values, rows.values
-    out = _canonical_sum(cv[:, None] * rv)
+    over j, same permutation guarantee as ``weighted_sum``.
+
+    With a (W, n) boolean ``mask``, ``coeffs`` is (W, n) and ``rows`` holds
+    one row per True entry of ``mask``, in row-major order. The output is
+    (W, m): window w sums its n positions, the masked ones as exact zeros,
+    in a padded (W, n, m) layout, so each window's sum is computed the same
+    way in any batch and keeps the permutation guarantee per window.
+    """
+    if mask is None:
+        if coeffs.values.ndim != 1:
+            raise ShapeError(f"collapse_rows: need (k,) coefficients, got {coeffs.shape}")
+        m2 = np.ones((1, coeffs.shape[0]), dtype=bool)
+    else:
+        m2 = np.asarray(mask, dtype=bool)
+        if m2.ndim != 2 or coeffs.shape != m2.shape:
+            raise ShapeError(f"collapse_rows: need (W, n) coefficients and mask, got "
+                             f"{coeffs.shape} and {m2.shape}")
+    k = int(m2.sum())
+    if rows.values.ndim != 2 or rows.shape[0] != k:
+        raise ShapeError(f"collapse_rows: need ({k}, m) rows for the mask, got {rows.shape}")
+    cv, rv = coeffs.values.reshape(m2.shape), rows.values
+    win = np.nonzero(m2)[0]
+    active = cv[m2]
+    padded = np.zeros(m2.shape + rv.shape[1:], dtype=_COMPLEX)
+    padded[m2] = active[:, None] * rv
+    out = _padded_sum(padded)
+    if mask is None:
+        out = out[0]
 
     def vjp(g):
-        return (np.conj(rv) @ g, np.conj(cv)[:, None] * g[None, :])
+        gw = g.reshape(m2.shape[0], -1)[win]
+        gc = np.zeros(m2.shape, dtype=_COMPLEX)
+        gc[m2] = np.matmul(np.conj(rv)[:, None, :], gw[:, :, None])[:, 0, 0]
+        return (gc.reshape(coeffs.shape), np.conj(active)[:, None] * gw)
 
     return _make(out, (coeffs, rows), vjp)
 
 
 def take_rows(a: Tensor, indices) -> Tensor:
-    """Gather rows (2-d) or entries (1-d) by integer index, with repeats."""
+    """Gather rows (2-d) or entries (1-d) by integer index, with repeats.
+    ``indices`` of any shape S gives an output of shape S + a.shape[1:]."""
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError("take_rows: indices must be one-dimensional")
     if a.values.ndim not in (1, 2):
         raise ShapeError(f"take_rows: operand must be 1-d or 2-d, got {a.shape}")
     n = a.shape[0]
@@ -489,7 +552,31 @@ def take_rows(a: Tensor, indices) -> Tensor:
         np.add.at(buf, idx, g)
         return (buf,)
 
-    return _make(av[idx].copy(), (a,), vjp)
+    return _make(av[idx], (a,), vjp)
+
+
+def _segment_ids(counts, total: int) -> tuple[np.ndarray, np.ndarray]:
+    """(segment of each row, position of each row within its segment)."""
+    c = np.asarray(counts, dtype=np.int64)
+    if c.ndim != 1 or c.size == 0 or np.any(c < 1) or int(c.sum()) != total:
+        raise ShapeError(f"segments: counts {c.tolist()} must be positive and sum to {total}")
+    seg = np.repeat(np.arange(c.size), c)
+    starts = np.cumsum(c) - c
+    return seg, np.arange(total) - starts[seg]
+
+
+def segment_sum(a: Tensor, counts) -> Tensor:
+    """Sum consecutive runs of rows: (W, ...) -> (D, ...) for D run lengths
+    ``counts``. Canonical like ``collapse_rows``: each run's rows are
+    value-sorted per entry in a zero-padded (D, max run, ...) layout."""
+    av = a.values
+    if av.ndim == 0:
+        raise ShapeError("segment_sum: operand must have at least one axis")
+    seg, pos = _segment_ids(counts, av.shape[0])
+    padded = np.zeros((int(seg[-1]) + 1, int(pos.max()) + 1) + av.shape[1:], dtype=_COMPLEX)
+    padded[seg, pos] = av
+    out = _padded_sum(padded)
+    return _make(out, (a,), lambda g: (g[seg],))
 
 
 def slice_vec(a: Tensor, start: int, stop: int) -> Tensor:
@@ -505,22 +592,6 @@ def slice_vec(a: Tensor, start: int, stop: int) -> Tensor:
         return (buf,)
 
     return _make(a.values[start:stop].copy(), (a,), vjp)
-
-
-def stack_scalars(scalars: Sequence[Tensor]) -> Tensor:
-    """Stack 0-d nodes into a vector."""
-    scalars = list(scalars)
-    if not scalars:
-        raise ArityError("stack_scalars: empty input")
-    for s in scalars:
-        if s.shape != ():
-            raise ShapeError(f"stack_scalars: all inputs must be 0-d, got {s.shape}")
-    values = np.array([s.values for s in scalars], dtype=_COMPLEX)
-
-    def vjp(g):
-        return tuple(np.asarray(g[j], dtype=_COMPLEX) for j in range(len(scalars)))
-
-    return _make(values, tuple(scalars), vjp)
 
 
 def broadcast_rows(v: Tensor, k: int) -> Tensor:
@@ -548,39 +619,48 @@ def tanh(a: Tensor) -> Tensor:
     return _make(w, (a,), lambda g: (dconj * g,))
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over a real-valued vector."""
+def softmax(a: Tensor, counts=None) -> Tensor:
+    """Softmax over a real-valued vector, or over each consecutive run of
+    entries when run lengths ``counts`` are given."""
     if a.values.ndim != 1:
         raise ShapeError(f"softmax: operand must be 1-d, got {a.shape}")
     x = a.values.real
-    ex = np.exp(x - x.max())
-    y = ex / ex.sum()
+    seg, _ = _segment_ids([x.size] if counts is None else counts, x.size)
+    starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
+    ex = np.exp(x - np.maximum.reduceat(x, starts)[seg])
+    y = ex / np.add.reduceat(ex, starts)[seg]
 
     def vjp(g):
         gr = g.real
-        inner = float((gr * y).sum())
+        inner = np.add.reduceat(gr * y, starts)[seg]
         return ((y * (gr - inner)).astype(_COMPLEX),)
 
     return _make(y.astype(_COMPLEX), (a,), vjp)
 
 
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """Softmax cross-entropy of a real logit vector against an index label."""
-    if logits.values.ndim != 1:
-        raise ShapeError(f"cross_entropy: logits must be 1-d, got {logits.shape}")
-    n = logits.shape[0]
-    if not (0 <= label < n):
-        raise LabelError(f"label {label} outside [0, {n})")
-    x = logits.values.real
-    m = x.max()
-    lse = m + np.log(np.exp(x - m).sum())
-    loss = lse - x[label]
-    probs = np.exp(x - lse)
+def cross_entropy(logits: Tensor, label) -> Tensor:
+    """Softmax cross-entropy of a real logit vector against an index label
+    (0-d), or of each row of a (D, C) batch against its label (D,)."""
+    if logits.values.ndim not in (1, 2):
+        raise ShapeError(f"cross_entropy: logits must be 1-d or 2-d, got {logits.shape}")
+    x = logits.values.real.reshape(-1, logits.shape[-1])
+    n = x.shape[1]
+    labels = np.asarray(label, dtype=np.int64).reshape(-1)
+    if labels.shape != (x.shape[0],):
+        raise ShapeError(f"cross_entropy: {labels.size} label(s) for {x.shape[0]} row(s)")
+    bad = labels[(labels < 0) | (labels >= n)]
+    if bad.size:
+        raise LabelError(f"label {int(bad[0])} outside [0, {n})")
+    rows = np.arange(x.shape[0])
+    m = x.max(axis=1)
+    lse = m + np.log(np.exp(x - m[:, None]).sum(axis=1))
+    loss = lse - x[rows, labels]
+    probs = np.exp(x - lse[:, None])
+    shape = logits.shape
 
     def vjp(g):
-        gr = complex(g).real
         gx = probs.copy()
-        gx[label] -= 1.0
-        return ((gr * gx).astype(_COMPLEX),)
+        gx[rows, labels] -= 1.0
+        return ((g.real.reshape(-1, 1) * gx).reshape(shape).astype(_COMPLEX),)
 
-    return _make(np.asarray(loss, dtype=_COMPLEX), (logits,), vjp)
+    return _make(loss.reshape(shape[:-1]).astype(_COMPLEX), (logits,), vjp)

@@ -1,7 +1,8 @@
 """Differentiable statevector simulation.
 
-A ``Statevector`` wraps the qubit count and a complex amplitude tensor; the
-functions here are autodiff ops. Gradients flow through both the state and
+A ``Statevector`` wraps the qubit count and a complex amplitude tensor, one
+state or a batch of states one per row; the functions here are autodiff
+ops. Gradients flow through both the state and
 the gate angles. Register layout is little-endian: qubit 0 is the least
 significant bit of the basis index. Registers are capped at 14 qubits; this
 is a desk-scale simulator and the cap keeps any single state under a
@@ -36,7 +37,8 @@ __all__ = [
 
 @dataclass
 class Statevector:
-    """q qubits' worth of amplitudes, little-endian basis order."""
+    """q qubits' worth of amplitudes, little-endian basis order: shape
+    (2**q,) for one state, (W, 2**q) for a batch of W states."""
 
     q: int
     amps: Tensor
@@ -44,9 +46,10 @@ class Statevector:
     def __post_init__(self):
         if not (1 <= self.q <= MAX_QUBITS):
             raise CapacityError(f"q={self.q} outside supported range 1..{MAX_QUBITS}")
-        if self.amps.shape != (1 << self.q,):
+        if self.amps.values.ndim not in (1, 2) or self.amps.shape[-1] != (1 << self.q):
             raise ShapeError(
-                f"statevector for q={self.q} needs shape ({1 << self.q},), got {self.amps.shape}"
+                f"statevector for q={self.q} needs shape ({1 << self.q},) or "
+                f"(W, {1 << self.q}), got {self.amps.shape}"
             )
 
     @property
@@ -151,35 +154,48 @@ def apply_crx(state: Statevector, control: int, target: int, angle) -> Statevect
     return Statevector(q, out_t)
 
 
-def ansatz_rows(states: Tensor, angles: Tensor, q: int, layers: int) -> Tensor:
+def ansatz_rows(states: Tensor, angles: Tensor, q: int, layers: int,
+                index=None) -> Tensor:
     """Fused template application over a batch.
 
     ``states``: (k, 2**q) tensor of statevector rows; ``angles``: (k, L)
-    per-row angle matrix with L = 4 * layers * q. One tape node covers the
-    whole gate sequence; the backward pass re-derives intermediate states by
+    per-row angle matrix, or (L,) angles shared by every row, with
+    L = 4 * layers * q. ``index`` optionally picks the rows to run: row j of
+    the (len(index), 2**q) output evolves ``states[index[j]]``, so a state
+    shared by many rows is stored once. One tape node covers the whole gate
+    sequence; the backward pass re-derives intermediate states by
     un-applying gates (adjoint sweep) instead of storing them.
     """
     if q < 2:
         raise WiringError("the entangling template needs q >= 2")
     if states.values.ndim != 2 or states.shape[1] != (1 << q):
         raise ShapeError(f"ansatz_rows: states must be (k, {1 << q}), got {states.shape}")
+    idx = None if index is None else np.asarray(index, dtype=np.int64)
+    src = states.values if idx is None else states.values[idx]
     want = kernels.angle_count(q, layers)
-    if angles.values.ndim != 2 or angles.shape != (states.shape[0], want):
+    if angles.shape not in ((src.shape[0], want), (want,)):
         raise ShapeError(
-            f"ansatz_rows: angles must be ({states.shape[0]}, {want}), got {angles.shape}"
+            f"ansatz_rows: angles must be ({src.shape[0]}, {want}) or ({want},), "
+            f"got {angles.shape}"
         )
     th = angles.values.real.astype(np.float64)
-    out = kernels.ansatz_rows_forward(states.values, q, layers, th)
+    out = kernels.ansatz_rows_forward(src, q, layers, th)
+    shape = states.shape
 
     def vjp(g):
-        g_state, g_ang = kernels.ansatz_rows_vjp(out, q, layers, th, g)
+        g_rows, g_ang = kernels.ansatz_rows_vjp(out, q, layers, th, g)
+        if idx is None:
+            return (g_rows, g_ang.astype(np.complex128))
+        g_state = np.zeros(shape, dtype=np.complex128)
+        np.add.at(g_state, idx, g_rows)
         return (g_state, g_ang.astype(np.complex128))
 
     return ad._make(out, (states, angles), vjp)
 
 
 def apply_ansatz14(state: Statevector, angles, layers: int | None = None) -> Statevector:
-    """Apply the entangling template to a single state.
+    """Apply the entangling template, with one set of angles, to a state or
+    to every state of a batch.
 
     ``angles`` is an ``AnsatzAngles`` bundle, or a flat (4*layers*q,) tensor
     together with an explicit ``layers`` argument.
@@ -198,15 +214,16 @@ def apply_ansatz14(state: Statevector, angles, layers: int | None = None) -> Sta
     if theta.shape != (want,):
         raise ShapeError(f"expected {want} angles for q={state.q}, layers={layers}, "
                          f"got shape {theta.shape}")
+    if state.amps.values.ndim == 2:
+        return Statevector(state.q, ansatz_rows(state.amps, theta, state.q, layers))
     rows = ad.reshape(state.amps, (1, state.dim))
-    arows = ad.reshape(theta, (1, want))
-    out = ansatz_rows(rows, arows, state.q, layers)
+    out = ansatz_rows(rows, theta, state.q, layers)
     return Statevector(state.q, ad.reshape(out, (state.dim,)))
 
 
 def pauli_expectations(state: Statevector) -> Tensor:
     """Readout features: [<X_0>..<X_{q-1}>, <Y_0>.., <Z_0>..] of the
-    normalized input, a real (3q,) tensor.
+    normalized input, a real (3q,) tensor, or (W, 3q) for a batch.
 
     Differentiated with the full quotient rule (the internal normalization
     by <psi|psi> is part of the op), so gradients are exact even when the
@@ -214,23 +231,25 @@ def pauli_expectations(state: Statevector) -> Tensor:
     """
     q = state.q
     psi = state.amps.values
-    norm_sq = float(np.vdot(psi, psi).real)
-    if norm_sq <= 1e-12:
+    rows = psi.reshape(-1, state.dim)
+    norm_sq = np.add.reduce(rows.real * rows.real + rows.imag * rows.imag, axis=1)
+    if np.any(norm_sq <= 1e-12):
         raise DegenerateStateError(
-            f"cannot read out a state with squared norm {norm_sq:.3e}"
+            f"cannot read out a state with squared norm {float(norm_sq.min()):.3e}"
         )
-    feats = kernels.pauli_expectations_raw(psi, q)
+    feats = kernels.pauli_expectations_raw(rows, q)
 
     def vjp(g):
-        gr = g.real
-        acc = np.zeros_like(psi)
+        gr = g.real.reshape(rows.shape[0], 3 * q)
+        acc = np.zeros_like(rows)
         for k in range(q):
-            for row, axis in ((k, "x"), (q + k, "y"), (2 * q + k, "z")):
-                w = float(gr[row])
-                if w == 0.0:
+            for col, axis in ((k, "x"), (q + k, "y"), (2 * q + k, "z")):
+                w = gr[:, col]
+                if not w.any():
                     continue
-                pv = kernels.pauli_apply(psi, q, axis, k)
-                acc += w * (2.0 / norm_sq) * (pv - feats[row] * psi)
-        return (acc,)
+                pv = kernels.pauli_apply(rows, q, axis, k)
+                acc += (w * (2.0 / norm_sq))[:, None] * (pv - feats[:, col, None] * rows)
+        return (acc.reshape(psi.shape),)
 
-    return ad._make(feats.astype(np.complex128), (state.amps,), vjp)
+    return ad._make(feats.reshape(psi.shape[:-1] + (3 * q,)).astype(np.complex128),
+                    (state.amps,), vjp)

@@ -41,8 +41,6 @@ def _load_run_config(args) -> RunConfig:
         cfg.seed = args.seed
     if getattr(args, "out", None):
         cfg.out_dir = args.out
-    if getattr(args, "workers", None) is not None:
-        cfg.workers = args.workers
     return cfg.validate()
 
 
@@ -167,8 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--config", help="JSON config file (defaults when omitted)")
     t.add_argument("--seed", type=int, help="override the config seed")
     t.add_argument("--out", help="override the output directory")
-    t.add_argument("--workers", type=int, help="gradient workers (result is "
-                   "identical for any count)")
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint")

@@ -156,15 +156,12 @@ class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
     seed: int = 0
     out_dir: str = "runs/default"
-    workers: int = 1
 
     def validate(self) -> "RunConfig":
         self.model.validate()
         self.loss.validate()
         self.optimizer.validate()
         self.data.validate()
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         return self
 
     def to_dict(self) -> dict:
@@ -182,7 +179,6 @@ _SECTIONS = {
 _SCALAR_TYPES = {
     "seed": int,
     "out_dir": str,
-    "workers": int,
 }
 
 

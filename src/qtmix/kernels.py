@@ -587,8 +587,9 @@ def ansatz_rows_vjp(out_arr: np.ndarray, q: int, layers: int, angles: np.ndarray
 # Pauli action and expectations
 
 def pauli_apply(vec: np.ndarray, q: int, axis: str, qubit: int) -> np.ndarray:
-    """Apply a single-qubit Pauli to a (2**q,) vector."""
-    arr = vec.reshape(1, -1)
+    """Apply a single-qubit Pauli to a (2**q,) vector or to each row of a
+    (k, 2**q) batch."""
+    arr = vec.reshape(-1, 1 << q)
     a0, a1 = _bit_views(arr, q, qubit)
     out = np.empty_like(arr)
     o0, o1 = _bit_views(out, q, qubit)
@@ -603,19 +604,29 @@ def pauli_apply(vec: np.ndarray, q: int, axis: str, qubit: int) -> np.ndarray:
         o1[...] = -a1
     else:
         raise ValueError(f"unknown Pauli axis {axis!r}")
-    return out.reshape(-1)
+    return out.reshape(vec.shape)
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Sum each row of a (k, ...) array over all its other axes."""
+    return np.add.reduce(x.reshape(x.shape[0], -1), axis=1)
 
 
 def pauli_expectations_raw(vec: np.ndarray, q: int) -> np.ndarray:
     """All 3q expectations [X_0..X_{q-1}, Y_0.., Z_0..] of vec / ||vec||,
-    as float64. Caller guarantees the norm is usable."""
-    norm_sq = float(np.vdot(vec, vec).real)
-    arr = vec.reshape(1, -1)
-    out = np.empty(3 * q, dtype=np.float64)
+    as float64, for a (2**q,) vector (shape (3q,)) or for each row of a
+    (k, 2**q) batch (shape (k, 3q)). Each row's values are reduced from
+    that row alone. Caller guarantees the norms are usable."""
+    arr = vec.reshape(-1, 1 << q)
+    sq = arr.real * arr.real + arr.imag * arr.imag
+    norm_sq = _row_sums(sq)
+    out = np.empty((arr.shape[0], 3 * q), dtype=np.float64)
     for k in range(q):
         a0, a1 = _bit_views(arr, q, k)
-        cross = complex(np.vdot(a0, a1))       # sum conj(a0) * a1
-        out[k] = 2.0 * cross.real
-        out[q + k] = 2.0 * cross.imag
-        out[2 * q + k] = float(np.vdot(a0, a0).real - np.vdot(a1, a1).real)
-    return out / norm_sq
+        cross = _row_sums(np.conj(a0) * a1)
+        s0, s1 = _bit_views(sq, q, k)
+        out[:, k] = 2.0 * cross.real
+        out[:, q + k] = 2.0 * cross.imag
+        out[:, 2 * q + k] = _row_sums(s0) - _row_sums(s1)
+    out /= norm_sq[:, None]
+    return out.reshape(vec.shape[:-1] + (3 * q,))

@@ -1,4 +1,4 @@
-"""The quantum token mixer.
+"""The quantum token mixer, run over a batch of windows.
 
 Per window: the raw complex mixing coefficients are masked and
 l1-normalized, each surviving token contributes one template unitary, and
@@ -13,6 +13,14 @@ partial powers with the polynomial coefficients. The squared norm of the
 resulting (sub-normalized) state is recorded as ``pre_norm`` before the
 state is renormalized, pushed through a trainable feed-forward template,
 and read out as per-qubit X/Y/Z expectations.
+
+A batch of W windows runs at once: each application of M is one template
+call over the active tokens of all W windows, and the feed-forward
+template one call over the W states. Each template row depends only on
+that row, and each window sums over its own zero-padded token axis, so a
+window's outputs are bitwise the same whatever else is in the batch. One
+window (angles (n, L), mask (n,)) is the batch W = 1, returned without
+the batch axis.
 """
 
 from __future__ import annotations
@@ -24,9 +32,8 @@ import numpy as np
 from . import autodiff as ad
 from . import kernels
 from .autodiff import Tensor
-from .circuits import AnsatzAngles, Statevector, ansatz_rows, apply_ansatz14, pauli_expectations, zero_state
+from .circuits import AnsatzAngles, Statevector, ansatz_rows, apply_ansatz14, pauli_expectations
 from .errors import (
-    ArityError,
     CollapsedStateError,
     DegenerateCoefficientError,
     EmptyWindowError,
@@ -62,136 +69,185 @@ class MixerParams:
 
 @dataclass
 class MixerOutput:
-    features: Tensor            # (3q,) real readout
-    pre_norm: Tensor            # 0-d real, squared norm before renormalizing
-    state: Statevector          # final normalized, feed-forwarded state
-    lcu_weights: Tensor         # (n,) coefficients actually used in the sum
+    """Per-window outputs: one window's, or a batch's with a leading W axis."""
+
+    features: Tensor            # (3q,) / (W, 3q) real readout
+    pre_norm: Tensor            # 0-d / (W,) real, squared norm before renormalizing
+    state: Statevector          # final normalized, feed-forwarded state(s)
+    lcu_weights: Tensor         # (n,) / (W, n) coefficients actually used in the sum
 
 
-def _mask_array(mask, n: int) -> np.ndarray:
+def _where(window_id) -> str:
+    if window_id is None:
+        return "window"
+    return window_id if isinstance(window_id, str) else f"window {window_id!r}"
+
+
+def _batch_mask(mask, n: int) -> tuple[np.ndarray, bool]:
+    """The mask as (W, n) booleans, and whether it was one window's (n,)."""
     m = np.asarray(mask, dtype=bool)
-    if m.shape != (n,):
-        raise ShapeError(f"mask must have shape ({n},), got {m.shape}")
-    return m
+    if m.ndim not in (1, 2) or m.shape[-1] != n:
+        raise ShapeError(f"mask must have shape ({n},) or (W, {n}), got {m.shape}")
+    return m.reshape(-1, n), m.ndim == 1
 
 
-def l1_normalize(coeffs: Tensor, mask) -> Tensor:
+def _labels(window_id, count: int, single: bool) -> list:
+    if single:
+        return [window_id]
+    labels = list(range(count)) if window_id is None else list(window_id)
+    if len(labels) != count:
+        raise ShapeError(f"{len(labels)} window id(s) for {count} window(s)")
+    return labels
+
+
+def _check_nonempty(m: np.ndarray, labels: list) -> None:
+    empty = np.flatnonzero(~m.any(axis=1))
+    if empty.size:
+        raise EmptyWindowError(f"{_where(labels[empty[0]])}: every position is masked")
+
+
+def l1_normalize(coeffs: Tensor, mask, window_id=None) -> Tensor:
     """Mask, then scale so the magnitudes sum to one.
 
-    Masked entries are forced to exactly zero before normalization, so they
-    receive exactly zero mixing weight. Raises if everything is masked or
-    the surviving total magnitude vanishes.
+    ``mask`` is one window's (n,) or a batch's (W, n); the result has its
+    shape. Masked entries are forced to exactly zero before normalization,
+    so they receive exactly zero mixing weight. Raises if every position of
+    a window is masked or its surviving total magnitude vanishes;
+    ``window_id`` (one id, or one per window of a batch) names it.
     """
     if coeffs.values.ndim != 1:
         raise ShapeError(f"coefficients must be 1-d, got {coeffs.shape}")
-    n = coeffs.shape[0]
-    m = _mask_array(mask, n)
-    if not m.any():
-        raise EmptyWindowError("every position of the window is masked")
-    masked = ad.mul_const(coeffs, m.astype(np.float64))
-    total = ad.sumall(ad.absval(masked))
-    if float(total.values.real) <= 1e-12:
+    m, single = _batch_mask(mask, coeffs.shape[0])
+    labels = _labels(window_id, m.shape[0], single)
+    _check_nonempty(m, labels)
+    rows = coeffs if single else ad.broadcast_rows(coeffs, m.shape[0])
+    masked = ad.mul_const(rows, m.astype(np.float64).reshape(rows.shape))
+    total = ad.sum_last(ad.absval(masked))
+    small = np.flatnonzero(total.values.real.reshape(-1) <= 1e-12)
+    if small.size:
         raise DegenerateCoefficientError(
-            f"surviving coefficient magnitude {float(total.values.real):.3e} is too small"
+            f"{_where(labels[small[0]])}: surviving coefficient magnitude "
+            f"{float(total.values.real.reshape(-1)[small[0]]):.3e} is too small"
         )
     return ad.scalar_mul(ad.spow(total, -1.0), masked)
 
 
-def _check_token_angles(token_angles: Tensor, n: int, q: int, layers: int) -> None:
-    want = kernels.angle_count(q, layers)
-    if token_angles.values.ndim != 2 or token_angles.shape != (n, want):
+def _check_token_angles(token_angles: Tensor, lead: tuple, n: int, q: int, layers: int) -> None:
+    want = lead + (n, kernels.angle_count(q, layers))
+    if token_angles.shape != want:
         raise ShapeError(
-            f"token angles must be ({n}, {want}) for q={q}, layers={layers}, "
+            f"token angles must be {want} for q={q}, layers={layers}, "
             f"got {token_angles.shape}"
         )
 
 
-def _apply_m_rows(amps: Tensor, weights: Tensor, token_angles: Tensor,
-                  q: int, layers: int) -> Tensor:
-    """One application of the mixing operator to a (2**q,) amplitude tensor.
+def _window_batch(b_norm: Tensor, token_angles: Tensor, active, q: int, layers: int):
+    """One window's (n,) weights and (n, L) angles, or a batch's (W, n) and
+    (W, n, L), as (weights (W, n), the (K, L) angles of the K tokens to run
+    in (window, token) order, the (W, n) mask of those tokens, whether one
+    window was given)."""
+    single = b_norm.values.ndim == 1
+    _check_token_angles(token_angles, b_norm.shape[:-1], b_norm.shape[-1], q, layers)
+    keep = np.ones(b_norm.shape, dtype=bool) if active is None else np.asarray(active, dtype=bool)
+    if keep.shape != b_norm.shape:
+        raise ShapeError(f"active mask must have shape {b_norm.shape}, got {keep.shape}")
+    if single:
+        b_norm = ad.reshape(b_norm, (1,) + b_norm.shape)
+        token_angles = ad.reshape(token_angles, (1,) + token_angles.shape)
+        keep = keep[None]
+    if not keep.any(axis=1).all():
+        raise EmptyWindowError("no active tokens to mix")
+    w, n, width = token_angles.shape
+    flat = ad.reshape(token_angles, (w * n, width))
+    rows = flat if keep.all() else ad.take_rows(flat, np.flatnonzero(keep))
+    return b_norm, rows, keep, single
 
-    ``weights``/``token_angles`` are already restricted to active tokens.
-    All token unitaries run as one batched template application.
-    """
-    k = weights.shape[0]
-    rows = ad.broadcast_rows(amps, k)
-    evolved = ansatz_rows(rows, token_angles, q, layers)
-    return ad.collapse_rows(weights, evolved)
+
+def _apply_m_rows(amps: Tensor, b_norm: Tensor, rows: Tensor, keep: np.ndarray,
+                  q: int, layers: int) -> Tensor:
+    """One application of each window's mixing operator to its (W, 2**q)
+    amplitudes: one template call over the kept tokens of every window,
+    then each window's weighted sum over its own tokens."""
+    evolved = ansatz_rows(amps, rows, q, layers, index=np.nonzero(keep)[0])
+    return ad.collapse_rows(b_norm, evolved, keep)
 
 
 def apply_m(state: Statevector, b_norm: Tensor, token_angles: Tensor,
             layers: int, active=None) -> Statevector:
-    """Apply M = sum_j b_norm[j] U_j to a state.
+    """Apply M = sum_j b_norm[j] U_j to a state, or each window's M to its
+    state of a batch: state (2**q,) with ``b_norm`` (n,) and
+    ``token_angles`` (n, L), or state (W, 2**q) with (W, n) and (W, n, L).
 
-    ``token_angles`` has one row of template angles per token. ``active``
-    optionally lists the token indices to keep; dropped tokens must carry
-    exactly zero weight (the caller masks them), so skipping them changes
-    nothing but cost.
+    ``active`` optionally masks, in ``b_norm``'s shape, the tokens to run.
+    Dropped tokens must carry exactly zero weight (the caller masks them),
+    so skipping them changes nothing but cost.
     """
-    n = b_norm.shape[0]
-    _check_token_angles(token_angles, n, state.q, layers)
-    if active is not None:
-        idx = np.asarray(active, dtype=np.int64)
-        if idx.size == 0:
-            raise EmptyWindowError("no active tokens to mix")
-        weights = ad.take_rows(b_norm, idx)
-        angles = ad.take_rows(token_angles, idx)
-    else:
-        weights, angles = b_norm, token_angles
-    out = _apply_m_rows(state.amps, weights, angles, state.q, layers)
-    return Statevector(state.q, out)
+    b, rows, keep, single = _window_batch(b_norm, token_angles, active, state.q, layers)
+    amps = ad.reshape(state.amps, (1, state.dim)) if single else state.amps
+    out = _apply_m_rows(amps, b, rows, keep, state.q, layers)
+    return Statevector(state.q, ad.reshape(out, (state.dim,)) if single else out)
 
 
 def apply_polynomial(b_norm: Tensor, token_angles: Tensor, poly_coeffs: Tensor,
                      q: int, layers: int, active=None) -> Statevector:
     """Evaluate sum_k c_k M^k |0...0> with exactly ``degree`` applications
-    of M, accumulating the running powers."""
+    of M, accumulating the running powers. Shapes as in ``apply_m``: one
+    window's (n,) weights give one state, a batch's (W, n) one per window."""
     if poly_coeffs.values.ndim != 1 or poly_coeffs.shape[0] < 1:
         raise ShapeError(f"polynomial coefficients must be a non-empty vector, got {poly_coeffs.shape}")
-    degree = poly_coeffs.shape[0] - 1
-    state = zero_state(q)
-    powers = [state.amps]
-    for _ in range(degree):
-        state = apply_m(state, b_norm, token_angles, layers, active=active)
-        powers.append(state.amps)
+    b, rows, keep, single = _window_batch(b_norm, token_angles, active, q, layers)
+    zero = np.zeros((keep.shape[0], 1 << q), dtype=np.complex128)
+    zero[:, 0] = 1.0
+    amps = ad.tensor(zero)
+    powers = [amps]
+    for _ in range(poly_coeffs.shape[0] - 1):
+        amps = _apply_m_rows(amps, b, rows, keep, q, layers)
+        powers.append(amps)
     acc = ad.weighted_sum(poly_coeffs, powers)
-    return Statevector(q, acc)
+    return Statevector(q, ad.reshape(acc, (1 << q,)) if single else acc)
 
 
 def mix_window(token_angles: Tensor, params: MixerParams, mask, *, q: int,
                embed_layers: int, window_id=None, normalize_lcu: bool = True) -> MixerOutput:
-    """Full mixer pipeline for one window.
+    """Full mixer pipeline for a batch of windows, or for one.
 
-    token_angles: (n, 4*embed_layers*q) tensor of per-token template angles.
-    mask: length-n booleans, True where a real token sits.
+    token_angles: (W, n, 4*embed_layers*q) per-token template angles, or
+    (n, 4*embed_layers*q) for one window.
+    mask: (W, n) booleans, or (n,), True where a real token sits.
+    window_id: names windows in errors; one id for one window, a sequence
+    of W ids for a batch (default: the window's position).
     normalize_lcu: when False (ablation), the masked raw coefficients are
     used without l1 normalization.
     """
     n = params.window
-    _check_token_angles(token_angles, n, q, embed_layers)
-    m = _mask_array(mask, n)
-    if not m.any():
-        raise EmptyWindowError(
-            f"window {window_id!r}: every position is masked" if window_id is not None
-            else "every position of the window is masked")
+    m, single = _batch_mask(mask, n)
+    _check_token_angles(token_angles, () if single else m.shape[:1], n, q, embed_layers)
+    labels = _labels(window_id, m.shape[0], single)
+    _check_nonempty(m, labels)
+    angles = ad.reshape(token_angles, (1,) + token_angles.shape) if single else token_angles
 
     if normalize_lcu:
-        weights = l1_normalize(params.lcu_coeffs, m)
+        weights = l1_normalize(params.lcu_coeffs, m, window_id=labels)
     else:
-        weights = ad.mul_const(params.lcu_coeffs, m.astype(np.float64))
+        weights = ad.mul_const(ad.broadcast_rows(params.lcu_coeffs, m.shape[0]),
+                               m.astype(np.float64))
 
-    active = np.flatnonzero(m) if not m.all() else None
-    poly_state = apply_polynomial(weights, token_angles, params.poly_coeffs,
-                                  q, embed_layers, active=active)
+    poly_state = apply_polynomial(weights, angles, params.poly_coeffs,
+                                  q, embed_layers, active=m)
     pre_norm = ad.square_norm(poly_state.amps)
-    if float(pre_norm.values.real) < COLLAPSE_THRESHOLD:
-        where = f"window {window_id!r}" if window_id is not None else "window"
+    low = np.flatnonzero(pre_norm.values.real < COLLAPSE_THRESHOLD)
+    if low.size:
         raise CollapsedStateError(
-            f"{where}: polynomial output collapsed (squared norm "
-            f"{float(pre_norm.values.real):.3e} < {COLLAPSE_THRESHOLD})"
+            f"{_where(labels[low[0]])}: polynomial output collapsed (squared norm "
+            f"{float(pre_norm.values.real[low[0]]):.3e} < {COLLAPSE_THRESHOLD})"
         )
     normalized = Statevector(q, ad.scalar_mul(ad.spow(pre_norm, -0.5), poly_state.amps))
     final = apply_ansatz14(normalized, params.ff_angles)
     features = pauli_expectations(final)
+    if single:
+        return MixerOutput(features=ad.reshape(features, (3 * q,)),
+                           pre_norm=ad.reshape(pre_norm, ()),
+                           state=Statevector(q, ad.reshape(final.amps, (1 << q,))),
+                           lcu_weights=ad.reshape(weights, (n,)))
     return MixerOutput(features=features, pre_norm=pre_norm, state=final,
                        lcu_weights=weights)

@@ -1,11 +1,14 @@
 """Full classifier: embeddings, quantum token mixer, readout head.
 
-A document flows window by window: token ids gather embedding rows, a
-linear projection turns each row into per-token template angles, the
-mixer produces a 3q-dim expectation readout, and a small MLP maps that
-to class logits. Window logits are combined by plain averaging or by a
-learned attention pool, and the loss adds the norm-targeting and
-coefficient regularizers on top of cross-entropy.
+A batch of documents runs as one block of windows: token ids gather
+embedding rows, a linear projection turns each row into per-token template
+angles, the mixer produces a 3q-dim expectation readout per window, and a
+small MLP maps that to class logits. Each document's window logits are
+combined by plain averaging or by a learned attention pool, and its loss
+adds the norm-targeting and coefficient regularizers on top of
+cross-entropy. Every product over rows keeps a window axis until the
+per-document aggregation, so a document's logits and loss are bitwise the
+same in any batch; one document is the batch of one.
 """
 
 from __future__ import annotations
@@ -122,78 +125,104 @@ def init_params(cfg: ModelConfig, vocab_size: int, n_classes: int,
 
 @dataclass
 class ForwardResult:
-    logits: Tensor                  # (classes,) document logits
-    mean_pre_norm: Tensor           # 0-d, mean squared norm across windows
-    pre_norms: list                 # per-window 0-d tensors
-    lcu_weights: list               # per-window (n,) coefficient tensors
-    window_logits: list             # per-window (classes,) tensors
+    """Outputs for D documents with W windows in all, the windows in
+    document order. ``forward_document`` on one document drops the
+    document axis of ``logits`` and ``mean_pre_norm``."""
+
+    logits: Tensor                  # (D, classes) document logits
+    mean_pre_norm: Tensor           # (D,) mean squared norm across each document's windows
+    pre_norms: Tensor               # (W,) per window
+    lcu_weights: Tensor             # (W, n) coefficients per window
+    window_logits: Tensor           # (W, classes)
+    windows: np.ndarray             # (D,) window count of each document
 
 
-def _forward_window(ids: np.ndarray, mask: np.ndarray, params: Params,
-                    cfg: ModelConfig, rng, training: bool, window_id):
+def _as_batch(docs, rng) -> tuple[list, list, bool]:
+    """(documents, one rng or None per document, whether one document
+    was given)."""
+    if isinstance(docs, Document):
+        return [docs], [rng], True
+    docs = list(docs)
+    if not docs:
+        raise InputError("empty batch of documents")
+    if isinstance(rng, np.random.Generator):
+        raise InputError("a batch of documents needs one rng per document")
+    rngs = [None] * len(docs) if rng is None else list(rng)
+    if len(rngs) != len(docs):
+        raise InputError(f"{len(rngs)} rng(s) for {len(docs)} document(s)")
+    return docs, rngs, False
+
+
+def _forward(docs: list, params: Params, cfg: ModelConfig, training: bool,
+             rngs: list, doc_ids) -> ForwardResult:
+    names = list(range(len(docs)) if doc_ids is None else doc_ids)
+    for name, doc in zip(names, docs):
+        if not doc.windows:
+            raise InputError(f"document {name} has no windows (empty after tokenization)")
+    dropout = training and cfg.dropout > 0.0
+    if dropout and any(r is None for r in rngs):
+        raise InputError("training forward with dropout needs an rng")
+    counts = np.array([len(doc.windows) for doc in docs])
+    ids = np.stack([w_ids for doc in docs for w_ids, _ in doc.windows])
+    masks = np.stack([mask for doc in docs for _, mask in doc.windows])
+    labels = [f"document {name} window {w}" for name, c in zip(names, counts)
+              for w in range(c)]
+
     emb = ad.take_rows(params.embed_table, ids)
     theta = ad.matmul(emb, ad.transpose(params.embed_proj))
-    out = mix_window(theta, params.mixer, mask, q=cfg.qubits,
-                     embed_layers=cfg.embed_layers, window_id=window_id,
+    out = mix_window(theta, params.mixer, masks, q=cfg.qubits,
+                     embed_layers=cfg.embed_layers, window_id=labels,
                      normalize_lcu=cfg.normalize_lcu)
     feats = out.features
     if cfg.measurement_mask is not None:
-        feats = ad.mul_const(feats, np.asarray(cfg.measurement_mask, dtype=np.float64))
+        feats = ad.mul_const(feats, np.broadcast_to(
+            np.asarray(cfg.measurement_mask, dtype=np.float64), feats.shape))
     h = ad.add(ad.matvec(params.head_w1, feats), params.head_b1)
     h = ad.relu(h) if cfg.activation == "relu" else ad.tanh(h)
-    if training and cfg.dropout > 0.0:
-        keep = (rng.random(cfg.hidden) >= cfg.dropout) / (1.0 - cfg.dropout)
+    if dropout:
+        # one draw per window, in window order, from the document's own rng
+        keep = np.stack([(rng.random(cfg.hidden) >= cfg.dropout) / (1.0 - cfg.dropout)
+                         for rng, c in zip(rngs, counts) for _ in range(c)])
         h = ad.mul_const(h, keep)
-    logits = ad.add(ad.matvec(params.head_w2, h), params.head_b2)
-    return logits, feats, out
+    window_logits = ad.add(ad.matvec(params.head_w2, h), params.head_b2)
+
+    if cfg.aggregation == "attention_pool":
+        n_w = counts.sum()
+        scores = ad.sum_last(ad.mul(ad.broadcast_rows(params.attn_vec, n_w), feats))
+        attn = ad.softmax(scores, counts)
+        agg = ad.segment_sum(ad.scalar_mul(attn, window_logits), counts)
+    else:
+        total = ad.segment_sum(window_logits, counts)
+        agg = ad.mul_const(total, np.broadcast_to((1.0 / counts)[:, None], total.shape))
+    mean_pre = ad.mul_const(ad.segment_sum(out.pre_norm, counts), 1.0 / counts)
+    return ForwardResult(logits=agg, mean_pre_norm=mean_pre, pre_norms=out.pre_norm,
+                         lcu_weights=out.lcu_weights, window_logits=window_logits,
+                         windows=counts)
 
 
-def forward_document(doc: Document, params: Params, cfg: ModelConfig, *,
-                     training: bool = False, rng=None) -> ForwardResult:
-    """Run the whole pipeline on one document.
+def forward_document(docs, params: Params, cfg: ModelConfig, *,
+                     training: bool = False, rng=None, doc_ids=None) -> ForwardResult:
+    """Run the whole pipeline on one document or on a batch of them.
 
     ``rng`` supplies dropout draws and must be given when training with
-    dropout enabled; one length-``hidden`` uniform vector is consumed per
-    window, in window order.
+    dropout enabled: one Generator for one document, a sequence with one
+    per document for a batch. One length-``hidden`` uniform vector is
+    consumed per window, in window order. ``doc_ids`` names the documents
+    in errors (default: their positions in the batch).
     """
-    if not doc.windows:
-        raise InputError("document has no windows (empty after tokenization)")
-    if training and cfg.dropout > 0.0 and rng is None:
-        raise InputError("training forward with dropout needs an rng")
-
-    window_logits, pre_norms, weights, feat_list = [], [], [], []
-    for w_id, (ids, mask) in enumerate(doc.windows):
-        logits, feats, out = _forward_window(
-            ids, mask, params, cfg, rng, training, w_id)
-        window_logits.append(logits)
-        pre_norms.append(out.pre_norm)
-        weights.append(out.lcu_weights)
-        feat_list.append(feats)
-
-    n_w = len(window_logits)
-    if n_w == 1:
-        agg = window_logits[0]
-        mean_pre = pre_norms[0]
-    else:
-        if cfg.aggregation == "attention_pool":
-            scores = [ad.sumall(ad.mul(params.attn_vec, f)) for f in feat_list]
-            attn = ad.softmax(ad.stack_scalars(scores))
-            agg = ad.weighted_sum(attn, window_logits)
-        else:
-            total = window_logits[0]
-            for lg in window_logits[1:]:
-                total = ad.add(total, lg)
-            agg = ad.mul_const(total, 1.0 / n_w)
-        mean_pre = ad.mul_const(ad.sumall(ad.stack_scalars(pre_norms)), 1.0 / n_w)
-
-    return ForwardResult(logits=agg, mean_pre_norm=mean_pre,
-                         pre_norms=pre_norms, lcu_weights=weights,
-                         window_logits=window_logits)
+    batch, rngs, single = _as_batch(docs, rng)
+    result = _forward(batch, params, cfg, training, rngs, doc_ids)
+    if single:
+        result.logits = ad.reshape(result.logits, result.logits.shape[1:])
+        result.mean_pre_norm = ad.reshape(result.mean_pre_norm, ())
+    return result
 
 
-def loss_terms(result: ForwardResult, label: int, loss_cfg: LossConfig,
-               mixer: MixerParams) -> tuple[Tensor, dict]:
-    """Total per-document loss and a float breakdown for logging.
+def loss_terms(result: ForwardResult, labels, loss_cfg: LossConfig,
+               mixer: MixerParams) -> tuple[Tensor, list[dict]]:
+    """Per-document total losses (D,) of a batch result, and a float
+    breakdown per document for logging. Each document's terms use only
+    its own windows:
 
     cross-entropy
     + lambda_ps * (mean pre-normalization squared norm - tau)^2
@@ -201,50 +230,55 @@ def loss_terms(result: ForwardResult, label: int, loss_cfg: LossConfig,
     + lambda_smooth * sum |c_{k+1} - c_k|^2
     + lambda_l2  * sum |c_k|^2
     """
-    ce = ad.cross_entropy(result.logits, label)
+    ce = ad.cross_entropy(result.logits, labels)
     total = ce
-    parts = {"ce": ce.real_item(), "psr": 0.0, "l1c": 0.0,
-             "smooth": 0.0, "l2": 0.0,
-             "mean_pre_norm": result.mean_pre_norm.real_item()}
+    terms = {"ce": ce, "mean_pre_norm": result.mean_pre_norm}
+    shared = {"psr": 0.0, "l1c": 0.0, "smooth": 0.0, "l2": 0.0}
 
     if loss_cfg.lambda_ps > 0.0:
         dev = ad.add_const(result.mean_pre_norm, -loss_cfg.tau)
-        pen = ad.mul_const(ad.mul(dev, dev), loss_cfg.lambda_ps)
-        parts["psr"] = pen.real_item()
-        total = ad.add(total, pen)
+        terms["psr"] = ad.mul_const(ad.mul(dev, dev), loss_cfg.lambda_ps)
+        total = ad.add(total, terms["psr"])
 
     if loss_cfg.lambda_l1 > 0.0:
-        per = []
-        for w in result.lcu_weights:
-            dev = ad.add_const(ad.sumall(ad.absval(w)), -1.0)
-            per.append(ad.mul(dev, dev))
-        mean_dev = ad.mul_const(ad.sumall(ad.stack_scalars(per)), 1.0 / len(per))
-        pen = ad.mul_const(mean_dev, loss_cfg.lambda_l1)
-        parts["l1c"] = pen.real_item()
-        total = ad.add(total, pen)
+        dev = ad.add_const(ad.sum_last(ad.absval(result.lcu_weights)), -1.0)
+        per_doc = ad.segment_sum(ad.mul(dev, dev), result.windows)
+        mean_dev = ad.mul_const(per_doc, 1.0 / result.windows)
+        terms["l1c"] = ad.mul_const(mean_dev, loss_cfg.lambda_l1)
+        total = ad.add(total, terms["l1c"])
 
     c = mixer.poly_coeffs
     if loss_cfg.lambda_smooth > 0.0:
         k = c.shape[0]
         diffs = ad.sub(ad.slice_vec(c, 1, k), ad.slice_vec(c, 0, k - 1))
         pen = ad.mul_const(ad.square_norm(diffs), loss_cfg.lambda_smooth)
-        parts["smooth"] = pen.real_item()
+        shared["smooth"] = pen.real_item()
         total = ad.add(total, pen)
 
     if loss_cfg.lambda_l2 > 0.0:
         pen = ad.mul_const(ad.square_norm(c), loss_cfg.lambda_l2)
-        parts["l2"] = pen.real_item()
+        shared["l2"] = pen.real_item()
         total = ad.add(total, pen)
 
-    parts["total"] = total.real_item()
+    terms["total"] = total
+    values = {name: t.values.real for name, t in terms.items()}
+    parts = [{**shared, **{name: float(v[d]) for name, v in values.items()}}
+             for d in range(total.shape[0])]
     return total, parts
 
 
-def document_loss(doc: Document, params: Params, model_cfg: ModelConfig,
+def document_loss(docs, params: Params, model_cfg: ModelConfig,
                   loss_cfg: LossConfig, *, training: bool = False,
-                  rng=None) -> tuple[Tensor, dict]:
-    result = forward_document(doc, params, model_cfg, training=training, rng=rng)
-    return loss_terms(result, doc.label, loss_cfg, params.mixer)
+                  rng=None, doc_ids=None) -> tuple[Tensor, dict | list]:
+    """Mean loss over a batch of documents (0-d) and one float breakdown
+    per document; for one document, its loss and its breakdown. Arguments
+    as in ``forward_document``."""
+    batch, rngs, single = _as_batch(docs, rng)
+    result = _forward(batch, params, model_cfg, training, rngs, doc_ids)
+    totals, parts = loss_terms(result, [doc.label for doc in batch], loss_cfg,
+                               params.mixer)
+    loss = ad.mul_const(ad.sumall(totals), 1.0 / len(batch))
+    return loss, (parts[0] if single else parts)
 
 
 @dataclass

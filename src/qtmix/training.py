@@ -1,9 +1,12 @@
 """Training loop, evaluation, checkpoints, and metrics files.
 
-Gradients are computed per document on an isolated tape and merged in
-dataset-index order, so the result is bit-identical no matter how many
-workers run the batch. Dropout draws come from per-(epoch, document)
-seed sequences for the same reason. Metrics records carry no wall-clock
+A training batch is one forward pass on one tape: every window of the
+batch's documents, in dataset-index order, then one backward pass from
+the mean of the per-document losses. Dropout draws come from
+per-(epoch, document) seed sequences, so a document's draws, and with
+them its loss, do not depend on the batch it lands in. Evaluation makes
+eager passes over chunks of ``EVAL_CHUNK`` documents; a document's logits
+are bitwise the same in any chunk. Metrics records carry no wall-clock
 fields: two runs with the same config and seed must produce identical
 files.
 """
@@ -14,7 +17,6 @@ import base64
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,13 +26,16 @@ from . import data as datamod
 from .autodiff import Tape, backward, parameter
 from .circuits import AnsatzAngles
 from .config import RunConfig, from_dict as config_from_dict
-from .data import Document, Vocab
+from .data import Vocab
 from .errors import DataIOError, InputError, LabelError, ParseError, TrainingDiverged
 from .mixer import MixerParams
 from .model import Params, document_loss, forward_document, init_params
 from .optim import AdamW, cosine_lr
 
 CHECKPOINT_FORMAT = "qtmix-checkpoint-v1"
+# documents per evaluation pass: small enough that an eager pass allocates
+# no more than a training step does on the q=4 majority task (batch 16)
+EVAL_CHUNK = 16
 
 
 @dataclass
@@ -92,76 +97,50 @@ def _doc_rng(seed: int, epoch: int, doc_index: int) -> np.random.Generator:
         np.random.SeedSequence(seed, spawn_key=(epoch, doc_index)))
 
 
-def _one_doc(doc: Document, doc_index: int, params: Params, cfg: RunConfig,
-             name_by_id: dict, epoch: int) -> tuple[dict, dict]:
-    rng = _doc_rng(cfg.seed, epoch, doc_index)
-    with Tape():
-        loss, parts = document_loss(doc, params, cfg.model, cfg.loss,
-                                    training=True, rng=rng)
-        raw = backward(loss, populate_leaves=False)
-    grads = {}
-    for tns, g in raw.items():
-        name = name_by_id.get(id(tns))
-        if name is not None:
-            grads[name] = g
-    return grads, parts
-
-
 def batch_gradients(batch: list, params: Params, cfg: RunConfig, *,
-                    epoch: int, pool: ThreadPoolExecutor | None = None
-                    ) -> tuple[dict, list]:
-    """Mean gradient over a batch of (dataset_index, Document) pairs.
+                    epoch: int) -> tuple[dict, list]:
+    """Mean gradient over a batch of (dataset_index, Document) pairs, and
+    the per-document loss breakdowns in dataset-index order.
 
-    Per-document results are merged in dataset-index order regardless of
-    which worker produced them, keeping the sum bit-reproducible.
+    The batch runs in dataset-index order whatever order it is given in,
+    so the result is bit-reproducible.
     """
-    name_by_id = {id(t): n for n, t in params.named().items()}
     ordered = sorted(batch, key=lambda pair: pair[0])
-    jobs = [(doc, idx) for idx, doc in ordered]
-    if pool is None:
-        results = [_one_doc(doc, idx, params, cfg, name_by_id, epoch)
-                   for doc, idx in jobs]
-    else:
-        results = list(pool.map(
-            lambda job: _one_doc(job[0], job[1], params, cfg, name_by_id, epoch),
-            jobs))
-    scale = 1.0 / len(jobs)
-    merged: dict[str, np.ndarray] = {}
-    for grads, _ in results:
-        for name, g in grads.items():
-            if name in merged:
-                merged[name] = merged[name] + g
-            else:
-                merged[name] = g.copy()
-    for name in merged:
-        merged[name] *= scale
-    return merged, [parts for _, parts in results]
+    indices = [idx for idx, _ in ordered]
+    rngs = [_doc_rng(cfg.seed, epoch, idx) for idx in indices]
+    with Tape():
+        loss, parts = document_loss([doc for _, doc in ordered], params, cfg.model,
+                                    cfg.loss, training=True, rng=rngs, doc_ids=indices)
+        raw = backward(loss, populate_leaves=False)
+    by_id = {id(t): g for t, g in raw.items()}
+    grads = {name: by_id[id(t)] for name, t in params.named().items() if id(t) in by_id}
+    return grads, parts
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
-def predict(doc: Document, params: Params, model_cfg) -> int:
-    result = forward_document(doc, params, model_cfg, training=False)
-    return int(np.argmax(result.logits.values.real))
-
-
 def evaluate(docs: list, params: Params, model_cfg) -> dict:
-    """Accuracy plus macro-averaged precision/recall/F1 over all classes."""
+    """Accuracy plus macro-averaged precision/recall/F1 over all classes,
+    from eager forward passes over chunks of ``EVAL_CHUNK`` documents."""
     n_classes = params.head_b2.shape[0]
     tp = np.zeros(n_classes)
     fp = np.zeros(n_classes)
     fn = np.zeros(n_classes)
     correct = 0
-    for doc in docs:
-        pred = predict(doc, params, model_cfg)
-        if pred == doc.label:
-            correct += 1
-            tp[pred] += 1
-        else:
-            fp[pred] += 1
-            fn[doc.label] += 1
+    for start in range(0, len(docs), EVAL_CHUNK):
+        chunk = docs[start:start + EVAL_CHUNK]
+        result = forward_document(chunk, params, model_cfg, training=False,
+                                  doc_ids=range(start, start + len(chunk)))
+        preds = np.argmax(result.logits.values.real, axis=1)
+        for doc, pred in zip(chunk, preds):
+            if pred == doc.label:
+                correct += 1
+                tp[pred] += 1
+            else:
+                fp[pred] += 1
+                fn[doc.label] += 1
     prec = np.divide(tp, tp + fp, out=np.zeros(n_classes), where=(tp + fp) > 0)
     rec = np.divide(tp, tp + fn, out=np.zeros(n_classes), where=(tp + fn) > 0)
     f1 = np.divide(2 * prec * rec, prec + rec, out=np.zeros(n_classes),
@@ -218,7 +197,10 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, Params, Vocab, int, di
         raise ParseError(f"checkpoint {p} is not valid JSON: {e}") from e
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ParseError(f"checkpoint {p}: unknown format {payload.get('format')!r}")
-    cfg = config_from_dict(payload["config"])
+    saved = dict(payload["config"])
+    # checkpoints written before the worker pool was removed carry its count
+    saved.pop("workers", None)
+    cfg = config_from_dict(saved)
     vocab = Vocab.from_dict(payload["vocab"])
     n_classes = int(payload["n_classes"])
     arrays = {name: _decode_array(rec) for name, rec in payload["params"].items()}
@@ -291,7 +273,6 @@ def train(cfg: RunConfig, log=None) -> TrainOutcome:
                 "train_docs": n_train, "val_docs": len(bundle.val),
                 "test_docs": len(bundle.test)}]
 
-    pool = ThreadPoolExecutor(cfg.workers) if cfg.workers > 1 else None
     history = []
     best_epoch = -1
     best_arrays = None
@@ -299,57 +280,52 @@ def train(cfg: RunConfig, log=None) -> TrainOutcome:
     # evaluated only when no epoch runs
     best_val = evaluate(bundle.val, params, cfg.model) if cfg.optimizer.epochs == 0 else {}
     step = 0
-    try:
-        for epoch in range(cfg.optimizer.epochs):
-            t_start = time.perf_counter()
-            order = np.random.default_rng(
-                np.random.SeedSequence(cfg.seed, spawn_key=(epoch,))
-            ).permutation(n_train)
-            sums = {"total": 0.0, "ce": 0.0, "psr": 0.0, "l1c": 0.0,
-                    "smooth": 0.0, "l2": 0.0, "mean_pre_norm": 0.0}
-            last_lr = 0.0
-            for b in range(batches_per_epoch):
-                chunk = order[b * bs:(b + 1) * bs]
-                batch = [(int(i), bundle.train[int(i)]) for i in chunk]
-                grads, parts = batch_gradients(batch, params, cfg,
-                                               epoch=epoch, pool=pool)
-                batch_loss = float(np.mean([p["total"] for p in parts]))
-                if not np.isfinite(batch_loss):
-                    raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch} batch {b}",
-                        diagnostics={
-                            "epoch": epoch, "batch": b, "step": step,
-                            "batch_loss": batch_loss,
-                            "mean_pre_norm": float(np.mean(
-                                [p["mean_pre_norm"] for p in parts])),
-                        })
-                last_lr = cosine_lr(step, total_steps,
-                                    cfg.optimizer.lr_max, cfg.optimizer.lr_min)
-                opt.step(grads, last_lr)
-                step += 1
-                for key in sums:
-                    sums[key] += float(np.sum([p[key] for p in parts]))
-            means = {k: v / n_train for k, v in sums.items()}
-            val = evaluate(bundle.val, params, cfg.model)
-            rec = {"record": "epoch", "epoch": epoch,
-                   "train_loss": means["total"],
-                   "loss_parts": {k: means[k] for k in
-                                  ("ce", "psr", "l1c", "smooth", "l2")},
-                   "mean_pre_norm": means["mean_pre_norm"],
-                   "lr": last_lr, "val": val}
-            records.append(rec)
-            history.append(rec)
-            if val["accuracy"] > best_val.get("accuracy", -1.0) or best_epoch < 0:
-                best_epoch = epoch
-                best_val = val
-                best_arrays = _snapshot(params)
-            say(f"epoch {epoch}: loss {means['total']:.4f} "
-                f"val_acc {val['accuracy']:.4f} "
-                f"pre_norm {means['mean_pre_norm']:.4f} "
-                f"({time.perf_counter() - t_start:.1f}s)")
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for epoch in range(cfg.optimizer.epochs):
+        t_start = time.perf_counter()
+        order = np.random.default_rng(
+            np.random.SeedSequence(cfg.seed, spawn_key=(epoch,))
+        ).permutation(n_train)
+        sums = {"total": 0.0, "ce": 0.0, "psr": 0.0, "l1c": 0.0,
+                "smooth": 0.0, "l2": 0.0, "mean_pre_norm": 0.0}
+        last_lr = 0.0
+        for b in range(batches_per_epoch):
+            chunk = order[b * bs:(b + 1) * bs]
+            batch = [(int(i), bundle.train[int(i)]) for i in chunk]
+            grads, parts = batch_gradients(batch, params, cfg, epoch=epoch)
+            batch_loss = float(np.mean([p["total"] for p in parts]))
+            if not np.isfinite(batch_loss):
+                raise TrainingDiverged(
+                    f"non-finite loss at epoch {epoch} batch {b}",
+                    diagnostics={
+                        "epoch": epoch, "batch": b, "step": step,
+                        "batch_loss": batch_loss,
+                        "mean_pre_norm": float(np.mean(
+                            [p["mean_pre_norm"] for p in parts])),
+                    })
+            last_lr = cosine_lr(step, total_steps,
+                                cfg.optimizer.lr_max, cfg.optimizer.lr_min)
+            opt.step(grads, last_lr)
+            step += 1
+            for key in sums:
+                sums[key] += float(np.sum([p[key] for p in parts]))
+        means = {k: v / n_train for k, v in sums.items()}
+        val = evaluate(bundle.val, params, cfg.model)
+        rec = {"record": "epoch", "epoch": epoch,
+               "train_loss": means["total"],
+               "loss_parts": {k: means[k] for k in
+                              ("ce", "psr", "l1c", "smooth", "l2")},
+               "mean_pre_norm": means["mean_pre_norm"],
+               "lr": last_lr, "val": val}
+        records.append(rec)
+        history.append(rec)
+        if val["accuracy"] > best_val.get("accuracy", -1.0) or best_epoch < 0:
+            best_epoch = epoch
+            best_val = val
+            best_arrays = _snapshot(params)
+        say(f"epoch {epoch}: loss {means['total']:.4f} "
+            f"val_acc {val['accuracy']:.4f} "
+            f"pre_norm {means['mean_pre_norm']:.4f} "
+            f"({time.perf_counter() - t_start:.1f}s)")
 
     if best_arrays is not None:
         _restore(params, best_arrays)

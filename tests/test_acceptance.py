@@ -2,7 +2,7 @@
 
 Every test enforces its own wall-time budget and runs on the installed
 package exactly as a user would drive it. Budgets assume a single CPU
-core; all training configs here use the default workers=1.
+core.
 """
 
 import json

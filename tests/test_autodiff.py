@@ -174,9 +174,65 @@ def test_fd_structural_ops(seed):
     check_op_gradients(lambda ls: ad.take_rows(ls[0], idx), [ad.tensor(vec[:7])], rng)
     check_op_gradients(lambda ls: ad.slice_vec(ls[0], 2, 6), [ad.tensor(vec)], rng)
     check_op_gradients(lambda ls: ad.broadcast_rows(ls[0], 4), [ad.tensor(vec)], rng)
-    scal = [rand_complex(rng, ()) for _ in range(3)]
-    check_op_gradients(lambda ls: ad.stack_scalars(ls),
-                       [ad.tensor(s) for s in scal], rng)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_fd_batched_ops(seed):
+    rng = np.random.default_rng(1100 + seed)
+    x = rand_complex(rng, (3, 4))
+    m = rand_complex(rng, (2, 4))
+    check_op_gradients(lambda ls: ad.matvec(ls[0], ls[1]), [ad.tensor(m), ad.tensor(x)], rng)
+    a3 = rand_complex(rng, (3, 2, 4))
+    b = rand_complex(rng, (4, 5))
+    check_op_gradients(lambda ls: ad.matmul(ls[0], ls[1]), [ad.tensor(a3), ad.tensor(b)], rng)
+    bias = rand_complex(rng, (4,))
+    check_op_gradients(lambda ls: ad.add(ls[0], ls[1]), [ad.tensor(x), ad.tensor(bias)], rng)
+    check_op_gradients(lambda ls: ad.add(ls[0], ls[1]),
+                       [ad.tensor(x), ad.tensor(rand_complex(rng, ()))], rng)
+    s = rand_complex(rng, (3,))
+    check_op_gradients(lambda ls: ad.scalar_mul(ls[0], ls[1]), [ad.tensor(s), ad.tensor(x)], rng)
+    check_op_gradients(lambda ls: ad.sum_last(ls[0]), [ad.tensor(x)], rng)
+    check_op_gradients(lambda ls: ad.square_norm(ls[0]), [ad.tensor(x)], rng)
+    base = ad.tensor(1.3 + rng.random(3))
+    check_op_gradients(lambda ls: ad.spow(ls[0], -0.5), [base], rng, complex_leaves=set())
+    counts = [2, 1, 3]
+    rows = rand_complex(rng, (6, 4))
+    check_op_gradients(lambda ls: ad.segment_sum(ls[0], counts), [ad.tensor(rows)], rng)
+    scores = rng.standard_normal(6)
+    check_op_gradients(lambda ls: ad.softmax(ls[0], counts), [ad.tensor(scores)], rng,
+                       complex_leaves=set())
+    logits = rng.standard_normal((3, 4))
+    check_op_gradients(lambda ls: ad.cross_entropy(ls[0], [1, 0, 3]), [ad.tensor(logits)],
+                       rng, complex_leaves=set())
+    table = rand_complex(rng, (7, 3))
+    idx = rng.integers(0, 7, size=(2, 4))
+    check_op_gradients(lambda ls: ad.take_rows(ls[0], idx), [ad.tensor(table)], rng)
+    mask = np.array([[True, False, True], [False, False, True]])
+    coeffs = rand_complex(rng, (2, 3))
+    kept = rand_complex(rng, (3, 4))
+    check_op_gradients(lambda ls: ad.collapse_rows(ls[0], ls[1], mask),
+                       [ad.tensor(coeffs), ad.tensor(kept)], rng)
+
+
+@pytest.mark.parametrize("shape", [(), (3,)])
+def test_segment_sum_independent_of_padding_bitwise(shape):
+    # a run's sum must not depend on how long the other runs of its batch are
+    rng = np.random.default_rng(5)
+    for length in range(2, 8):
+        run = rng.random((length,) + shape) + 1j * rng.random((length,) + shape)
+        alone = ad.segment_sum(ad.tensor(run), [length]).values[0]
+        for longest in (8, 9, 12, 20):
+            other = rng.random((longest,) + shape)
+            batch = ad.segment_sum(ad.tensor(np.concatenate([other, run])), [longest, length])
+            assert np.array_equal(alone, batch.values[1]), (length, longest)
+
+
+def test_softmax_segments_match_separate_softmaxes():
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal(7)
+    seg = ad.softmax(ad.tensor(x), [3, 4])
+    assert np.allclose(seg.values[:3], ad.softmax(ad.tensor(x[:3])).values, atol=1e-15)
+    assert np.allclose(seg.values[3:], ad.softmax(ad.tensor(x[3:])).values, atol=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -285,6 +341,15 @@ def test_backward_rejects_complex_scalar():
         out = ad.sumall(p)
         with pytest.raises(AutodiffError):
             ad.backward(out)
+
+
+def test_backward_after_tape_closed_raises():
+    with ad.Tape() as tape:
+        p = ad.parameter(np.array([1.0, 2.0]))
+        loss = ad.square_norm(p)
+    assert len(tape) == 0                 # leaving the block drops the records
+    with pytest.raises(AutodiffError, match="closed"):
+        ad.backward(loss)
 
 
 def test_backward_without_tape_raises():

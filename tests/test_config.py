@@ -35,7 +35,6 @@ def test_defaults():
     assert cfg.data.min_freq == 2
     assert cfg.data.max_vocab == 20000
     assert cfg.seed == 0
-    assert cfg.workers == 1
 
 
 def test_partial_override_keeps_other_defaults():

@@ -317,3 +317,120 @@ def test_mixer_params_shape_validation():
     bad_angles = ad.tensor(np.zeros((3, 5)))
     with pytest.raises(ShapeError):
         mixer.mix_window(bad_angles, params, [True] * 3, q=2, embed_layers=1)
+
+
+# ---------------------------------------------------------------------------
+# a batch of windows
+
+def window_batch(rng, w, n, q, layers):
+    angles = rng.uniform(-np.pi, np.pi, size=(w, n, kernels.angle_count(q, layers)))
+    masks = rng.random((w, n)) < 0.6
+    masks[:, 0] = True                      # no window is empty
+    masks[1] = True                         # and one is full
+    return angles, masks
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("q", [3, 4])
+def test_mix_window_batch_equals_windows_alone_bitwise(q, normalize):
+    rng = np.random.default_rng(30 + q)
+    n, degree, layers = 5, 3, 2
+    params = make_params(rng, n, degree, q, ff_layers=2)
+    angles, masks = window_batch(rng, 5, n, q, layers)
+    batch = mixer.mix_window(ad.tensor(angles), params, masks, q=q,
+                             embed_layers=layers, normalize_lcu=normalize)
+    assert batch.features.shape == (5, 3 * q)
+    assert batch.pre_norm.shape == (5,)
+    assert batch.lcu_weights.shape == (5, n)
+    for w in range(5):
+        alone = mixer.mix_window(ad.tensor(angles[w]), params, masks[w], q=q,
+                                 embed_layers=layers, normalize_lcu=normalize)
+        assert np.array_equal(batch.features.values[w], alone.features.values), w
+        assert np.array_equal(batch.pre_norm.values[w], alone.pre_norm.values), w
+        assert np.array_equal(batch.lcu_weights.values[w], alone.lcu_weights.values), w
+        assert np.array_equal(batch.state.amps.values[w], alone.state.amps.values), w
+
+
+def test_mix_window_batch_joint_permutation_bitwise():
+    # equal mixing coefficients, so permuting one window's tokens together
+    # with its mask permutes the addends of that window's LCU sum only
+    rng = np.random.default_rng(31)
+    q, n, degree, layers = 3, 6, 3, 1
+    params = make_params(rng, n, degree, q)
+    params.lcu_coeffs.values[:] = 0.3 - 0.2j
+    angles, masks = window_batch(rng, 4, n, q, layers)
+    a = mixer.mix_window(ad.tensor(angles), params, masks, q=q, embed_layers=layers)
+    perm = rng.permutation(n)
+    angles_p, masks_p = angles.copy(), masks.copy()
+    angles_p[2], masks_p[2] = angles[2][perm], masks[2][perm]
+    b = mixer.mix_window(ad.tensor(angles_p), params, masks_p, q=q, embed_layers=layers)
+    assert np.array_equal(a.features.values, b.features.values)
+    assert np.array_equal(a.pre_norm.values, b.pre_norm.values)
+    assert np.array_equal(a.state.amps.values, b.state.amps.values)
+
+
+def test_mix_window_batch_makes_one_template_call_per_power(monkeypatch):
+    calls = {"mixer": [], "circuits": []}
+    for owner, key in ((mixer, "mixer"), (circuits, "circuits")):
+        original = owner.ansatz_rows
+
+        def counting(*args, _original=original, _key=key, **kwargs):
+            out = _original(*args, **kwargs)
+            calls[_key].append(out.shape[0])
+            return out
+
+        monkeypatch.setattr(owner, "ansatz_rows", counting)
+    rng = np.random.default_rng(32)
+    q, n, degree, layers = 3, 4, 4, 1
+    params = make_params(rng, n, degree, q)
+    angles, masks = window_batch(rng, 6, n, q, layers)
+    mixer.mix_window(ad.tensor(angles), params, masks, q=q, embed_layers=layers)
+    assert calls["mixer"] == [int(masks.sum())] * degree
+    assert calls["circuits"] == [6]          # the feed-forward template, one row per window
+
+
+def test_mix_window_batch_collapse_error_names_window():
+    rng = np.random.default_rng(33)
+    q, n, layers = 2, 3, 1
+    params = make_params(rng, n, 1, q, poly=np.array([0.0, 1.0]))
+    angles, masks = window_batch(rng, 4, n, q, layers)
+    # window 2 mixes two identity tokens with opposite weights: M = 0
+    params.lcu_coeffs.values[:2] = [0.5, -0.5]
+    angles[2, :2] = 0.0
+    masks[2] = [True, True, False]
+    with pytest.raises(CollapsedStateError, match="document 7 window 1"):
+        mixer.mix_window(ad.tensor(angles), params, masks, q=q, embed_layers=layers,
+                         window_id=["a", "b", "document 7 window 1", "c"])
+    with pytest.raises(CollapsedStateError, match="window 2"):
+        mixer.mix_window(ad.tensor(angles), params, masks, q=q, embed_layers=layers)
+
+
+def test_mix_window_batch_empty_window_named():
+    rng = np.random.default_rng(34)
+    params = make_params(rng, 3, 2, 2)
+    angles, masks = window_batch(rng, 3, 3, 2, 1)
+    masks[1] = False
+    with pytest.raises(EmptyWindowError, match="window 1"):
+        mixer.mix_window(ad.tensor(angles), params, masks, q=2, embed_layers=1)
+
+
+def test_mix_window_batch_gradients():
+    rng = np.random.default_rng(35)
+    q, n, degree, layers, ffl = 2, 3, 2, 1, 1
+    b = rand_complex(rng, (n,))
+    c = rand_complex(rng, (degree + 1,)) * 0.5
+    c[1] += 1.0
+    phi = rng.uniform(-0.5, 0.5, size=kernels.angle_count(q, ffl))
+    angles = rng.uniform(-1.0, 1.0, size=(3, n, kernels.angle_count(q, layers)))
+    masks = np.array([[True, True, False], [True, True, True], [False, True, False]])
+
+    def build(ls):
+        params = mixer.MixerParams(
+            lcu_coeffs=ls[0], poly_coeffs=ls[1],
+            ff_angles=circuits.AnsatzAngles(ls[2], q=q, layers=ffl))
+        out = mixer.mix_window(ls[3], params, masks, q=q, embed_layers=layers)
+        return ad.add(out.features, ad.scalar_mul(out.pre_norm, ad.tensor(np.ones((3, 3 * q)))))
+
+    check_op_gradients(
+        build, [ad.tensor(b), ad.tensor(c), ad.tensor(phi), ad.tensor(angles)],
+        rng, complex_leaves={0, 1}, atol=5e-6)

@@ -7,7 +7,7 @@ from qtmix import autodiff as ad
 from qtmix.autodiff import Tape, backward, parameter
 from qtmix.config import LossConfig, ModelConfig, OptimizerConfig
 from qtmix.data import Document, make_windows
-from qtmix.errors import InputError
+from qtmix.errors import CollapsedStateError, InputError
 from qtmix.kernels import angle_count
 from qtmix.model import (count_attention_params, document_loss,
                          forward_document, init_params, loss_terms)
@@ -112,10 +112,11 @@ def test_forward_shapes_and_realness():
     res = forward_document(doc, p, cfg)
     assert res.logits.shape == (2,)
     assert np.all(res.logits.values.imag == 0.0)
-    assert len(res.window_logits) == 2
-    assert len(res.pre_norms) == 2
+    assert res.window_logits.shape == (2, 2)
+    assert res.pre_norms.shape == (2,)
     assert res.mean_pre_norm.shape == ()
-    expect = 0.5 * (res.pre_norms[0].real_item() + res.pre_norms[1].real_item())
+    pre = res.pre_norms.values.real
+    expect = 0.5 * (pre[0] + pre[1])
     assert abs(res.mean_pre_norm.real_item() - expect) <= 1e-15
 
 
@@ -204,7 +205,7 @@ def test_stride_changes_window_count():
     p = init_params(cfg, 11, 2, seed=0)
     doc = doc_of([2, 3, 4, 5, 6, 7], window=4, stride=2)
     res = forward_document(doc, p, cfg)
-    assert len(res.window_logits) == 3
+    assert res.window_logits.shape[0] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -389,3 +390,101 @@ def test_adamw_descends_a_quadratic():
         g = 2.0 * x.values.real
         opt.step({"x": g.astype(complex)}, lr=0.05)
     assert np.max(np.abs(x.values.real)) < 0.05
+
+
+# ---------------------------------------------------------------------------
+# batches of documents
+
+def doc_batch(rng, count, window=4, stride=None):
+    docs = []
+    for i in range(count):
+        length = int(rng.integers(1, 3 * window))
+        docs.append(doc_of(rng.integers(2, 11, size=length).tolist(), label=i % 2,
+                           window=window, stride=stride))
+    return docs
+
+
+def seeded(d):
+    return np.random.default_rng(np.random.SeedSequence(9, spawn_key=(0, d)))
+
+
+@pytest.mark.parametrize("aggregation", ["mean_logits", "attention_pool"])
+def test_document_loss_bitwise_same_alone_and_in_batch_with_dropout(aggregation):
+    cfg = small_cfg(dropout=0.4, aggregation=aggregation, stride=2)
+    lc = LossConfig(lambda_ps=0.3, lambda_l1=0.2, lambda_smooth=0.1, lambda_l2=0.1)
+    p = init_params(cfg, 11, 2, seed=8)
+    if p.attn_vec is not None:
+        p.attn_vec.values[...] = np.linspace(-1, 1, 9)
+    docs = doc_batch(np.random.default_rng(8), 8, stride=2)
+    assert len({len(d.windows) for d in docs}) > 1
+    loss, parts = document_loss(docs, p, cfg, lc, training=True,
+                                rng=[seeded(d) for d in range(8)])
+    res = forward_document(docs, p, cfg, training=True, rng=[seeded(d) for d in range(8)])
+    assert len(parts) == 8 and res.logits.shape == (8, 2)
+    for d, doc in enumerate(docs):
+        _, alone = document_loss(doc, p, cfg, lc, training=True, rng=seeded(d))
+        assert parts[d] == alone, d
+        one = forward_document(doc, p, cfg, training=True, rng=seeded(d))
+        assert np.array_equal(res.logits.values[d], one.logits.values), d
+    assert loss.real_item() == pytest.approx(np.mean([pt["total"] for pt in parts]),
+                                             rel=1e-14)
+
+
+def test_document_windows_bitwise_same_in_any_batch():
+    cfg = small_cfg(stride=3)
+    p = init_params(cfg, 11, 2, seed=4)
+    docs = doc_batch(np.random.default_rng(4), 6, stride=3)
+    full = forward_document(docs, p, cfg)
+    tail = forward_document(docs[3:], p, cfg)
+    start = sum(len(d.windows) for d in docs[:3])
+    assert np.array_equal(full.window_logits.values[start:], tail.window_logits.values)
+    assert np.array_equal(full.pre_norms.values[start:], tail.pre_norms.values)
+    assert np.array_equal(full.lcu_weights.values[start:], tail.lcu_weights.values)
+    assert np.array_equal(full.logits.values[3:], tail.logits.values)
+
+
+def test_batch_gradients_match_central_differences_attention_pool():
+    cfg = ModelConfig(qubits=2, window=3, stride=2, degree=2, embed_dim=3,
+                      embed_layers=1, ff_layers=1, hidden=4, dropout=0.0,
+                      aggregation="attention_pool", normalize_lcu=False)
+    lc = LossConfig(tau=0.5, lambda_ps=0.2, lambda_l1=0.1, lambda_smooth=0.1,
+                    lambda_l2=0.05)
+    p = init_params(cfg, 8, 2, seed=3)
+    rng = np.random.default_rng(3)
+    p.attn_vec.values[...] = rng.uniform(-1, 1, 6)
+    docs = [doc_of([2, 3, 4, 5, 6, 7], label=0, window=3, stride=2),
+            doc_of([7, 6, 5], label=1, window=3, stride=2),
+            doc_of([3, 3, 4, 7, 2], label=1, window=3, stride=2)]
+    assert [len(d.windows) for d in docs] == [3, 2, 3]
+    named = p.named()
+    with Tape():
+        loss, _ = document_loss(docs, p, cfg, lc)
+        grads = backward(loss, populate_leaves=False)
+    by_id = {id(t): g for t, g in grads.items()}
+    h = 1e-6
+    for name, t in named.items():
+        g = by_id[id(t)]
+        axes = (1.0, 1j) if name in ("lcu_coeffs", "poly_coeffs") else (1.0,)
+        for i in range(t.size):
+            saved = t.values.flat[i]
+            for axis in axes:
+                t.values.flat[i] = saved + axis * h
+                up = document_loss(docs, p, cfg, lc)[0].real_item()
+                t.values.flat[i] = saved - axis * h
+                down = document_loss(docs, p, cfg, lc)[0].real_item()
+                t.values.flat[i] = saved
+                fd = (up - down) / (2 * h)
+                a = g.flat[i].real if axis == 1.0 else g.flat[i].imag
+                assert abs(a - fd) <= 1e-7 + 1e-5 * abs(fd), (name, i, axis, a, fd)
+
+
+def test_batch_errors_name_document_and_window():
+    cfg = small_cfg()
+    p = init_params(cfg, 11, 2, seed=0)
+    docs = [doc_of([2, 3]), Document(label=0, windows=[], n_tokens=0)]
+    with pytest.raises(InputError, match="document 12 has no windows"):
+        forward_document(docs, p, cfg, doc_ids=[11, 12])
+    # a polynomial with no terms collapses every window; the first is named
+    p.mixer.poly_coeffs.values[...] = 0.0
+    with pytest.raises(CollapsedStateError, match="document 5 window 0"):
+        forward_document([doc_of([2, 3]), doc_of([4])], p, cfg, doc_ids=[5, 6])

@@ -1,6 +1,8 @@
 """Training loop: determinism, gradient batching, checkpoints, metrics."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -32,7 +34,6 @@ def normalized_records(path):
         rec = json.loads(line)
         if rec["record"] == "config":
             rec["config"]["out_dir"] = "X"
-            rec["config"]["workers"] = 0
         out.append(json.dumps(rec, sort_keys=True))
     return out
 
@@ -103,6 +104,30 @@ def test_batch_gradients_order_independent_merge():
         assert np.array_equal(ga[name], gb[name]), name
 
 
+def test_batch_tape_freed_by_reference_counting(monkeypatch):
+    cfg = tiny_cfg("/tmp/unused")
+    b = load_bundle(cfg)
+    params = init_params(cfg.model, len(b.vocab), b.n_classes, cfg.seed)
+    tapes = []
+
+    class WatchedTape(training.Tape):
+        def __enter__(self):
+            tapes.append(weakref.ref(self))
+            return super().__enter__()
+
+    monkeypatch.setattr(training, "Tape", WatchedTape)
+    gc.collect()
+    gc.disable()
+    try:
+        grads, parts = batch_gradients([(i, b.train[i]) for i in range(4)], params, cfg,
+                                       epoch=0)
+        assert len(tapes) == 1
+        assert tapes[0]() is None
+    finally:
+        gc.enable()
+    assert grads and len(parts) == 4
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -117,6 +142,22 @@ def test_evaluate_perfect_and_macro_metrics():
     assert m["n"] == len(b.val)
     assert 0.0 <= m["accuracy"] <= 1.0
     assert 0.0 <= m["macro_f1"] <= 1.0
+
+
+def test_evaluate_same_metrics_across_chunk_boundaries(monkeypatch):
+    cfg = tiny_cfg("/tmp/unused", data=DataConfig(kind="synthetic", task="sentiment",
+                                                 size=120, data_seed=2, min_freq=1),
+                   model=ModelConfig(qubits=3, window=4, degree=2, embed_dim=8,
+                                     embed_layers=1, ff_layers=1, hidden=8,
+                                     stride=2, dropout=0.0))
+    b = load_bundle(cfg)
+    params = init_params(cfg.model, len(b.vocab), b.n_classes, cfg.seed)
+    docs = b.train[:training.EVAL_CHUNK + 5]
+    assert len({len(d.windows) for d in docs}) > 1
+    whole = evaluate(docs, params, cfg.model)
+    for chunk in (1, 3, 7, len(docs)):
+        monkeypatch.setattr(training, "EVAL_CHUNK", chunk)
+        assert evaluate(docs, params, cfg.model) == whole, chunk
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +183,6 @@ def test_train_writes_artifacts_and_learns(tmp_path):
 def test_train_run_to_run_bitwise(tmp_path):
     a = train(tiny_cfg(tmp_path / "a"))
     b = train(tiny_cfg(tmp_path / "b"))
-    assert normalized_records(a.metrics_path) == normalized_records(b.metrics_path)
-    for name, t in a.params.named().items():
-        assert np.array_equal(t.values, b.params.named()[name].values), name
-
-
-def test_train_worker_count_invariant(tmp_path):
-    a = train(tiny_cfg(tmp_path / "a"))
-    b = train(tiny_cfg(tmp_path / "b", workers=4))
     assert normalized_records(a.metrics_path) == normalized_records(b.metrics_path)
     for name, t in a.params.named().items():
         assert np.array_equal(t.values, b.params.named()[name].values), name
@@ -184,8 +217,8 @@ def test_train_divergence_raises_with_diagnostics(tmp_path, monkeypatch):
     cfg = tiny_cfg(tmp_path / "d")
     real = training.batch_gradients
 
-    def poisoned(batch, params, run_cfg, *, epoch, pool=None):
-        grads, parts = real(batch, params, run_cfg, epoch=epoch, pool=pool)
+    def poisoned(batch, params, run_cfg, *, epoch):
+        grads, parts = real(batch, params, run_cfg, epoch=epoch)
         for p in parts:
             p["total"] = float("nan")
         return grads, parts
@@ -212,6 +245,18 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     # the reloaded model scores identically
     m = evaluate(out.bundle.test, params2, cfg2.model)
     assert m == out.test
+
+
+def test_checkpoint_with_worker_count_still_loads(tmp_path):
+    out = train(tiny_cfg(tmp_path / "run", optimizer=OptimizerConfig(epochs=1)))
+    payload = json.loads(open(out.checkpoint_path).read())
+    payload["config"]["workers"] = 1          # as written before the pool was removed
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(payload))
+    cfg2, params2, _, _, _ = load_checkpoint(old)
+    assert not hasattr(cfg2, "workers")
+    for name, t in out.params.named().items():
+        assert np.array_equal(t.values, params2.named()[name].values), name
 
 
 def test_checkpoint_rejects_unknown_format(tmp_path):
