@@ -2,7 +2,7 @@
 quantum token-mixer text classification."""
 
 from .autodiff import Tape, Tensor, backward, parameter, tensor
-from .circuits import AnsatzAngles, Statevector, apply_ansatz14, zero_state
+from .circuits import AnsatzAngles
 from .config import (DataConfig, LossConfig, ModelConfig, OptimizerConfig,
                      RunConfig)
 from .data import Document, Vocab, make_windows, tokenize
@@ -20,10 +20,9 @@ __all__ = [
     "AdamW", "AnsatzAngles", "DataConfig", "Document", "ForwardResult",
     "LossConfig", "MixerOutput", "MixerParams", "ModelConfig",
     "OptimizerConfig", "ParamCount", "Params", "QtmixError", "RunConfig",
-    "Statevector", "Tape", "Tensor", "TrainOutcome", "Vocab",
-    "apply_ansatz14", "backward", "cosine_lr", "count_attention_params",
-    "document_loss", "evaluate", "forward_document", "init_params",
+    "Tape", "Tensor", "TrainOutcome", "Vocab", "backward", "cosine_lr",
+    "count_attention_params", "document_loss", "evaluate", "forward_document", "init_params",
     "load_bundle", "load_checkpoint", "loss_terms", "make_windows",
     "mix_window", "parameter", "save_checkpoint", "tensor", "tokenize",
-    "train", "zero_state", "__version__",
+    "train", "__version__",
 ]

@@ -39,8 +39,8 @@ _ids = itertools.count()
 __all__ = [
     "Tensor", "Tape", "tensor", "parameter", "backward",
     "add", "sub", "mul", "mul_const", "add_const", "scalar_mul",
-    "matvec", "matmul", "transpose", "reshape", "conj",
-    "real_part", "imag_part", "absval", "sumall", "sum_last", "square_norm",
+    "matvec", "matmul", "transpose", "reshape",
+    "real_part", "absval", "sumall", "sum_last", "square_norm",
     "spow", "weighted_sum", "collapse_rows", "segment_sum", "take_rows",
     "slice_vec", "broadcast_rows", "relu", "tanh", "softmax",
     "cross_entropy",
@@ -52,7 +52,7 @@ class Tensor:
 
     Leaves are created with ``tensor``/``parameter``; everything else comes
     out of ops. ``grad`` is populated on tracked leaves by ``backward`` and
-    accumulates across calls until ``zero_grad``.
+    accumulates across calls.
     """
 
     __slots__ = ("values", "grad", "tracked", "node_id", "_tape", "_index")
@@ -88,39 +88,9 @@ class Tensor:
     def real_item(self) -> float:
         return self.item().real
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         tag = "leaf" if self.is_leaf else "node"
         return f"Tensor({tag}, shape={self.shape}, tracked={self.tracked})"
-
-    # Light operator sugar; the module-level functions are the real API.
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_const(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return add_const(self, -other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            if other.shape == ():
-                return scalar_mul(other, self)
-            if self.shape == ():
-                return scalar_mul(self, other)
-            return mul(self, other)
-        return mul_const(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul_const(self, -1.0)
 
 
 def tensor(values, tracked: bool = False) -> Tensor:
@@ -335,19 +305,10 @@ def scalar_mul(s: Tensor, t: Tensor) -> Tensor:
     return _make(sv * tv, (s, t), vjp)
 
 
-def conj(a: Tensor) -> Tensor:
-    return _make(np.conj(a.values), (a,), lambda g: (np.conj(g),))
-
-
 def real_part(a: Tensor) -> Tensor:
     """Real part, as a real-valued tensor."""
     return _make(a.values.real.astype(_COMPLEX), (a,),
                  lambda g: (g.real.astype(_COMPLEX),))
-
-
-def imag_part(a: Tensor) -> Tensor:
-    return _make(a.values.imag.astype(_COMPLEX), (a,),
-                 lambda g: (1j * g.real.astype(_COMPLEX),))
 
 
 def absval(a: Tensor) -> Tensor:

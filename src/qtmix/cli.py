@@ -3,7 +3,8 @@
 Subcommands: train, eval, gradcheck, verify, params, synth. Exit codes
 are part of the contract: 0 success, 1 a check or verification failed,
 2 bad configuration, 3 bad input data, 4 training diverged, 5 a request
-exceeded the command's size budget.
+exceeded the command's size budget, 6 a numerical failure (a collapsed or
+degenerate state or coefficient vector), 7 any other internal error.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from . import config as configmod
 from . import data as datamod
 from . import oracle
 from .config import LossConfig, ModelConfig, RunConfig
-from .errors import (BudgetError, ConfigError, DataIOError, InputError,
-                     LabelError, ParseError, TrainingDiverged)
+from .errors import (BudgetError, CollapsedStateError, ConfigError, DataIOError,
+                     DegenerateCoefficientError, DegenerateStateError, InputError,
+                     LabelError, ParseError, QtmixError, TrainingDiverged)
 from .gradcheck import format_report, run_gradcheck
 from .model import count_attention_params
 from .training import evaluate, load_checkpoint, train
@@ -29,6 +31,8 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 EXIT_BUDGET = 5
+EXIT_NUMERICAL = 6
+EXIT_INTERNAL = 7
 
 GRADCHECK_MAX_QUBITS = 6
 GRADCHECK_MAX_WINDOW = 8
@@ -221,6 +225,12 @@ def main(argv=None) -> int:
     except BudgetError as e:
         print(f"budget error: {e}", file=sys.stderr)
         return EXIT_BUDGET
+    except (CollapsedStateError, DegenerateCoefficientError, DegenerateStateError) as e:
+        print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except QtmixError as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

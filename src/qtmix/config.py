@@ -13,6 +13,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .circuits import MAX_QUBITS
 from .errors import ConfigError
 
 ACTIVATIONS = ("relu", "tanh")
@@ -44,8 +45,8 @@ class ModelConfig:
         return self.window if self.stride is None else self.stride
 
     def validate(self) -> None:
-        if not (2 <= self.qubits <= 14):
-            raise ConfigError(f"model.qubits must be in 2..14, got {self.qubits}")
+        if not (2 <= self.qubits <= MAX_QUBITS):
+            raise ConfigError(f"model.qubits must be in 2..{MAX_QUBITS}, got {self.qubits}")
         if self.window < 1:
             raise ConfigError(f"model.window must be >= 1, got {self.window}")
         if self.stride is not None and self.stride < 1:
@@ -176,21 +177,36 @@ _SECTIONS = {
     "data": DataConfig,
 }
 
-_SCALAR_TYPES = {
-    "seed": int,
-    "out_dir": str,
-}
+_SCALARS = ("seed", "out_dir")
+
+
+def _check_type(value, annotation: str, where: str) -> None:
+    """Match a JSON value to a field's annotation: a bool is not an int, a
+    float field takes an int, and an ``X | None`` field takes null."""
+    kind, *rest = annotation.split(" | ")
+    if value is None:
+        ok = rest == ["None"]
+    elif kind == "list[bool]":
+        ok = isinstance(value, list) and all(isinstance(v, bool) for v in value)
+    elif kind == "float":
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        ok = type(value).__name__ == kind
+    if not ok:
+        raise ConfigError(f"'{where}' must be {annotation.replace(' | None', ' or null')}, "
+                          f"got {value!r}")
 
 
 def _build_section(cls, payload: dict, where: str):
     if not isinstance(payload, dict):
         raise ConfigError(f"section '{where}' must be an object")
     obj = cls()
-    fields = {f for f in obj.__dataclass_fields__}
-    unknown = sorted(set(payload) - fields)
+    fields = obj.__dataclass_fields__
+    unknown = sorted(set(payload) - set(fields))
     if unknown:
         raise ConfigError(f"unknown key(s) in '{where}': {', '.join(unknown)}")
     for key, value in payload.items():
+        _check_type(value, fields[key].type, f"{where}.{key}")
         setattr(obj, key, value)
     return obj
 
@@ -199,7 +215,7 @@ def from_dict(raw: dict) -> RunConfig:
     """Parse and validate a config mapping. Unknown keys are hard errors."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    known = set(_SECTIONS) | set(_SCALAR_TYPES)
+    known = set(_SECTIONS) | set(_SCALARS)
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
@@ -207,14 +223,10 @@ def from_dict(raw: dict) -> RunConfig:
     for name, cls in _SECTIONS.items():
         if name in raw:
             setattr(cfg, name, _build_section(cls, raw[name], name))
-    for name, typ in _SCALAR_TYPES.items():
+    for name in _SCALARS:
         if name in raw:
-            value = raw[name]
-            if typ is int and (not isinstance(value, int) or isinstance(value, bool)):
-                raise ConfigError(f"'{name}' must be an integer")
-            if typ is str and not isinstance(value, str):
-                raise ConfigError(f"'{name}' must be a string")
-            setattr(cfg, name, value)
+            _check_type(raw[name], RunConfig.__dataclass_fields__[name].type, name)
+            setattr(cfg, name, raw[name])
     return cfg.validate()
 
 

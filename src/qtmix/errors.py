@@ -27,13 +27,9 @@ class CapacityError(QtmixError):
     """A requested register size exceeds the supported simulation cap."""
 
 
-class QubitIndexError(QtmixError):
-    """A qubit index is outside the register."""
-
-
 class WiringError(QtmixError):
-    """A controlled gate was wired onto the same qubit twice, or an
-    entangling template was requested on a register too small to hold it."""
+    """An entangling template was requested on a register too small to
+    hold it."""
 
 
 class DegenerateStateError(QtmixError):

@@ -1,4 +1,4 @@
-"""Raw statevector gate kernels.
+"""Raw statevector kernels.
 
 Everything here works on batches of statevectors laid out as (k, 2**q)
 complex128 arrays, row-major, little-endian qubit order: qubit 0 is the
@@ -6,15 +6,13 @@ least significant bit of the basis index. No 2**q x 2**q matrix is ever
 materialized. The tape ops in ``circuits`` wrap these functions; tests
 compare them against dense Kronecker oracles.
 
-The single-gate kernels (``ry_rows``, ``crx_rows`` and their derivatives)
-apply one gate through strided views and return a new array. The template
-sweeps (``ansatz_rows_forward``, ``ansatz_rows_vjp``) instead fuse the
-template's gates into blocks on a few adjacent qubits and apply each block
-as one batched matrix product (see "fused template sweeps" below), in
-buffers allocated once per call; the caller's arrays are never modified.
-They agree with composing the single-gate kernels to rounding, not
-bitwise. Each row's results depend only on that row's inputs, so
-permuting the rows permutes the results exactly.
+The template sweeps (``ansatz_rows_forward``, ``ansatz_rows_vjp``) fuse
+the template's gates into blocks on a few adjacent qubits and apply each
+block as one batched matrix product (see "fused template sweeps" below),
+in buffers allocated once per call; the caller's arrays are never
+modified. Each row's results depend only on that row's inputs, so
+permuting the rows permutes the results exactly. The Pauli kernels
+(``pauli_apply``, ``pauli_expectations_raw``) serve the readout.
 
 Gate conventions (theta real):
 
@@ -48,81 +46,6 @@ def _bit_views(arr: np.ndarray, q: int, qubit: int):
     lo = 1 << qubit
     v = arr.reshape(k, hi, 2, lo)
     return v[:, :, 0, :], v[:, :, 1, :]
-
-
-def _theta_cs(theta, ndim_tail: int):
-    """cos/sin of theta/2, shaped to broadcast over a batch with
-    ``ndim_tail`` trailing axes. theta is a scalar or a (k,) array."""
-    th = np.asarray(theta, dtype=np.float64)
-    c = np.cos(th / 2.0)
-    s = np.sin(th / 2.0)
-    if th.ndim == 1:
-        shape = (th.shape[0],) + (1,) * ndim_tail
-        c = c.reshape(shape)
-        s = s.reshape(shape)
-    return c, s
-
-
-def ry_rows(arr: np.ndarray, q: int, qubit: int, theta) -> np.ndarray:
-    """Apply RY(theta) on ``qubit`` to every row. theta: scalar or (k,)."""
-    a0, a1 = _bit_views(arr, q, qubit)
-    c, s = _theta_cs(theta, a0.ndim - 1)
-    out = np.empty_like(arr)
-    o0, o1 = _bit_views(out, q, qubit)
-    o0[...] = c * a0 - s * a1
-    o1[...] = s * a0 + c * a1
-    return out
-
-
-def dry_rows(arr: np.ndarray, q: int, qubit: int, theta) -> np.ndarray:
-    """Apply d RY(theta) / d theta to every row."""
-    a0, a1 = _bit_views(arr, q, qubit)
-    c, s = _theta_cs(theta, a0.ndim - 1)
-    out = np.empty_like(arr)
-    o0, o1 = _bit_views(out, q, qubit)
-    o0[...] = 0.5 * (-s * a0 - c * a1)
-    o1[...] = 0.5 * (c * a0 - s * a1)
-    return out
-
-
-def _pair_views(arr: np.ndarray, q: int, control: int, target: int):
-    """Views of the control=1 subspace split by the target bit.
-
-    Returns (s0, s1): amplitudes with control set and target clear/set,
-    each of shape (k, A, B, C) for the appropriate strides.
-    """
-    k = arr.shape[0]
-    hi, lo = max(control, target), min(control, target)
-    a = 1 << (q - 1 - hi)
-    b = 1 << (hi - 1 - lo)
-    c = 1 << lo
-    v = arr.reshape(k, a, 2, b, 2, c)
-    if control == hi:
-        return v[:, :, 1, :, 0, :], v[:, :, 1, :, 1, :]
-    return v[:, :, 0, :, 1, :], v[:, :, 1, :, 1, :]
-
-
-def crx_rows(arr: np.ndarray, q: int, control: int, target: int, theta) -> np.ndarray:
-    """Apply CRX(theta) with the given control/target to every row."""
-    s0, s1 = _pair_views(arr, q, control, target)
-    c, s = _theta_cs(theta, s0.ndim - 1)
-    out = arr.copy()
-    o0, o1 = _pair_views(out, q, control, target)
-    o0[...] = c * s0 - 1j * s * s1
-    o1[...] = -1j * s * s0 + c * s1
-    return out
-
-
-def dcrx_rows(arr: np.ndarray, q: int, control: int, target: int, theta) -> np.ndarray:
-    """Apply d CRX(theta) / d theta to every row (zero on the control=0
-    subspace)."""
-    s0, s1 = _pair_views(arr, q, control, target)
-    c, s = _theta_cs(theta, s0.ndim - 1)
-    out = np.zeros_like(arr)
-    o0, o1 = _pair_views(out, q, control, target)
-    o0[...] = 0.5 * (-s * s0 - 1j * c * s1)
-    o1[...] = 0.5 * (-1j * c * s0 - s * s1)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +434,9 @@ def ansatz_rows_forward(arr: np.ndarray, q: int, layers: int, angles: np.ndarray
 
     The gates run as fused blocks (see above), each one batched matmul on
     a view of the state, ping-ponging between two buffers allocated once
-    per call; ``arr`` is never modified. The result matches composing
-    ``ry_rows``/``crx_rows`` along ``ansatz_sequence`` to rounding, not
-    bitwise. Each row's result depends only on that row and its angles.
+    per call; ``arr`` is never modified. The result matches the ordered
+    product of the gates of ``ansatz_sequence`` to rounding, not bitwise.
+    Each row's result depends only on that row and its angles.
     """
     plan = _plan(q, layers)
     tab = _term_table(angles)

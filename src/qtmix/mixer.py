@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import kernels
+from . import circuits, kernels
 from .autodiff import Tensor
-from .circuits import AnsatzAngles, Statevector, ansatz_rows, apply_ansatz14, pauli_expectations
+from .circuits import AnsatzAngles, ansatz_rows, pauli_expectations
 from .errors import (
     CollapsedStateError,
     DegenerateCoefficientError,
@@ -73,7 +73,7 @@ class MixerOutput:
 
     features: Tensor            # (3q,) / (W, 3q) real readout
     pre_norm: Tensor            # 0-d / (W,) real, squared norm before renormalizing
-    state: Statevector          # final normalized, feed-forwarded state(s)
+    state: Tensor               # (2**q,) / (W, 2**q) final normalized, feed-forwarded state(s)
     lcu_weights: Tensor         # (n,) / (W, n) coefficients actually used in the sum
 
 
@@ -172,24 +172,24 @@ def _apply_m_rows(amps: Tensor, b_norm: Tensor, rows: Tensor, keep: np.ndarray,
     return ad.collapse_rows(b_norm, evolved, keep)
 
 
-def apply_m(state: Statevector, b_norm: Tensor, token_angles: Tensor,
-            layers: int, active=None) -> Statevector:
+def apply_m(amps: Tensor, b_norm: Tensor, token_angles: Tensor, q: int,
+            layers: int, active=None) -> Tensor:
     """Apply M = sum_j b_norm[j] U_j to a state, or each window's M to its
-    state of a batch: state (2**q,) with ``b_norm`` (n,) and
-    ``token_angles`` (n, L), or state (W, 2**q) with (W, n) and (W, n, L).
+    state of a batch: amps (2**q,) with ``b_norm`` (n,) and
+    ``token_angles`` (n, L), or amps (W, 2**q) with (W, n) and (W, n, L).
 
     ``active`` optionally masks, in ``b_norm``'s shape, the tokens to run.
     Dropped tokens must carry exactly zero weight (the caller masks them),
     so skipping them changes nothing but cost.
     """
-    b, rows, keep, single = _window_batch(b_norm, token_angles, active, state.q, layers)
-    amps = ad.reshape(state.amps, (1, state.dim)) if single else state.amps
-    out = _apply_m_rows(amps, b, rows, keep, state.q, layers)
-    return Statevector(state.q, ad.reshape(out, (state.dim,)) if single else out)
+    b, rows, keep, single = _window_batch(b_norm, token_angles, active, q, layers)
+    out = _apply_m_rows(ad.reshape(amps, (1, 1 << q)) if single else amps,
+                        b, rows, keep, q, layers)
+    return ad.reshape(out, (1 << q,)) if single else out
 
 
 def apply_polynomial(b_norm: Tensor, token_angles: Tensor, poly_coeffs: Tensor,
-                     q: int, layers: int, active=None) -> Statevector:
+                     q: int, layers: int, active=None) -> Tensor:
     """Evaluate sum_k c_k M^k |0...0> with exactly ``degree`` applications
     of M, accumulating the running powers. Shapes as in ``apply_m``: one
     window's (n,) weights give one state, a batch's (W, n) one per window."""
@@ -204,7 +204,7 @@ def apply_polynomial(b_norm: Tensor, token_angles: Tensor, poly_coeffs: Tensor,
         amps = _apply_m_rows(amps, b, rows, keep, q, layers)
         powers.append(amps)
     acc = ad.weighted_sum(poly_coeffs, powers)
-    return Statevector(q, ad.reshape(acc, (1 << q,)) if single else acc)
+    return ad.reshape(acc, (1 << q,)) if single else acc
 
 
 def mix_window(token_angles: Tensor, params: MixerParams, mask, *, q: int,
@@ -234,20 +234,22 @@ def mix_window(token_angles: Tensor, params: MixerParams, mask, *, q: int,
 
     poly_state = apply_polynomial(weights, angles, params.poly_coeffs,
                                   q, embed_layers, active=m)
-    pre_norm = ad.square_norm(poly_state.amps)
+    pre_norm = ad.square_norm(poly_state)
     low = np.flatnonzero(pre_norm.values.real < COLLAPSE_THRESHOLD)
     if low.size:
         raise CollapsedStateError(
             f"{_where(labels[low[0]])}: polynomial output collapsed (squared norm "
             f"{float(pre_norm.values.real[low[0]]):.3e} < {COLLAPSE_THRESHOLD})"
         )
-    normalized = Statevector(q, ad.scalar_mul(ad.spow(pre_norm, -0.5), poly_state.amps))
-    final = apply_ansatz14(normalized, params.ff_angles)
-    features = pauli_expectations(final)
+    normalized = ad.scalar_mul(ad.spow(pre_norm, -0.5), poly_state)
+    ff = params.ff_angles
+    # via circuits, not the name the powers use, so a tracer can tell the calls apart
+    final = circuits.ansatz_rows(normalized, ff.theta, q, ff.layers)
+    features = pauli_expectations(final, q)
     if single:
         return MixerOutput(features=ad.reshape(features, (3 * q,)),
                            pre_norm=ad.reshape(pre_norm, ()),
-                           state=Statevector(q, ad.reshape(final.amps, (1 << q,))),
+                           state=ad.reshape(final, (1 << q,)),
                            lcu_weights=ad.reshape(weights, (n,)))
     return MixerOutput(features=features, pre_norm=pre_norm, state=final,
                        lcu_weights=weights)

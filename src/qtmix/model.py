@@ -57,14 +57,24 @@ class Params:
             out["attn_vec"] = self.attn_vec
         return out
 
-    def zero_grads(self) -> None:
-        for t in self.named().values():
-            t.zero_grad()
-
 
 def _xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-limit, limit, size=(rows, cols))
+
+
+def param_shapes(cfg: ModelConfig, vocab_size: int, n_classes: int) -> dict[str, tuple]:
+    """The shape of each parameter array, keyed by its ``Params.named`` name."""
+    feats = 3 * cfg.qubits
+    shapes = {"embed_table": (vocab_size, cfg.embed_dim),
+              "embed_proj": (kernels.angle_count(cfg.qubits, cfg.embed_layers), cfg.embed_dim),
+              "lcu_coeffs": (cfg.window,), "poly_coeffs": (cfg.degree + 1,),
+              "ff_angles": (kernels.angle_count(cfg.qubits, cfg.ff_layers),),
+              "head_w1": (cfg.hidden, feats), "head_b1": (cfg.hidden,),
+              "head_w2": (n_classes, cfg.hidden), "head_b2": (n_classes,)}
+    if cfg.aggregation == "attention_pool":
+        shapes["attn_vec"] = (feats,)
+    return shapes
 
 
 def init_params(cfg: ModelConfig, vocab_size: int, n_classes: int,
@@ -79,12 +89,9 @@ def init_params(cfg: ModelConfig, vocab_size: int, n_classes: int,
     if vocab_size < 2:
         raise InputError(f"vocab must include PAD and UNK, got size {vocab_size}")
     rng = np.random.default_rng(seed)
-    q = cfg.qubits
-    angle_dim = kernels.angle_count(q, cfg.embed_layers)
-    n_feat = 3 * q
-
-    table = _xavier(rng, vocab_size, cfg.embed_dim)
-    proj = _xavier(rng, angle_dim, cfg.embed_dim)
+    shapes = param_shapes(cfg, vocab_size, n_classes)
+    table = _xavier(rng, *shapes["embed_table"])
+    proj = _xavier(rng, *shapes["embed_proj"])
 
     n = cfg.window
     r = rng.uniform(0.0, cfg.init_coeff_noise / n, size=n)
@@ -97,29 +104,25 @@ def init_params(cfg: ModelConfig, vocab_size: int, n_classes: int,
     poly = rc * np.exp(1j * phc)
     poly[1] += 1.0                     # start near the plain linear mix P(M) = M
 
-    ff_count = kernels.angle_count(q, cfg.ff_layers)
-    ff = rng.uniform(-cfg.init_angle_scale, cfg.init_angle_scale, size=ff_count)
+    ff = rng.uniform(-cfg.init_angle_scale, cfg.init_angle_scale, size=shapes["ff_angles"])
 
-    w1 = _xavier(rng, cfg.hidden, n_feat)
-    w2 = _xavier(rng, n_classes, cfg.hidden)
+    w1 = _xavier(rng, *shapes["head_w1"])
+    w2 = _xavier(rng, *shapes["head_w2"])
 
     mixer = MixerParams(
         lcu_coeffs=parameter(lcu),
         poly_coeffs=parameter(poly),
-        ff_angles=AnsatzAngles(parameter(ff), q=q, layers=cfg.ff_layers),
+        ff_angles=AnsatzAngles(parameter(ff), q=cfg.qubits, layers=cfg.ff_layers),
     )
-    attn = None
-    if cfg.aggregation == "attention_pool":
-        attn = parameter(np.zeros(n_feat))
     return Params(
         embed_table=parameter(table),
         embed_proj=parameter(proj),
         mixer=mixer,
         head_w1=parameter(w1),
-        head_b1=parameter(np.zeros(cfg.hidden)),
+        head_b1=parameter(np.zeros(shapes["head_b1"])),
         head_w2=parameter(w2),
-        head_b2=parameter(np.zeros(n_classes)),
-        attn_vec=attn,
+        head_b2=parameter(np.zeros(shapes["head_b2"])),
+        attn_vec=parameter(np.zeros(shapes["attn_vec"])) if "attn_vec" in shapes else None,
     )
 
 

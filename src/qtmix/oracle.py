@@ -21,11 +21,6 @@ def ry_mat(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=_C)
 
 
-def rx_mat(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=_C)
-
-
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=_C),
     "y": np.array([[0, -1j], [1j, 0]], dtype=_C),
@@ -170,7 +165,7 @@ def verify_equivalence(n_seeds: int = 50, *, entropy: int = 0, max_q: int = 3,
         worst["pre_norm"] = max(worst["pre_norm"],
                                 abs(out.pre_norm.real_item() - pre))
         worst["state"] = max(worst["state"],
-                             float(np.abs(out.state.amps.values - final).max()))
+                             float(np.abs(out.state.values - final).max()))
         worst["features"] = max(worst["features"],
                                 float(np.abs(out.features.values.real - feats).max()))
     return {"pass": max(worst.values()) <= tol, "n_seeds": n_seeds,

@@ -29,7 +29,7 @@ from .config import RunConfig, from_dict as config_from_dict
 from .data import Vocab
 from .errors import DataIOError, InputError, LabelError, ParseError, TrainingDiverged
 from .mixer import MixerParams
-from .model import Params, document_loss, forward_document, init_params
+from .model import Params, document_loss, forward_document, init_params, param_shapes
 from .optim import AdamW, cosine_lr
 
 CHECKPOINT_FORMAT = "qtmix-checkpoint-v1"
@@ -188,6 +188,8 @@ def save_checkpoint(path: str | Path, params: Params, cfg: RunConfig,
 
 
 def load_checkpoint(path: str | Path) -> tuple[RunConfig, Params, Vocab, int, dict]:
+    """Read a checkpoint; any departure from the written schema is a
+    ``ParseError`` naming the key or parameter array at fault."""
     p = Path(path)
     try:
         payload = json.loads(p.read_text())
@@ -195,34 +197,43 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, Params, Vocab, int, di
         raise DataIOError(f"cannot read checkpoint {p}: {e}") from e
     except json.JSONDecodeError as e:
         raise ParseError(f"checkpoint {p} is not valid JSON: {e}") from e
+    if not isinstance(payload, dict):
+        raise ParseError(f"checkpoint {p}: the root must be an object")
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ParseError(f"checkpoint {p}: unknown format {payload.get('format')!r}")
+    for key, kind in (("config", dict), ("vocab", dict), ("n_classes", int), ("params", dict)):
+        if not isinstance(payload.get(key), kind):
+            raise ParseError(f"checkpoint {p}: key '{key}' is missing or not "
+                             f"{'an object' if kind is dict else 'an integer'}")
     saved = dict(payload["config"])
     # checkpoints written before the worker pool was removed carry its count
     saved.pop("workers", None)
     cfg = config_from_dict(saved)
+    table = payload["vocab"].get("token_to_id")
+    ids = sorted(i for i in table.values() if type(i) is int) if isinstance(table, dict) else None
+    if ids is None or ids != list(range(2, len(table) + 2)):
+        raise ParseError(f"checkpoint {p}: key 'vocab.token_to_id' must map tokens to ids 2..n+1")
     vocab = Vocab.from_dict(payload["vocab"])
-    n_classes = int(payload["n_classes"])
-    arrays = {name: _decode_array(rec) for name, rec in payload["params"].items()}
+    n_classes = payload["n_classes"]
+    shapes = param_shapes(cfg.model, len(vocab), n_classes)
+    odd = sorted(set(shapes) ^ set(payload["params"]))
+    if odd:
+        raise ParseError(f"checkpoint {p}: parameter array '{odd[0]}' is "
+                         f"{'missing' if odd[0] in shapes else 'not part of this model'}")
+    t = {}
+    for name, shape in shapes.items():
+        try:
+            arr = _decode_array(payload["params"][name])
+        except (KeyError, TypeError, ValueError) as e:
+            raise ParseError(f"checkpoint {p}: parameter array '{name}' is malformed: {e!r}") from e
+        if arr.shape != shape:
+            raise ParseError(f"checkpoint {p}: parameter array '{name}' has shape "
+                             f"{arr.shape}, its config needs {shape}")
+        t[name] = parameter(arr.real if name == "ff_angles" else arr)
     mc = cfg.model
-    mixer = MixerParams(
-        lcu_coeffs=parameter(arrays["lcu_coeffs"]),
-        poly_coeffs=parameter(arrays["poly_coeffs"]),
-        ff_angles=AnsatzAngles(parameter(arrays["ff_angles"].real), q=mc.qubits,
-                               layers=mc.ff_layers),
-    )
-    attn = parameter(arrays["attn_vec"]) if "attn_vec" in arrays else None
-    params = Params(
-        embed_table=parameter(arrays["embed_table"]),
-        embed_proj=parameter(arrays["embed_proj"]),
-        mixer=mixer,
-        head_w1=parameter(arrays["head_w1"]),
-        head_b1=parameter(arrays["head_b1"]),
-        head_w2=parameter(arrays["head_w2"]),
-        head_b2=parameter(arrays["head_b2"]),
-        attn_vec=attn,
-    )
-    return cfg, params, vocab, n_classes, payload.get("progress", {})
+    mixer = MixerParams(t.pop("lcu_coeffs"), t.pop("poly_coeffs"),
+                        AnsatzAngles(t.pop("ff_angles"), q=mc.qubits, layers=mc.ff_layers))
+    return cfg, Params(mixer=mixer, **t), vocab, n_classes, payload.get("progress", {})
 
 
 def _snapshot(params: Params) -> dict:

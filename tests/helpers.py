@@ -1,9 +1,16 @@
-"""Shared test utilities: finite-difference gradient checking.
+"""Shared test utilities: finite-difference gradient checking and
+reference single-gate kernels.
 
 The probe loss for an op with output T is L = Re(sum(w * T)) for a frozen
 random complex weight w. Its building blocks (mul, sumall, real_part) have
 closed-form gradient tests of their own in test_autodiff.py, so using them
 as the reducer here is not circular.
+
+The single-gate kernels (``ry_rows``, ``crx_rows`` and their derivatives)
+apply one gate to every row of a (k, 2**q) batch through strided views,
+in the gate conventions of ``qtmix.kernels``. Composed along
+``ansatz_sequence`` they are the gate-by-gate reference that the fused
+template sweeps are compared against.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from qtmix import autodiff as ad
+from qtmix.kernels import _bit_views
 
 
 def rand_complex(rng, shape):
@@ -86,3 +94,81 @@ def check_op_gradients(fn, leaves, rng, atol=2e-6, rtol=1e-6, complex_leaves=Non
         assert np.all(err <= tol), f"gradient mismatch: max err {err.max():.3e}"
         worst = max(worst, float(err.max()) if err.size else 0.0)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# reference single-gate kernels
+
+def _theta_cs(theta, ndim_tail: int):
+    """cos/sin of theta/2, shaped to broadcast over a batch with
+    ``ndim_tail`` trailing axes. theta is a scalar or a (k,) array."""
+    th = np.asarray(theta, dtype=np.float64)
+    c = np.cos(th / 2.0)
+    s = np.sin(th / 2.0)
+    if th.ndim == 1:
+        shape = (th.shape[0],) + (1,) * ndim_tail
+        c = c.reshape(shape)
+        s = s.reshape(shape)
+    return c, s
+
+
+def ry_rows(arr, q, qubit, theta):
+    """Apply RY(theta) on ``qubit`` to every row. theta: scalar or (k,)."""
+    a0, a1 = _bit_views(arr, q, qubit)
+    c, s = _theta_cs(theta, a0.ndim - 1)
+    out = np.empty_like(arr)
+    o0, o1 = _bit_views(out, q, qubit)
+    o0[...] = c * a0 - s * a1
+    o1[...] = s * a0 + c * a1
+    return out
+
+
+def dry_rows(arr, q, qubit, theta):
+    """Apply d RY(theta) / d theta to every row."""
+    a0, a1 = _bit_views(arr, q, qubit)
+    c, s = _theta_cs(theta, a0.ndim - 1)
+    out = np.empty_like(arr)
+    o0, o1 = _bit_views(out, q, qubit)
+    o0[...] = 0.5 * (-s * a0 - c * a1)
+    o1[...] = 0.5 * (c * a0 - s * a1)
+    return out
+
+
+def _pair_views(arr, q, control, target):
+    """Views of the control=1 subspace split by the target bit.
+
+    Returns (s0, s1): amplitudes with control set and target clear/set,
+    each of shape (k, A, B, C) for the appropriate strides.
+    """
+    k = arr.shape[0]
+    hi, lo = max(control, target), min(control, target)
+    a = 1 << (q - 1 - hi)
+    b = 1 << (hi - 1 - lo)
+    c = 1 << lo
+    v = arr.reshape(k, a, 2, b, 2, c)
+    if control == hi:
+        return v[:, :, 1, :, 0, :], v[:, :, 1, :, 1, :]
+    return v[:, :, 0, :, 1, :], v[:, :, 1, :, 1, :]
+
+
+def crx_rows(arr, q, control, target, theta):
+    """Apply CRX(theta) with the given control/target to every row."""
+    s0, s1 = _pair_views(arr, q, control, target)
+    c, s = _theta_cs(theta, s0.ndim - 1)
+    out = arr.copy()
+    o0, o1 = _pair_views(out, q, control, target)
+    o0[...] = c * s0 - 1j * s * s1
+    o1[...] = -1j * s * s0 + c * s1
+    return out
+
+
+def dcrx_rows(arr, q, control, target, theta):
+    """Apply d CRX(theta) / d theta to every row (zero on the control=0
+    subspace)."""
+    s0, s1 = _pair_views(arr, q, control, target)
+    c, s = _theta_cs(theta, s0.ndim - 1)
+    out = np.zeros_like(arr)
+    o0, o1 = _pair_views(out, q, control, target)
+    o0[...] = 0.5 * (-s * s0 - 1j * c * s1)
+    o1[...] = 0.5 * (-1j * c * s0 - s * s1)
+    return out

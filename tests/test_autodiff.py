@@ -41,25 +41,6 @@ def test_mul_sum_real_gradient_closed_form():
     assert np.allclose(pa.grad, np.conj(w * b), atol=1e-14)
 
 
-def test_imag_part_gradient_closed_form():
-    # L = Im(z) => dL/dx = 0, dL/dy = 1, grad = 1j.
-    with ad.Tape():
-        p = ad.parameter(np.array(0.3 + 0.4j))
-        loss = ad.real_part(ad.imag_part(p))
-        ad.backward(loss)
-    assert p.grad == pytest.approx(1j)
-
-
-def test_conj_gradient_closed_form():
-    # L = Re(w * conj(z)) => grad = w (adjoint of conj is conj).
-    w = 0.4 + 0.9j
-    with ad.Tape():
-        p = ad.parameter(np.array(1.0 + 2.0j))
-        loss = ad.real_part(ad.sumall(ad.mul_const(ad.conj(p), w)))
-        ad.backward(loss)
-    assert p.grad == pytest.approx(w)
-
-
 # ---------------------------------------------------------------------------
 # matvec against a brute-force oracle
 
@@ -109,9 +90,7 @@ def test_fd_elementwise_ops(seed):
     c = rand_complex(rng, (5,))
     check_op_gradients(lambda ls: ad.mul_const(ls[0], c), [ad.tensor(a)], rng)
     check_op_gradients(lambda ls: ad.add_const(ls[0], 1.5 - 0.5j), [ad.tensor(a)], rng)
-    check_op_gradients(lambda ls: ad.conj(ls[0]), [ad.tensor(a)], rng)
     check_op_gradients(lambda ls: ad.real_part(ls[0]), [ad.tensor(a)], rng)
-    check_op_gradients(lambda ls: ad.imag_part(ls[0]), [ad.tensor(a)], rng)
 
 
 @pytest.mark.parametrize("seed", range(20))

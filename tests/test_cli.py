@@ -4,10 +4,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import qtmix.cli as cli
+from qtmix import errors
 from qtmix.errors import TrainingDiverged
+from qtmix.training import _encode_array
 
 
 def write_cfg(tmp_path, **extra):
@@ -163,3 +166,69 @@ def test_console_script_installed():
                            "--seeds", "2"], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "PASS" in proc.stdout
+
+
+@pytest.fixture(scope="module")
+def good_checkpoint(tmp_path_factory):
+    """A checkpoint of a q=3 model with two feed-forward layers (24 angles)."""
+    tmp = tmp_path_factory.mktemp("ckpt")
+    cfg = write_cfg(tmp, model={"qubits": 3, "window": 6, "degree": 2, "embed_dim": 8,
+                                "embed_layers": 1, "ff_layers": 2, "hidden": 8},
+                    optimizer={"epochs": 1, "batch_size": 8})
+    assert cli.main(["train", "--config", str(cfg)]) == 0
+    return json.loads((tmp / "run" / "checkpoint.json").read_text())
+
+
+def _drop_head_w1(payload):
+    del payload["params"]["head_w1"]
+    return payload
+
+
+def _vocab_id_out_of_range(payload):
+    table = payload["vocab"]["token_to_id"]
+    table[next(iter(table))] = 99999
+    return payload
+
+
+def _short_ff_angles(payload):
+    payload["params"]["ff_angles"] = _encode_array(np.zeros(12))
+    return payload
+
+
+@pytest.mark.parametrize("corrupt,named", [
+    (lambda payload: [1, 2], "root"),
+    (lambda payload: {"format": payload["format"]}, "'config'"),
+    (_drop_head_w1, "'head_w1' is missing"),
+    (_short_ff_angles, "'ff_angles' has shape (12,), its config needs (24,)"),
+    (_vocab_id_out_of_range, "'vocab.token_to_id'"),
+], ids=["root-list", "format-only", "head_w1-dropped", "ff_angles-12-of-24", "vocab-id"])
+def test_eval_malformed_checkpoint_exit_3(good_checkpoint, corrupt, named, tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(corrupt(json.loads(json.dumps(good_checkpoint)))))
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and named in err
+
+
+def _documented_exit(cls):
+    codes = [(errors.ConfigError, cli.EXIT_CONFIG),
+             ((errors.ParseError, errors.DataIOError, errors.InputError, errors.LabelError),
+              cli.EXIT_DATA),
+             (errors.TrainingDiverged, cli.EXIT_DIVERGED),
+             (errors.BudgetError, cli.EXIT_BUDGET),
+             ((errors.CollapsedStateError, errors.DegenerateCoefficientError,
+               errors.DegenerateStateError), cli.EXIT_NUMERICAL)]
+    return next((code for kinds, code in codes if issubclass(cls, kinds)), cli.EXIT_INTERNAL)
+
+
+@pytest.mark.parametrize("cls", [c for c in vars(errors).values()
+                                 if isinstance(c, type) and issubclass(c, errors.QtmixError)],
+                         ids=lambda c: c.__name__)
+def test_every_error_reaches_a_documented_exit_code(cls, monkeypatch, capsys):
+    def fail(_):
+        raise cls("made to fail")
+    monkeypatch.setattr(cli, "count_attention_params", fail)
+    assert cli.main(["params"]) == _documented_exit(cls)
+    err = capsys.readouterr().err
+    assert "made to fail" in err and "Traceback" not in err

@@ -110,6 +110,28 @@ def test_scalar_type_checked():
         from_dict({"out_dir": 5})
 
 
+@pytest.mark.parametrize("payload,bad_field", [
+    ({"model": {"qubits": "8"}}, "model.qubits"),
+    ({"model": {"window": 4.5}}, "model.window"),
+    ({"model": {"qubits": True}}, "model.qubits"),        # a bool is not an int
+    ({"model": {"dropout": "0.1"}}, "model.dropout"),
+    ({"model": {"normalize_lcu": 1}}, "model.normalize_lcu"),
+    ({"model": {"activation": None}}, "model.activation"),
+    ({"model": {"measurement_mask": [1] * 24}}, "model.measurement_mask"),
+    ({"data": {"train": 5}}, "data.train"),
+    ({"model": {"dropout": 0}}, None),                    # float fields take an int
+    ({"optimizer": {"lr_max": 1}}, None),
+    ({"model": {"stride": None, "measurement_mask": None}}, None),   # X | None takes null
+    ({"data": {"train": None}}, None),
+])
+def test_field_types_checked(payload, bad_field):
+    if bad_field is None:
+        from_dict(payload)
+    else:
+        with pytest.raises(ConfigError, match=f"'{bad_field}' must be"):
+            from_dict(payload)
+
+
 def test_to_dict_round_trip():
     cfg = from_dict({"model": {"qubits": 5}, "optimizer": {"epochs": 2}})
     echo = cfg.to_dict()

@@ -7,20 +7,21 @@ import pytest
 
 from qtmix import autodiff as ad
 from qtmix import circuits, kernels, oracle
-from qtmix.errors import (
-    CapacityError,
-    DegenerateStateError,
-    QubitIndexError,
-    ShapeError,
-    WiringError,
-)
+from qtmix.errors import CapacityError, DegenerateStateError, ShapeError, WiringError
 
-from helpers import check_op_gradients, rand_complex
+from helpers import (check_op_gradients, crx_rows, dcrx_rows, dry_rows, rand_complex,
+                     ry_rows)
 
 
 def random_state(rng, q):
     v = rand_complex(rng, (1 << q,))
     return v / np.linalg.norm(v)
+
+
+def basis_state(q, index=0):
+    v = np.zeros((1, 1 << q), dtype=complex)
+    v[0, index] = 1.0
+    return v
 
 
 def template_unitary(q, layers, angles):
@@ -33,36 +34,22 @@ def template_unitary(q, layers, angles):
 
 
 # ---------------------------------------------------------------------------
-# closed forms
-
-def test_zero_state():
-    s = circuits.zero_state(1)
-    assert np.array_equal(s.amps.values, np.array([1.0, 0.0], dtype=complex))
-    s4 = circuits.zero_state(4)
-    assert s4.amps.values[0] == 1.0 and np.all(s4.amps.values[1:] == 0.0)
-
+# closed forms of the reference single-gate kernels
 
 def test_ry_pi_flips_zero():
-    s = circuits.apply_ry(circuits.zero_state(1), 0, np.pi)
-    assert np.allclose(s.amps.values, [0.0, 1.0], atol=1e-15)
+    out = ry_rows(basis_state(1), 1, 0, np.pi)
+    assert np.allclose(out, [[0.0, 1.0]], atol=1e-15)
 
 
 def test_crx_pi_on_01():
     # |01> means qubit 0 set, qubit 1 clear: basis index 1.
-    amps = np.zeros(4, dtype=complex)
-    amps[1] = 1.0
-    s = circuits.Statevector(2, ad.tensor(amps))
-    out = circuits.apply_crx(s, 0, 1, np.pi)
-    expected = np.zeros(4, dtype=complex)
-    expected[3] = -1j
-    assert np.allclose(out.amps.values, expected, atol=1e-15)
+    out = crx_rows(basis_state(2, 1), 2, 0, 1, np.pi)
+    assert np.allclose(out, -1j * basis_state(2, 3), atol=1e-15)
 
 
 def test_crx_control_clear_is_identity():
-    amps = np.zeros(4, dtype=complex)
-    amps[2] = 1.0   # qubit 1 set, qubit 0 (the control) clear
-    out = circuits.apply_crx(circuits.Statevector(2, ad.tensor(amps)), 0, 1, 1.234)
-    assert np.array_equal(out.amps.values, amps)
+    amps = basis_state(2, 2)   # qubit 1 set, qubit 0 (the control) clear
+    assert np.array_equal(crx_rows(amps, 2, 0, 1, 1.234), amps)
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +61,9 @@ def test_ry_matches_kron_oracle(q):
     for k in range(q):
         theta = float(rng.uniform(-np.pi, np.pi))
         v = random_state(rng, q)
-        got = circuits.apply_ry(circuits.Statevector(q, ad.tensor(v)), k, theta)
+        got = ry_rows(v[None, :], q, k, theta)[0]
         want = oracle.single_qubit_mat(q, k, oracle.ry_mat(theta)) @ v
-        assert np.max(np.abs(got.amps.values - want)) <= 1e-12
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -88,10 +75,9 @@ def test_crx_matches_loop_oracle(q):
                 continue
             theta = float(rng.uniform(-np.pi, np.pi))
             v = random_state(rng, q)
-            got = circuits.apply_crx(circuits.Statevector(q, ad.tensor(v)),
-                                     control, target, theta)
+            got = crx_rows(v[None, :], q, control, target, theta)[0]
             want = oracle.crx_mat(q, control, target, theta) @ v
-            assert np.max(np.abs(got.amps.values - want)) <= 1e-12
+            assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_little_endian_embedding():
@@ -102,7 +88,7 @@ def test_little_endian_embedding():
         theta = 0.731
         u_direct = template = oracle.single_qubit_mat(q, k, oracle.ry_mat(theta))
         v = random_state(rng, q)
-        got = kernels.ry_rows(v.reshape(1, -1), q, k, theta).reshape(-1)
+        got = ry_rows(v.reshape(1, -1), q, k, theta).reshape(-1)
         assert np.max(np.abs(got - u_direct @ v)) <= 1e-12
 
 
@@ -176,9 +162,8 @@ def test_ansatz_norm_preservation():
     q, layers = 4, 3
     v = random_state(rng, q)
     angles = rng.uniform(-np.pi, np.pi, size=kernels.angle_count(q, layers))
-    s = circuits.apply_ansatz14(circuits.Statevector(q, ad.tensor(v)),
-                                ad.tensor(angles), layers)
-    assert abs(s.norm_sq() - 1.0) <= 1e-10
+    out = circuits.ansatz_rows(ad.tensor(v[None, :]), ad.tensor(angles), q, layers)
+    assert abs(np.linalg.norm(out.values) - 1.0) <= 1e-10
 
 
 def test_ansatz_batch_rows_match_individual():
@@ -218,9 +203,9 @@ def _compose_forward(arr, q, layers, angles):
     for kind, wires, idx in kernels.ansatz_sequence(q, layers):
         th = angles[:, idx] if angles.ndim == 2 else angles[idx]
         if kind == "ry":
-            out = kernels.ry_rows(out, q, wires, th)
+            out = ry_rows(out, q, wires, th)
         else:
-            out = kernels.crx_rows(out, q, wires[0], wires[1], th)
+            out = crx_rows(out, q, wires[0], wires[1], th)
     return out
 
 
@@ -231,15 +216,15 @@ def _compose_vjp(out_arr, q, layers, angles, g):
     for kind, wires, idx in reversed(kernels.ansatz_sequence(q, layers)):
         th = angles[:, idx] if angles.ndim == 2 else angles[idx]
         if kind == "ry":
-            psi = kernels.ry_rows(psi, q, wires, -th)
-            d = kernels.dry_rows(psi, q, wires, th)
+            psi = ry_rows(psi, q, wires, -th)
+            d = dry_rows(psi, q, wires, th)
             upd = (np.conj(g) * d).sum(axis=1).real
-            g = kernels.ry_rows(g, q, wires, -th)
+            g = ry_rows(g, q, wires, -th)
         else:
-            psi = kernels.crx_rows(psi, q, *wires, -th)
-            d = kernels.dcrx_rows(psi, q, *wires, th)
+            psi = crx_rows(psi, q, *wires, -th)
+            d = dcrx_rows(psi, q, *wires, th)
             upd = (np.conj(g) * d).sum(axis=1).real
-            g = kernels.crx_rows(g, q, *wires, -th)
+            g = crx_rows(g, q, *wires, -th)
         if angles.ndim == 2:
             g_ang[:, idx] = upd
         else:
@@ -321,15 +306,15 @@ def test_ansatz_sweeps_leave_inputs_unmodified():
 def test_pauli_expectations_match_dense(q):
     rng = np.random.default_rng(30 + q)
     v = random_state(rng, q)
-    got = circuits.pauli_expectations(circuits.Statevector(q, ad.tensor(v)))
+    got = circuits.pauli_expectations(ad.tensor(v), q)
     want = oracle.pauli_expectations_dense(v, q)
     assert np.max(np.abs(got.values.real - want)) <= 1e-12
     assert np.max(np.abs(got.values.imag)) == 0.0
 
 
 def test_pauli_expectations_zero_state():
-    feats = circuits.pauli_expectations(circuits.zero_state(3))
-    want = np.array([0, 0, 0, 0, 0, 0, 1, 1, 1], dtype=float)
+    feats = circuits.pauli_expectations(ad.tensor(basis_state(3)), 3)
+    want = np.array([[0, 0, 0, 0, 0, 0, 1, 1, 1]], dtype=float)
     assert np.allclose(feats.values.real, want, atol=1e-14)
 
 
@@ -338,7 +323,7 @@ def test_pauli_expectations_bounded():
     for _ in range(25):
         q = int(rng.integers(1, 5))
         v = random_state(rng, q) * float(rng.uniform(0.5, 2.0))
-        feats = circuits.pauli_expectations(circuits.Statevector(q, ad.tensor(v)))
+        feats = circuits.pauli_expectations(ad.tensor(v), q)
         assert np.all(np.abs(feats.values.real) <= 1.0 + 1e-12)
 
 
@@ -346,41 +331,41 @@ def test_pauli_expectations_degenerate_state():
     tiny = np.zeros(4, dtype=complex)
     tiny[0] = 1e-8
     with pytest.raises(DegenerateStateError):
-        circuits.pauli_expectations(circuits.Statevector(2, ad.tensor(tiny)))
+        circuits.pauli_expectations(ad.tensor(tiny), 2)
 
 
 # ---------------------------------------------------------------------------
 # gradients through gates
+
+def check_gate_derivative(rng, gate, deriv, q, h=1e-6):
+    """The reference adjoint's two rules for one gate: ``deriv`` is the
+    angle derivative of ``gate`` (central differences), and applying the
+    gate at -theta is its adjoint. Checked for per-row and shared angles."""
+    v = rand_complex(rng, (3, 1 << q))
+    g = rand_complex(rng, (3, 1 << q))
+    per_row = rng.uniform(-np.pi, np.pi, size=3)
+    for th in (per_row, float(per_row[0])):
+        fd = (gate(v, th + h) - gate(v, th - h)) / (2 * h)
+        assert np.max(np.abs(deriv(v, th) - fd)) <= 1e-8
+        assert abs(np.vdot(g, gate(v, th)) - np.vdot(gate(g, -th), v)) <= 1e-12
+
 
 @pytest.mark.parametrize("seed", range(10))
 def test_fd_apply_ry(seed):
     rng = np.random.default_rng(700 + seed)
     q = int(rng.integers(1, 4))
     k = int(rng.integers(0, q))
-    v = rand_complex(rng, (1 << q,))
-    th = np.asarray(rng.uniform(-np.pi, np.pi))
-
-    def build(ls):
-        return circuits.apply_ry(circuits.Statevector(q, ls[0]), k, ls[1]).amps
-
-    check_op_gradients(build, [ad.tensor(v), ad.tensor(th)], rng,
-                       complex_leaves={0})
+    check_gate_derivative(rng, lambda a, th: ry_rows(a, q, k, th),
+                          lambda a, th: dry_rows(a, q, k, th), q)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_fd_apply_crx(seed):
     rng = np.random.default_rng(900 + seed)
     q = int(rng.integers(2, 5))
-    control, target = rng.choice(q, size=2, replace=False)
-    v = rand_complex(rng, (1 << q,))
-    th = np.asarray(rng.uniform(-np.pi, np.pi))
-
-    def build(ls):
-        return circuits.apply_crx(circuits.Statevector(q, ls[0]),
-                                  int(control), int(target), ls[1]).amps
-
-    check_op_gradients(build, [ad.tensor(v), ad.tensor(th)], rng,
-                       complex_leaves={0})
+    control, target = (int(w) for w in rng.choice(q, size=2, replace=False))
+    check_gate_derivative(rng, lambda a, th: crx_rows(a, q, control, target, th),
+                          lambda a, th: dcrx_rows(a, q, control, target, th), q)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -436,21 +421,21 @@ def test_fd_pauli_expectations(seed):
     v = rand_complex(rng, (1 << q,))  # deliberately unnormalized
 
     def build(ls):
-        return circuits.pauli_expectations(circuits.Statevector(q, ls[0]))
+        return circuits.pauli_expectations(ls[0], q)
 
     check_op_gradients(build, [ad.tensor(v)], rng, atol=5e-6)
 
 
 def test_fd_angle_gradient_through_shared_tensor():
-    # one angle tensor feeding the full template, gradients per entry
+    # one (L,) angle tensor feeding the template on every row, gradients
+    # per entry summed over the rows
     rng = np.random.default_rng(41)
     q, layers = 2, 1
-    v = rand_complex(rng, (1 << q,))
+    v = rand_complex(rng, (2, 1 << q))
     angles = rng.uniform(-1, 1, size=kernels.angle_count(q, layers))
 
     def build(ls):
-        s = circuits.Statevector(q, ls[0])
-        return circuits.apply_ansatz14(s, ls[1], layers).amps
+        return circuits.ansatz_rows(ls[0], ls[1], q, layers)
 
     check_op_gradients(build, [ad.tensor(v), ad.tensor(angles)], rng,
                        complex_leaves={0})
@@ -459,36 +444,27 @@ def test_fd_angle_gradient_through_shared_tensor():
 # ---------------------------------------------------------------------------
 # errors
 
-def test_qubit_range_errors():
-    s = circuits.zero_state(2)
-    with pytest.raises(QubitIndexError):
-        circuits.apply_ry(s, 2, 0.1)
-    with pytest.raises(QubitIndexError):
-        circuits.apply_crx(s, 0, 5, 0.1)
-
-
-def test_control_target_collision():
-    with pytest.raises(WiringError):
-        circuits.apply_crx(circuits.zero_state(2), 1, 1, 0.3)
-
-
 def test_capacity_cap():
+    # the cap is checked before any state is looked at
+    q = circuits.MAX_QUBITS + 1
     with pytest.raises(CapacityError):
-        circuits.zero_state(15)
-    with pytest.raises(CapacityError):
-        circuits.zero_state(0)
+        circuits.ansatz_rows(ad.tensor(basis_state(2)),
+                             ad.tensor(np.zeros(kernels.angle_count(q, 1))), q, 1)
 
 
 def test_template_needs_two_qubits():
-    s = circuits.zero_state(1)
     with pytest.raises(WiringError):
-        circuits.apply_ansatz14(s, ad.tensor(np.zeros(4)), 1)
+        circuits.ansatz_rows(ad.tensor(basis_state(1)), ad.tensor(np.zeros(4)), 1, 1)
 
 
 def test_angle_count_validation():
-    s = circuits.zero_state(2)
+    s = ad.tensor(basis_state(2))
     with pytest.raises(ShapeError):
-        circuits.apply_ansatz14(s, ad.tensor(np.zeros(7)), 1)
+        circuits.ansatz_rows(s, ad.tensor(np.zeros(7)), 2, 1)
+    with pytest.raises(ShapeError):
+        circuits.ansatz_rows(s, ad.tensor(np.zeros((2, 8))), 2, 1)
+    with pytest.raises(ShapeError):
+        circuits.ansatz_rows(ad.tensor(np.zeros((1, 8))), ad.tensor(np.zeros(8)), 2, 1)
     with pytest.raises(ShapeError):
         circuits.AnsatzAngles(ad.tensor(np.zeros(9)), q=2, layers=1)
     with pytest.raises(ShapeError):

@@ -28,6 +28,13 @@ def make_params(rng, n, degree, q, ff_layers=1, poly=None):
     )
 
 
+def zero_amps(q):
+    """|0...0> on q qubits."""
+    v = np.zeros(1 << q, dtype=complex)
+    v[0] = 1.0
+    return v
+
+
 def token_angle_block(rng, n, q, layers, scale=np.pi):
     return rng.uniform(-scale, scale, size=(n, kernels.angle_count(q, layers)))
 
@@ -89,8 +96,8 @@ def test_l1_normalize_gradients():
 def test_apply_m_single_identity_token():
     q, layers = 2, 1
     angles = ad.tensor(np.zeros((1, kernels.angle_count(q, layers))))
-    out = mixer.apply_m(circuits.zero_state(q), ad.tensor([1.0]), angles, layers)
-    assert np.allclose(out.amps.values, circuits.zero_state(q).amps.values, atol=1e-15)
+    out = mixer.apply_m(ad.tensor(zero_amps(q)), ad.tensor([1.0]), angles, q, layers)
+    assert np.allclose(out.values, zero_amps(q), atol=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -103,10 +110,9 @@ def test_apply_m_matches_dense_oracle(seed):
     angles = token_angle_block(rng, n, q, layers)
     v = rand_complex(rng, (1 << q,))
     v = v / np.linalg.norm(v)
-    got = mixer.apply_m(circuits.Statevector(q, ad.tensor(v)), ad.tensor(b),
-                        ad.tensor(angles), layers)
+    got = mixer.apply_m(ad.tensor(v), ad.tensor(b), ad.tensor(angles), q, layers)
     want = oracle.lcu_dense(b, angles, q, layers) @ v
-    assert np.max(np.abs(got.amps.values - want)) <= 1e-10
+    assert np.max(np.abs(got.values - want)) <= 1e-10
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -119,9 +125,8 @@ def test_apply_m_contraction(seed):
     angles = token_angle_block(rng, n, q, layers)
     v = rand_complex(rng, (1 << q,))
     v = v / np.linalg.norm(v)
-    out = mixer.apply_m(circuits.Statevector(q, ad.tensor(v)), ad.tensor(b),
-                        ad.tensor(angles), layers)
-    assert np.linalg.norm(out.amps.values) <= 1.0 + 1e-10
+    out = mixer.apply_m(ad.tensor(v), ad.tensor(b), ad.tensor(angles), q, layers)
+    assert np.linalg.norm(out.values) <= 1.0 + 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +138,7 @@ def test_polynomial_constant_term_only():
     b = mixer.l1_normalize(ad.tensor(rand_complex(rng, (n,))), [True] * n)
     angles = ad.tensor(token_angle_block(rng, n, q, layers))
     out = mixer.apply_polynomial(b, angles, ad.tensor([1.0, 0.0, 0.0]), q, layers)
-    assert np.array_equal(out.amps.values, circuits.zero_state(q).amps.values)
+    assert np.array_equal(out.values, zero_amps(q))
 
 
 def test_polynomial_linear_term_is_one_application():
@@ -142,8 +147,8 @@ def test_polynomial_linear_term_is_one_application():
     b = mixer.l1_normalize(ad.tensor(rand_complex(rng, (n,))), [True] * n)
     angles = ad.tensor(token_angle_block(rng, n, q, layers))
     poly = mixer.apply_polynomial(b, angles, ad.tensor([0.0, 1.0]), q, layers)
-    direct = mixer.apply_m(circuits.zero_state(q), b, angles, layers)
-    assert np.max(np.abs(poly.amps.values - direct.amps.values)) <= 1e-14
+    direct = mixer.apply_m(ad.tensor(zero_amps(q)), b, angles, q, layers)
+    assert np.max(np.abs(poly.values - direct.values)) <= 1e-14
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -158,7 +163,7 @@ def test_polynomial_matches_dense_oracle(seed):
     got = mixer.apply_polynomial(ad.tensor(b), ad.tensor(angles), ad.tensor(c), q, layers)
     m = oracle.lcu_dense(b, angles, q, layers)
     want = oracle.poly_state_dense(c, m)
-    assert np.max(np.abs(got.amps.values - want)) <= 1e-10
+    assert np.max(np.abs(got.values - want)) <= 1e-10
 
 
 def test_polynomial_uses_exactly_degree_applications(monkeypatch):
@@ -205,8 +210,7 @@ def test_mix_window_identity_polynomial_zero_ff():
     assert out.pre_norm.real_item() == 1.0
     want = np.array([0, 0, 0, 0, 0, 0, 1, 1, 1], dtype=float)
     assert np.allclose(out.features.values.real, want, atol=1e-12)
-    assert np.allclose(out.state.amps.values, circuits.zero_state(q).amps.values,
-                       atol=1e-12)
+    assert np.allclose(out.state.values, zero_amps(q), atol=1e-12)
 
 
 def test_mix_window_pre_norm_matches_dense():
@@ -230,7 +234,7 @@ def test_mix_window_features_bounded_and_real():
     f = out.features.values
     assert np.all(np.abs(f.real) <= 1 + 1e-12)
     assert np.all(f.imag == 0.0)
-    assert abs(out.state.norm_sq() - 1.0) <= 1e-10
+    assert abs(np.linalg.norm(out.state.values) - 1.0) <= 1e-10
 
 
 def test_mix_window_joint_permutation_bitwise():
@@ -251,7 +255,7 @@ def test_mix_window_joint_permutation_bitwise():
                          q=q, embed_layers=layers)
     assert np.array_equal(a.features.values, b.features.values)
     assert np.array_equal(a.pre_norm.values, b.pre_norm.values)
-    assert np.array_equal(a.state.amps.values, b.state.amps.values)
+    assert np.array_equal(a.state.values, b.state.values)
 
 
 def test_mix_window_masked_tokens_have_no_influence():
@@ -348,7 +352,7 @@ def test_mix_window_batch_equals_windows_alone_bitwise(q, normalize):
         assert np.array_equal(batch.features.values[w], alone.features.values), w
         assert np.array_equal(batch.pre_norm.values[w], alone.pre_norm.values), w
         assert np.array_equal(batch.lcu_weights.values[w], alone.lcu_weights.values), w
-        assert np.array_equal(batch.state.amps.values[w], alone.state.amps.values), w
+        assert np.array_equal(batch.state.values[w], alone.state.values), w
 
 
 def test_mix_window_batch_joint_permutation_bitwise():
@@ -366,7 +370,7 @@ def test_mix_window_batch_joint_permutation_bitwise():
     b = mixer.mix_window(ad.tensor(angles_p), params, masks_p, q=q, embed_layers=layers)
     assert np.array_equal(a.features.values, b.features.values)
     assert np.array_equal(a.pre_norm.values, b.pre_norm.values)
-    assert np.array_equal(a.state.amps.values, b.state.amps.values)
+    assert np.array_equal(a.state.values, b.state.values)
 
 
 def test_mix_window_batch_makes_one_template_call_per_power(monkeypatch):
