@@ -45,7 +45,7 @@ class AnsatzAngles:
 
 
 def ansatz_rows(states: Tensor, angles: Tensor, q: int, layers: int,
-                index=None) -> Tensor:
+                index=None, *, operands: kernels.TemplateOperands | None = None) -> Tensor:
     """Fused template application over a batch.
 
     ``states``: (k, 2**q) tensor of statevector rows; ``angles``: (k, L)
@@ -55,6 +55,13 @@ def ansatz_rows(states: Tensor, angles: Tensor, q: int, layers: int,
     shared by many rows is stored once. One tape node covers the whole gate
     sequence; the backward pass re-derives intermediate states by
     un-applying gates (adjoint sweep) instead of storing them.
+
+    ``operands`` optionally passes the template's block operands, built by
+    ``kernels.template_operands(q, layers, angles.values)``, so that calls
+    that run the same angles (the mixer's polynomial powers) build them
+    once; a holder built from another angle array, or for another template,
+    raises ``ShapeError``. By default they are built here, once for the
+    forward and the adjoint sweep of this call.
     """
     if q < 2:
         raise WiringError("the entangling template needs q >= 2")
@@ -70,12 +77,16 @@ def ansatz_rows(states: Tensor, angles: Tensor, q: int, layers: int,
             f"ansatz_rows: angles must be ({src.shape[0]}, {want}) or ({want},), "
             f"got {angles.shape}"
         )
-    th = angles.values.real.astype(np.float64)
-    out = kernels.ansatz_rows_forward(src, q, layers, th)
+    if operands is None:
+        operands = kernels.template_operands(q, layers, angles.values)
+    elif operands.angles is not angles.values or (operands.q, operands.layers) != (q, layers):
+        raise ShapeError("ansatz_rows: the operands were not built from these angles "
+                         f"for q={q} with {layers} layer(s)")
+    out = kernels.ansatz_rows_forward(src, operands)
     shape = states.shape
 
     def vjp(g):
-        g_rows, g_ang = kernels.ansatz_rows_vjp(out, q, layers, th, g)
+        g_rows, g_ang = kernels.ansatz_rows_vjp(out, operands, g)
         if idx is None:
             return (g_rows, g_ang.astype(np.complex128))
         g_state = np.zeros(shape, dtype=np.complex128)

@@ -10,7 +10,10 @@ The template sweeps (``ansatz_rows_forward``, ``ansatz_rows_vjp``) fuse
 the template's gates into blocks on a few adjacent qubits and apply each
 block as one batched matrix product (see "fused template sweeps" below),
 in buffers allocated once per call; the caller's arrays are never
-modified. Each row's results depend only on that row's inputs, so
+modified. The blocks' operands are built once per set of angles by
+``template_operands`` and passed to every sweep that runs those angles:
+the forward sweeps and the adjoint sweep, which reads each operand as its
+inverse. Each row's results depend only on that row's inputs, so
 permuting the rows permutes the results exactly. The Pauli kernels
 (``pauli_apply``, ``pauli_expectations_raw``) serve the readout.
 
@@ -114,7 +117,14 @@ def angle_count(q: int, layers: int) -> int:
 # Gate t of a block is G_t = P0 + cos(theta/2) Pc + sin(theta/2) Ps with
 # constant patterns (P0 = 0 for RY), so a block's matrix is a sum of
 # constant matrices weighted by products of cos and sin of its angles;
-# all blocks' matrices are built with a few batched calls per sweep.
+# all blocks' matrices are built with a few batched calls, once per set of
+# angles (``TemplateOperands``), and shared by every sweep over them.
+#
+# The adjoint un-applies a block through the same operand: the gates are
+# unitary, so the inverse is M^H, the transpose of the real "low", "half"
+# and "real" matrices and the conjugate transpose of a "complex" one.
+# "strided" negates its sine. No inverse is built from the angles or kept:
+# an adjoint step reads it off the forward operand (see ``_inverse``).
 #
 # The adjoint reads the angle gradients off each block's output pair
 # (psi, g) with the generator identity: dG_t/dtheta = A_t G_t with
@@ -176,14 +186,11 @@ def _represent(form: str, m: np.ndarray) -> np.ndarray:
     return out.reshape(m.shape[:-2] + (2 * m.shape[-2], 2 * m.shape[-1]))
 
 
-def _operands(form: str, m: np.ndarray):
-    """(forward, inverse) operands of a block with matrices ``m``: "low" and
-    "half" right-multiply row vectors (M^T, M); the others left-multiply
-    (M, M^H)."""
+def _operand(form: str, m: np.ndarray) -> np.ndarray:
+    """Forward operand of a block with matrices ``m``: "low" and "half"
+    right-multiply row vectors (M^T); the others left-multiply (M)."""
     r = _represent(form, m)
-    if form in ("low", "half"):
-        return r.swapaxes(-1, -2), r
-    return r, r.conj().swapaxes(-1, -2)
+    return r.swapaxes(-1, -2) if form in ("low", "half") else r
 
 
 def _ring_blocks(q: int, gates: list) -> list[_Block]:
@@ -221,7 +228,6 @@ class _Group:
     ids: tuple              # block ids
     first: int              # first of the group's term weights
     fwd: np.ndarray         # (T_b, d*d) Q_a as forward operands
-    inv: np.ndarray         # (T_b, d*d) Q_a as inverse operands
     readout: np.ndarray     # (d*d, n) generator readout
     angles: np.ndarray      # (nb, m) angle index of each gate
     pair: np.ndarray | None  # (nb, 9) terms: pair weights of a CRX pair's last angle
@@ -287,7 +293,7 @@ def _plan(q: int, layers: int) -> _Plan:
             rows, qa = _block_terms(blocks[i], one)
             terms += rows
             where[i] = (len(groups), j)
-        fwd, inv = _operands(blocks[ids[0]].form, qa)
+        fwd = _operand(blocks[ids[0]].form, qa)
         readout = _readout(blocks[ids[0]])
         angles = np.array([[g[2] for g in blocks[i].gates] for i in ids])
         pair = None
@@ -296,7 +302,7 @@ def _plan(q: int, layers: int) -> _Plan:
             for t in 3 * angles[:, 1]:
                 terms += [(t + a, t + c, one) for a in range(3) for c in range(3)]
         groups.append(_Group(tuple(ids), first, fwd.reshape(len(rows), -1),
-                             inv.reshape(len(rows), -1), readout, angles, pair))
+                             readout, angles, pair))
     return _Plan(tuple(blocks), np.array(terms).T.copy(), tuple(groups), tuple(where))
 
 
@@ -323,26 +329,53 @@ def _term_weights(plan: _Plan, tab: np.ndarray) -> np.ndarray:
     return w
 
 
-def _block_operands(plan: _Plan, tab: np.ndarray, w: np.ndarray, inverse: bool) -> list:
-    """Per block, its forward (or inverse) operand (r, d, d) from the term
-    weights ``w`` (T, r); for a "strided" block, its cos and -1j*sin of
-    theta/2 (+1j*sin for the inverse) shaped (r, 1, 1)."""
+def _block_operands(plan: _Plan, tab: np.ndarray, w: np.ndarray) -> tuple:
+    """Per block, its forward operand (r, d, d) from the term weights ``w``
+    (T, r); for a "strided" block, its cos and -1j*sin of theta/2 shaped
+    (r, 1, 1)."""
     built = []
     for grp in plan.groups:
-        q_a = grp.inv if inverse else grp.fwd
-        nb, (tb, dd) = len(grp.ids), q_a.shape
+        nb, (tb, dd) = len(grp.ids), grp.fwd.shape
         wg = w[grp.first:grp.first + nb * tb].reshape(nb, tb, -1).swapaxes(1, 2)
         d = math.isqrt(dd)
-        built.append(np.matmul(wg, q_a).reshape(nb, w.shape[1], d, d))
+        built.append(np.matmul(wg, grp.fwd).reshape(nb, w.shape[1], d, d))
     ops = []
     for b, loc in zip(plan.blocks, plan.where):
         if loc is None:
             t = 3 * b.gates[0][2]
-            ops.append((tab[t + 1, :, None, None],
-                        (1j if inverse else -1j) * tab[t + 2, :, None, None]))
+            ops.append((tab[t + 1, :, None, None], -1j * tab[t + 2, :, None, None]))
         else:
             ops.append(built[loc[0]][loc[1]])
-    return ops
+    return tuple(ops)
+
+
+@dataclass(frozen=True, eq=False)
+class TemplateOperands:
+    """What the template sweeps need for one set of angles: the term
+    weights and the forward operand of every block. Built once by
+    ``template_operands``, it serves every forward sweep that runs these
+    angles and the adjoint sweeps of their outputs."""
+
+    q: int
+    layers: int
+    angles: np.ndarray      # the array built from, as given (callers check identity)
+    table: np.ndarray       # (3L + 1, r) term table, r = k or 1
+    weights: np.ndarray     # (T, r) term weights
+    ops: tuple              # per block, its forward operand
+
+    @property
+    def plan(self) -> _Plan:
+        return _plan(self.q, self.layers)
+
+
+def template_operands(q: int, layers: int, angles) -> TemplateOperands:
+    """Build the block operands of the template for ``angles``: (k, L) per
+    row or (L,) shared, L = 4*layers*q; a complex array's real part is
+    used."""
+    plan = _plan(q, layers)
+    tab = _term_table(np.asarray(angles).real)
+    w = _term_weights(plan, tab)
+    return TemplateOperands(q, layers, angles, tab, w, _block_operands(plan, tab, w))
 
 
 def _views(b: _Block, arr: np.ndarray):
@@ -382,19 +415,35 @@ def _front(view: np.ndarray, buf: np.ndarray, conj: bool = False) -> np.ndarray:
     return out.reshape(lead + (d, hi * lo)) if moved else out
 
 
-def _apply(b: _Block, op, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Apply block ``b`` through its (forward or inverse) operand ``op`` to
-    the batch ``src`` (..., 2**q). Returns the buffer holding the result:
-    ``dst``, or ``src`` itself for a "strided" block, which works in place
-    and uses ``dst`` as scratch. ``src`` may be overwritten either way."""
+def _inverse(form: str, op: np.ndarray) -> np.ndarray:
+    """A non-strided block's inverse operand M^H, read off its forward
+    operand: the transpose of the real "low", "half" and "real" operands,
+    the conjugate transpose of a "complex" one. "low", "half" and "complex"
+    get a contiguous copy, made per adjoint step and dropped after it: the
+    batched products run up to twice as fast on it as on a transposed view
+    (or, for "complex", on conjugated copies of the state)."""
+    if form == "real":
+        return op.swapaxes(-1, -2)
+    return np.ascontiguousarray((op.conj() if form == "complex" else op).swapaxes(-1, -2))
+
+
+def _apply(b: _Block, op, src: np.ndarray, dst: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Apply block ``b``, or with ``inverse`` its inverse, through its
+    forward operand ``op`` to the batch ``src`` (..., 2**q); the inverse of
+    a "strided" block negates its sine, the others use ``_inverse``.
+    Returns the buffer holding the result: ``dst``, or ``src`` itself for a
+    "strided" block, which works in place and uses ``dst`` as scratch.
+    ``src`` may be overwritten either way."""
     if b.form == "strided":
         c, ms = op
         x = _views(b, src)
         t = dst.reshape(-1)[:x.size].reshape(x.shape)
         np.multiply(x[..., ::-1, :], ms, out=t)
         np.multiply(x, c, out=x)
-        np.add(x, t, out=x)
+        (np.subtract if inverse else np.add)(x, t, out=x)
         return src
+    if inverse:
+        op = _inverse(b.form, op)
     x, y = _views(b, src), _views(b, dst)
     if b.form in ("low", "half"):
         np.matmul(x, op, out=y)
@@ -427,10 +476,9 @@ def _gram(b: _Block, s: np.ndarray, scratch: np.ndarray):
     return w if w.ndim == 3 else w.sum(axis=-3)
 
 
-def ansatz_rows_forward(arr: np.ndarray, q: int, layers: int, angles: np.ndarray) -> np.ndarray:
-    """Run the template over a (k, 2**q) batch.
-
-    ``angles``: (k, 4*layers*q) for per-row angles, or (4*layers*q,) shared.
+def ansatz_rows_forward(arr: np.ndarray, ops: TemplateOperands) -> np.ndarray:
+    """Run the template over a (k, 2**q) batch with the operands ``ops``
+    of its angles: (k, 4*layers*q) per-row angles, or (4*layers*q,) shared.
 
     The gates run as fused blocks (see above), each one batched matmul on
     a view of the state, ping-ponging between two buffers allocated once
@@ -438,45 +486,40 @@ def ansatz_rows_forward(arr: np.ndarray, q: int, layers: int, angles: np.ndarray
     product of the gates of ``ansatz_sequence`` to rounding, not bitwise.
     Each row's result depends only on that row and its angles.
     """
-    plan = _plan(q, layers)
-    tab = _term_table(angles)
-    ops = _block_operands(plan, tab, _term_weights(plan, tab), inverse=False)
     x = np.array(arr, dtype=_C, order="C")
     y = np.empty_like(x)
-    for b, op in zip(plan.blocks, ops):
+    for b, op in zip(ops.plan.blocks, ops.ops):
         if _apply(b, op, x, y) is y:
             x, y = y, x
     return x
 
 
-def ansatz_rows_vjp(out_arr: np.ndarray, q: int, layers: int, angles: np.ndarray,
+def ansatz_rows_vjp(out_arr: np.ndarray, ops: TemplateOperands,
                     g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Adjoint sweep for the template.
 
-    Given the forward *output* batch and the output gradient, walks the
-    blocks backwards. At each block it reads the gradients of the block's
-    angles off the pair (psi, g) at the block's output with the generator
-    identity (see above), then un-applies the block from psi and g at once:
-    the gates are unitary, so the pre-block state is recovered instead of
-    stored. For gate t,
+    Given the forward *output* batch, the operands ``ops`` the forward ran
+    with and the output gradient, walks the blocks backwards. At each block
+    it reads the gradients of the block's angles off the pair (psi, g) at
+    the block's output with the generator identity (see above), then
+    un-applies the block from psi and g at once through its forward
+    operand, read as its inverse: the gates are unitary, so the pre-block
+    state is recovered instead of stored. For gate t,
 
         dL/dtheta_t = Re( sum_i conj(g_i) * (dG_t/dtheta applied to the
                           pre-gate state)_i ).
 
     Returns (g_input_rows, g_angles) with g_angles real-valued, shaped like
-    ``angles``. ``out_arr`` and ``g`` are copied once into a stacked
+    the angles. ``out_arr`` and ``g`` are copied once into a stacked
     working buffer; neither argument is modified. Each row's results
     depend only on that row, its angles and its gradient.
     """
-    plan = _plan(q, layers)
-    tab = _term_table(angles)
-    w = _term_weights(plan, tab)
-    ops = _block_operands(plan, tab, w, inverse=True)
+    plan, w, shared = ops.plan, ops.weights, np.ndim(ops.angles) == 1
     s = np.empty((2,) + out_arr.shape, dtype=_C)
     s[0] = out_arr
     s[1] = g
     t = np.empty_like(s)
-    g_ang = np.zeros((tab.shape[1], angles.shape[-1]))
+    g_ang = np.zeros((ops.table.shape[1], np.shape(ops.angles)[-1]))
     reads = [None] * len(plan.blocks)
     for i in range(len(plan.blocks) - 1, -1, -1):
         b, loc = plan.blocks[i], plan.where[i]
@@ -485,16 +528,16 @@ def ansatz_rows_vjp(out_arr: np.ndarray, q: int, layers: int, angles: np.ndarray
             # conj(g0) psi1 + conj(g1) psi0
             pv, gv = _views(b, s[0]), _views(b, np.conjugate(s[1], out=t[0]))
             cross = 0.5 * np.einsum("kij,kij->k", gv, pv[..., ::-1, :]).imag
-            g_ang[:, b.gates[0][2]] = cross if angles.ndim == 2 else cross.sum()
+            g_ang[:, b.gates[0][2]] = cross.sum() if shared else cross
         else:
             gram = _gram(b, s, t)
-            if angles.ndim == 1:
+            if shared:
                 gram = gram.sum(axis=0, keepdims=True)
             # one product per row keeps each row's rounding independent of
             # the batch it sits in
             readout = plan.groups[loc[0]].readout
             reads[i] = np.matmul(gram.reshape(gram.shape[0], 1, readout.shape[0]), readout)[:, 0]
-        if _apply(b, ops[i], s, t) is t:
+        if _apply(b, ops.ops[i], s, t, inverse=True) is t:
             s, t = t, s
     for grp in plan.groups:
         m = np.stack([reads[i] for i in grp.ids]).real      # (nb, r, n)
@@ -503,7 +546,7 @@ def ansatz_rows_vjp(out_arr: np.ndarray, q: int, layers: int, angles: np.ndarray
             m = np.stack((first, m[..., 0]), axis=-1)
         g_ang[:, grp.angles.ravel()] = m.transpose(1, 0, 2).reshape(m.shape[1], grp.angles.size)
     # a copy, so that the caller's gradient does not keep psi's half alive
-    return s[1].copy(), (g_ang if angles.ndim == 2 else g_ang[0])
+    return s[1].copy(), (g_ang[0] if shared else g_ang)
 
 
 # ---------------------------------------------------------------------------

@@ -164,11 +164,12 @@ def _window_batch(b_norm: Tensor, token_angles: Tensor, active, q: int, layers: 
 
 
 def _apply_m_rows(amps: Tensor, b_norm: Tensor, rows: Tensor, keep: np.ndarray,
-                  q: int, layers: int) -> Tensor:
+                  q: int, layers: int, operands=None) -> Tensor:
     """One application of each window's mixing operator to its (W, 2**q)
     amplitudes: one template call over the kept tokens of every window,
-    then each window's weighted sum over its own tokens."""
-    evolved = ansatz_rows(amps, rows, q, layers, index=np.nonzero(keep)[0])
+    then each window's weighted sum over its own tokens. ``operands``
+    optionally passes the block operands built from ``rows``."""
+    evolved = ansatz_rows(amps, rows, q, layers, index=np.nonzero(keep)[0], operands=operands)
     return ad.collapse_rows(b_norm, evolved, keep)
 
 
@@ -192,7 +193,9 @@ def apply_polynomial(b_norm: Tensor, token_angles: Tensor, poly_coeffs: Tensor,
                      q: int, layers: int, active=None) -> Tensor:
     """Evaluate sum_k c_k M^k |0...0> with exactly ``degree`` applications
     of M, accumulating the running powers. Shapes as in ``apply_m``: one
-    window's (n,) weights give one state, a batch's (W, n) one per window."""
+    window's (n,) weights give one state, a batch's (W, n) one per window.
+    The token template's block operands are built once and serve every
+    power, forward and adjoint."""
     if poly_coeffs.values.ndim != 1 or poly_coeffs.shape[0] < 1:
         raise ShapeError(f"polynomial coefficients must be a non-empty vector, got {poly_coeffs.shape}")
     b, rows, keep, single = _window_batch(b_norm, token_angles, active, q, layers)
@@ -200,8 +203,9 @@ def apply_polynomial(b_norm: Tensor, token_angles: Tensor, poly_coeffs: Tensor,
     zero[:, 0] = 1.0
     amps = ad.tensor(zero)
     powers = [amps]
+    ops = kernels.template_operands(q, layers, rows.values) if poly_coeffs.shape[0] > 1 else None
     for _ in range(poly_coeffs.shape[0] - 1):
-        amps = _apply_m_rows(amps, b, rows, keep, q, layers)
+        amps = _apply_m_rows(amps, b, rows, keep, q, layers, ops)
         powers.append(amps)
     acc = ad.weighted_sum(poly_coeffs, powers)
     return ad.reshape(acc, (1 << q,)) if single else acc

@@ -16,6 +16,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -184,7 +185,7 @@ def save_checkpoint(path: str | Path, params: Params, cfg: RunConfig,
     }
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(json.dumps(payload))
+    _write_atomic(p, json.dumps(payload))
 
 
 def load_checkpoint(path: str | Path) -> tuple[RunConfig, Params, Vocab, int, dict]:
@@ -236,6 +237,24 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, Params, Vocab, int, di
     return cfg, Params(mixer=mixer, **t), vocab, n_classes, payload.get("progress", {})
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file in the same
+    directory and ``os.replace``, so a process that stops mid-write never
+    leaves a partial ``path``. The file is not synced to disk: after a
+    power loss or an OS crash it may still be lost or truncated."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_metrics(path: Path, records: list) -> None:
+    _write_atomic(path, "".join(json.dumps(rec) + "\n" for rec in records))
+
+
 def _snapshot(params: Params) -> dict:
     return {name: t.values.copy() for name, t in params.named().items()}
 
@@ -264,8 +283,19 @@ class TrainOutcome:
 def train(cfg: RunConfig, log=None) -> TrainOutcome:
     """Full run: load data, optimize, track the best validation epoch,
     evaluate that model on test, write metrics.jsonl and checkpoint.json
-    under cfg.out_dir."""
+    under cfg.out_dir.
+
+    metrics.jsonl is rewritten after every epoch, and when any exception
+    or an interrupt stops the run, so a failed run keeps the config record
+    and the records of the epochs it finished. Both files are replaced
+    whole, never written in place (see ``_write_atomic``)."""
     say = log if log is not None else (lambda *_: None)
+    out_dir = Path(cfg.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise DataIOError(f"cannot create output directory {out_dir}: "
+                          f"{e.strerror or e}") from e
     bundle = load_bundle(cfg)
     params = init_params(cfg.model, len(bundle.vocab), bundle.n_classes, cfg.seed)
     opt = AdamW(params.named(), cfg.optimizer)
@@ -275,8 +305,6 @@ def train(cfg: RunConfig, log=None) -> TrainOutcome:
     batches_per_epoch = math.ceil(n_train / bs)
     total_steps = max(cfg.optimizer.epochs * batches_per_epoch, 1)
 
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.jsonl"
     ckpt_path = out_dir / "checkpoint.json"
     records = [{"record": "config", "config": cfg.to_dict(),
@@ -291,52 +319,57 @@ def train(cfg: RunConfig, log=None) -> TrainOutcome:
     # evaluated only when no epoch runs
     best_val = evaluate(bundle.val, params, cfg.model) if cfg.optimizer.epochs == 0 else {}
     step = 0
-    for epoch in range(cfg.optimizer.epochs):
-        t_start = time.perf_counter()
-        order = np.random.default_rng(
-            np.random.SeedSequence(cfg.seed, spawn_key=(epoch,))
-        ).permutation(n_train)
-        sums = {"total": 0.0, "ce": 0.0, "psr": 0.0, "l1c": 0.0,
-                "smooth": 0.0, "l2": 0.0, "mean_pre_norm": 0.0}
-        last_lr = 0.0
-        for b in range(batches_per_epoch):
-            chunk = order[b * bs:(b + 1) * bs]
-            batch = [(int(i), bundle.train[int(i)]) for i in chunk]
-            grads, parts = batch_gradients(batch, params, cfg, epoch=epoch)
-            batch_loss = float(np.mean([p["total"] for p in parts]))
-            if not np.isfinite(batch_loss):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch} batch {b}",
-                    diagnostics={
-                        "epoch": epoch, "batch": b, "step": step,
-                        "batch_loss": batch_loss,
-                        "mean_pre_norm": float(np.mean(
-                            [p["mean_pre_norm"] for p in parts])),
-                    })
-            last_lr = cosine_lr(step, total_steps,
-                                cfg.optimizer.lr_max, cfg.optimizer.lr_min)
-            opt.step(grads, last_lr)
-            step += 1
-            for key in sums:
-                sums[key] += float(np.sum([p[key] for p in parts]))
-        means = {k: v / n_train for k, v in sums.items()}
-        val = evaluate(bundle.val, params, cfg.model)
-        rec = {"record": "epoch", "epoch": epoch,
-               "train_loss": means["total"],
-               "loss_parts": {k: means[k] for k in
-                              ("ce", "psr", "l1c", "smooth", "l2")},
-               "mean_pre_norm": means["mean_pre_norm"],
-               "lr": last_lr, "val": val}
-        records.append(rec)
-        history.append(rec)
-        if val["accuracy"] > best_val.get("accuracy", -1.0) or best_epoch < 0:
-            best_epoch = epoch
-            best_val = val
-            best_arrays = _snapshot(params)
-        say(f"epoch {epoch}: loss {means['total']:.4f} "
-            f"val_acc {val['accuracy']:.4f} "
-            f"pre_norm {means['mean_pre_norm']:.4f} "
-            f"({time.perf_counter() - t_start:.1f}s)")
+    try:
+        for epoch in range(cfg.optimizer.epochs):
+            t_start = time.perf_counter()
+            order = np.random.default_rng(
+                np.random.SeedSequence(cfg.seed, spawn_key=(epoch,))
+            ).permutation(n_train)
+            sums = {"total": 0.0, "ce": 0.0, "psr": 0.0, "l1c": 0.0,
+                    "smooth": 0.0, "l2": 0.0, "mean_pre_norm": 0.0}
+            last_lr = 0.0
+            for b in range(batches_per_epoch):
+                chunk = order[b * bs:(b + 1) * bs]
+                batch = [(int(i), bundle.train[int(i)]) for i in chunk]
+                grads, parts = batch_gradients(batch, params, cfg, epoch=epoch)
+                batch_loss = float(np.mean([p["total"] for p in parts]))
+                if not np.isfinite(batch_loss):
+                    raise TrainingDiverged(
+                        f"non-finite loss at epoch {epoch} batch {b}",
+                        diagnostics={
+                            "epoch": epoch, "batch": b, "step": step,
+                            "batch_loss": batch_loss,
+                            "mean_pre_norm": float(np.mean(
+                                [p["mean_pre_norm"] for p in parts])),
+                        })
+                last_lr = cosine_lr(step, total_steps,
+                                    cfg.optimizer.lr_max, cfg.optimizer.lr_min)
+                opt.step(grads, last_lr)
+                step += 1
+                for key in sums:
+                    sums[key] += float(np.sum([p[key] for p in parts]))
+            means = {k: v / n_train for k, v in sums.items()}
+            val = evaluate(bundle.val, params, cfg.model)
+            rec = {"record": "epoch", "epoch": epoch,
+                   "train_loss": means["total"],
+                   "loss_parts": {k: means[k] for k in
+                                  ("ce", "psr", "l1c", "smooth", "l2")},
+                   "mean_pre_norm": means["mean_pre_norm"],
+                   "lr": last_lr, "val": val}
+            records.append(rec)
+            history.append(rec)
+            _write_metrics(metrics_path, records)
+            if val["accuracy"] > best_val.get("accuracy", -1.0) or best_epoch < 0:
+                best_epoch = epoch
+                best_val = val
+                best_arrays = _snapshot(params)
+            say(f"epoch {epoch}: loss {means['total']:.4f} "
+                f"val_acc {val['accuracy']:.4f} "
+                f"pre_norm {means['mean_pre_norm']:.4f} "
+                f"({time.perf_counter() - t_start:.1f}s)")
+    except BaseException:
+        _write_metrics(metrics_path, records)
+        raise
 
     if best_arrays is not None:
         _restore(params, best_arrays)
@@ -344,9 +377,7 @@ def train(cfg: RunConfig, log=None) -> TrainOutcome:
     records.append({"record": "final", "best_epoch": best_epoch,
                     "best_val": best_val, "test": test,
                     "epochs_run": cfg.optimizer.epochs})
-    with open(metrics_path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+    _write_metrics(metrics_path, records)
     save_checkpoint(ckpt_path, params, cfg, bundle.vocab, bundle.n_classes,
                     progress={"epochs_run": cfg.optimizer.epochs,
                               "global_step": step, "best_epoch": best_epoch,

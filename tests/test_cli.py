@@ -149,6 +149,22 @@ def test_malformed_tsv_exit_3(tmp_path, capsys):
     assert "line(s) 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["under_a_file", "is_a_file"])
+def test_uncreatable_out_dir_exit_3(tmp_path, capsys, monkeypatch, where):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    out = blocker / "run" if where == "under_a_file" else blocker
+    trained = []
+    monkeypatch.setattr("qtmix.training.batch_gradients",
+                        lambda *a, **k: trained.append(1))
+    cfg = write_cfg(tmp_path)
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert str(out) in err and "Traceback" not in err
+    assert not trained
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_divergence_exit_4(tmp_path, capsys, monkeypatch):
     def explode(cfg, log=None):
         raise TrainingDiverged("non-finite loss at epoch 0 batch 1",

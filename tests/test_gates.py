@@ -29,7 +29,8 @@ def template_unitary(q, layers, angles):
     vectors through as a batch."""
     dim = 1 << q
     rows = np.eye(dim, dtype=complex)
-    out = kernels.ansatz_rows_forward(rows, q, layers, np.asarray(angles, float))
+    ops = kernels.template_operands(q, layers, np.asarray(angles, float))
+    out = kernels.ansatz_rows_forward(rows, ops)
     return out.T
 
 
@@ -143,7 +144,8 @@ def test_ansatz_equals_dense_gate_product(q, shared):
         got = template_unitary(q, layers, angles)
     else:   # one row, k=1
         v = random_state(rng, q)
-        got = kernels.ansatz_rows_forward(v[None, :], q, layers, angles[None, :])[0]
+        ops = kernels.template_operands(q, layers, angles[None, :])
+        got = kernels.ansatz_rows_forward(v[None, :], ops)[0]
         want = want @ v
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -172,7 +174,7 @@ def test_ansatz_batch_rows_match_individual():
     q, layers, k = 3, 2, 5
     states = np.stack([random_state(rng, q) for _ in range(k)])
     angles = rng.uniform(-np.pi, np.pi, size=(k, kernels.angle_count(q, layers)))
-    out = kernels.ansatz_rows_forward(states, q, layers, angles)
+    out = kernels.ansatz_rows_forward(states, kernels.template_operands(q, layers, angles))
     for j in range(k):
         u = oracle.ansatz_unitary(q, layers, angles[j])
         assert np.max(np.abs(out[j] - u @ states[j])) <= 1e-12
@@ -188,11 +190,13 @@ def test_ansatz_row_permutation_is_exact():
     angles = rng.uniform(-1, 1, size=(k, kernels.angle_count(q, layers)))
     g = rand_complex(rng, (k, 1 << q))
     perm = rng.permutation(k)
-    a = kernels.ansatz_rows_forward(states, q, layers, angles)
-    b = kernels.ansatz_rows_forward(states[perm], q, layers, angles[perm])
+    ops_a = kernels.template_operands(q, layers, angles)
+    ops_b = kernels.template_operands(q, layers, angles[perm])
+    a = kernels.ansatz_rows_forward(states, ops_a)
+    b = kernels.ansatz_rows_forward(states[perm], ops_b)
     assert np.array_equal(a[perm], b)
-    ga, ang_a = kernels.ansatz_rows_vjp(a, q, layers, angles, g)
-    gb, ang_b = kernels.ansatz_rows_vjp(b, q, layers, angles[perm], g[perm])
+    ga, ang_a = kernels.ansatz_rows_vjp(a, ops_a, g)
+    gb, ang_b = kernels.ansatz_rows_vjp(b, ops_b, g[perm])
     assert np.array_equal(ga[perm], gb)
     assert np.array_equal(ang_a[perm], ang_b)
 
@@ -247,9 +251,10 @@ def test_ansatz_sweeps_match_gate_by_gate(shared):
     # so they agree with them to rounding
     q, layers = 10, 3
     states, angles, g = _sweep_inputs(shared)
-    out = kernels.ansatz_rows_forward(states, q, layers, angles)
+    ops = kernels.template_operands(q, layers, angles)
+    out = kernels.ansatz_rows_forward(states, ops)
     assert np.max(np.abs(out - _compose_forward(states, q, layers, angles))) <= 1e-12
-    g_in, g_ang = kernels.ansatz_rows_vjp(out, q, layers, angles, g)
+    g_in, g_ang = kernels.ansatz_rows_vjp(out, ops, g)
     want_in, want_ang = _compose_vjp(out, q, layers, angles, g)
     assert g_ang.shape == angles.shape
     assert np.max(np.abs(g_in - want_in)) <= 1e-12
@@ -262,8 +267,9 @@ def test_ansatz_sweeps_repeat_bitwise(shared):
     states, angles, g = _sweep_inputs(shared)
     runs = []
     for _ in range(2):
-        out = kernels.ansatz_rows_forward(states, q, layers, angles)
-        runs.append((out, *kernels.ansatz_rows_vjp(out, q, layers, angles, g)))
+        ops = kernels.template_operands(q, layers, angles)
+        out = kernels.ansatz_rows_forward(states, ops)
+        runs.append((out, *kernels.ansatz_rows_vjp(out, ops, g)))
     for first, second in zip(*runs):
         assert np.array_equal(first, second)
 
@@ -274,8 +280,9 @@ def test_ansatz_sweeps_empty_batch(shared):
     n = kernels.angle_count(q, layers)
     states = np.zeros((0, 1 << q), dtype=complex)
     angles = np.zeros(n) if shared else np.zeros((0, n))
-    out = kernels.ansatz_rows_forward(states, q, layers, angles)
-    g_in, g_ang = kernels.ansatz_rows_vjp(out, q, layers, angles, states)
+    ops = kernels.template_operands(q, layers, angles)
+    out = kernels.ansatz_rows_forward(states, ops)
+    g_in, g_ang = kernels.ansatz_rows_vjp(out, ops, states)
     assert out.shape == g_in.shape == (0, 1 << q)
     assert g_ang.shape == angles.shape and not np.any(g_ang)
 
@@ -289,10 +296,11 @@ def test_ansatz_sweeps_leave_inputs_unmodified():
     angles = rng.uniform(-np.pi, np.pi, size=(k, kernels.angle_count(q, layers)))
     g = rand_complex(rng, (k, 1 << q))
     copies = [a.copy() for a in (states, angles, g)]
-    out = kernels.ansatz_rows_forward(states, q, layers, angles)
+    ops = kernels.template_operands(q, layers, angles)
+    out = kernels.ansatz_rows_forward(states, ops)
     assert out is not states and not np.shares_memory(out, states)
     out_copy = out.copy()
-    g_in, g_ang = kernels.ansatz_rows_vjp(out, q, layers, angles, g)
+    g_in, g_ang = kernels.ansatz_rows_vjp(out, ops, g)
     for got, want in zip((states, angles, g), copies):
         assert np.array_equal(got, want)
     assert np.array_equal(out, out_copy)
@@ -406,10 +414,11 @@ def test_shared_angle_gradients_sum_over_rows():
     # the (L,) shared-angle vjp is the sum of the per-row gradients
     q, layers = 5, 2
     states, angles, g = _sweep_inputs(True, seed=77, q=q, layers=layers, k=4)
-    out = kernels.ansatz_rows_forward(states, q, layers, angles)
-    g_in, g_ang = kernels.ansatz_rows_vjp(out, q, layers, angles, g)
+    ops = kernels.template_operands(q, layers, angles)
+    out = kernels.ansatz_rows_forward(states, ops)
+    g_in, g_ang = kernels.ansatz_rows_vjp(out, ops, g)
     rows = np.tile(angles, (4, 1))
-    r_in, r_ang = kernels.ansatz_rows_vjp(out, q, layers, rows, g)
+    r_in, r_ang = kernels.ansatz_rows_vjp(out, kernels.template_operands(q, layers, rows), g)
     assert np.max(np.abs(g_in - r_in)) <= 1e-12
     assert np.max(np.abs(g_ang - r_ang.sum(axis=0))) <= 1e-12
 

@@ -438,3 +438,80 @@ def test_mix_window_batch_gradients():
     check_op_gradients(
         build, [ad.tensor(b), ad.tensor(c), ad.tensor(phi), ad.tensor(angles)],
         rng, complex_leaves={0, 1}, atol=5e-6)
+
+
+# ---------------------------------------------------------------------------
+# template operands built once per set of angles
+
+def count_operand_builds(monkeypatch):
+    built = []
+    original = kernels.TemplateOperands.__init__
+
+    def counting(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(kernels.TemplateOperands, "__init__", counting)
+    return built
+
+
+@pytest.mark.parametrize("taped", [True, False], ids=["tape", "eager"])
+def test_mix_window_builds_each_templates_operands_once(monkeypatch, taped):
+    # the token template's operands serve all d powers, forward and adjoint;
+    # the feed-forward template's serve its forward and adjoint
+    built = count_operand_builds(monkeypatch)
+    rng = np.random.default_rng(34)
+    q, n, degree, layers = 3, 4, 4, 2
+    params = make_params(rng, n, degree, q)
+    angles, masks = window_batch(rng, 5, n, q, layers)
+    if taped:
+        with ad.Tape():
+            token_angles = ad.parameter(angles)
+            out = mixer.mix_window(token_angles, params, masks, q=q, embed_layers=layers)
+            ad.backward(ad.real_part(ad.sumall(out.features)))
+        assert token_angles.grad is not None and np.any(token_angles.grad)
+    else:
+        mixer.mix_window(ad.tensor(angles), params, masks, q=q, embed_layers=layers)
+    assert [b.layers for b in built] == [layers, params.ff_angles.layers]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("shared", [False, True], ids=["per_row", "shared"])
+def test_reused_operands_bitwise_same_as_fresh(q, shared):
+    # d chained template calls: one holder for all of them, or a fresh one
+    # per call, give bitwise the same outputs, input and angle gradients
+    rng = np.random.default_rng(1400 + q)
+    layers, k, d = (2 if q < 8 else 1), 3, 3
+    n = kernels.angle_count(q, layers)
+    states = rand_complex(rng, (k, 1 << q))
+    angles = rng.uniform(-np.pi, np.pi, size=n if shared else (k, n))
+    weight = rand_complex(rng, (k, 1 << q))
+    runs = []
+    for reuse in (True, False):
+        with ad.Tape():
+            s, a = ad.parameter(states), ad.parameter(angles)
+            ops = kernels.template_operands(q, layers, a.values) if reuse else None
+            out = s
+            for _ in range(d):
+                out = circuits.ansatz_rows(out, a, q, layers, operands=ops)
+            w = ad.tensor(weight)
+            ad.backward(ad.real_part(ad.sumall(ad.mul(out, w))))
+        runs.append((out.values, s.grad, a.grad))
+    for reused, fresh in zip(*runs):
+        assert np.array_equal(reused, fresh)
+
+
+def test_operands_from_other_angles_rejected():
+    rng = np.random.default_rng(35)
+    q, layers = 3, 1
+    states = ad.tensor(rand_complex(rng, (2, 1 << q)))
+    angles = rng.uniform(-1, 1, size=(2, kernels.angle_count(q, layers)))
+    ops = kernels.template_operands(q, layers, angles)
+    with pytest.raises(ShapeError, match="operands"):
+        circuits.ansatz_rows(states, ad.tensor(angles.copy()), q, layers, operands=ops)
+    own = ad.tensor(angles)
+    with pytest.raises(ShapeError, match="operands"):
+        circuits.ansatz_rows(states, own, q, layers,
+                             operands=kernels.template_operands(q, layers, angles.copy()))
+    circuits.ansatz_rows(states, own, q, layers,
+                         operands=kernels.template_operands(q, layers, own.values))

@@ -2,12 +2,14 @@
 
 import gc
 import json
+import os
 import weakref
 
 import numpy as np
 import pytest
 
 import qtmix.training as training
+from qtmix import kernels
 from qtmix.config import (DataConfig, ModelConfig, OptimizerConfig, RunConfig,
                           from_dict)
 from qtmix.data import write_tsv
@@ -128,6 +130,32 @@ def test_batch_tape_freed_by_reference_counting(monkeypatch):
     assert grads and len(parts) == 4
 
 
+def test_batch_operands_freed_by_reference_counting(monkeypatch):
+    # the tape's vjp closures hold the batch's template operands; they go
+    # with the tape, without the cyclic collector
+    cfg = tiny_cfg("/tmp/unused")
+    b = load_bundle(cfg)
+    params = init_params(cfg.model, len(b.vocab), b.n_classes, cfg.seed)
+    holders = []
+    original = kernels.TemplateOperands.__init__
+
+    def watched(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        holders.append(weakref.ref(self))
+
+    monkeypatch.setattr(kernels.TemplateOperands, "__init__", watched)
+    gc.collect()
+    gc.disable()
+    try:
+        grads, parts = batch_gradients([(i, b.train[i]) for i in range(4)], params, cfg,
+                                       epoch=0)
+        assert len(holders) == 2        # the token and the feed-forward template
+        assert all(ref() is None for ref in holders)
+    finally:
+        gc.enable()
+    assert grads and len(parts) == 4
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -228,6 +256,72 @@ def test_train_divergence_raises_with_diagnostics(tmp_path, monkeypatch):
         train(cfg)
     diag = exc.value.diagnostics
     assert {"epoch", "batch", "step", "batch_loss", "mean_pre_norm"} <= set(diag)
+
+
+@pytest.mark.parametrize("bad_epoch", [0, 1])
+def test_diverged_run_keeps_metrics_of_finished_epochs(tmp_path, monkeypatch, bad_epoch):
+    # metrics.jsonl keeps the config record and the epochs before the one
+    # that diverges, as an undisturbed run writes them
+    full = train(tiny_cfg(tmp_path / "full"))
+    real = training.batch_gradients
+
+    def poisoned(batch, params, run_cfg, *, epoch):
+        grads, parts = real(batch, params, run_cfg, epoch=epoch)
+        if epoch == bad_epoch:
+            for p in parts:
+                p["total"] = float("nan")
+        return grads, parts
+
+    monkeypatch.setattr(training, "batch_gradients", poisoned)
+    out_dir = tmp_path / "d"
+    with pytest.raises(TrainingDiverged):
+        train(tiny_cfg(out_dir))
+    got = normalized_records(out_dir / "metrics.jsonl")
+    assert [json.loads(line)["record"] for line in got] == ["config"] + ["epoch"] * bad_epoch
+    assert got == normalized_records(full.metrics_path)[:1 + bad_epoch]
+    assert not (out_dir / "checkpoint.json").exists()
+
+
+def test_run_stopped_by_any_error_keeps_config_record(tmp_path, monkeypatch):
+    # an error that is not a QtmixError, in the first epoch, before any
+    # epoch record exists
+    def fail(*args, **kwargs):
+        raise MemoryError("out of memory")
+
+    monkeypatch.setattr(training, "batch_gradients", fail)
+    out_dir = tmp_path / "run"
+    with pytest.raises(MemoryError):
+        train(tiny_cfg(out_dir))
+    records = [json.loads(line) for line in open(out_dir / "metrics.jsonl")]
+    assert [r["record"] for r in records] == ["config"]
+    assert sorted(p.name for p in out_dir.iterdir()) == ["metrics.jsonl"]
+
+
+def test_artifacts_replaced_whole_leaving_no_temp_files(tmp_path, monkeypatch):
+    replaced = []
+    real_replace = training.os.replace
+
+    def watched(src, dst):
+        replaced.append(os.path.basename(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(training.os, "replace", watched)
+    out = train(tiny_cfg(tmp_path / "run"))
+    # after each of the 2 epochs and with the final record; then the checkpoint
+    assert replaced == ["metrics.jsonl"] * 3 + ["checkpoint.json"]
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == \
+        ["checkpoint.json", "metrics.jsonl"]
+    assert len(open(out.metrics_path).read().splitlines()) == 4
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(training.os, "replace", refuse)
+    with pytest.raises(OSError):
+        train(tiny_cfg(tmp_path / "run"))
+    assert list((tmp_path / "run").iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
