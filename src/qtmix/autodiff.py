@@ -27,6 +27,7 @@ the batch holds, so a window's values are bitwise the same in any batch.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -234,6 +235,17 @@ def _sum_leading(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape((-1,) + shape).sum(axis=0)
 
 
+def _scatter_rows(buf: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
+    """``np.add.at(buf, idx, g)`` for indices into the first axis of a
+    C-contiguous ``buf``, run on the flat buffer through one element index
+    per entry of ``g``. Every element receives the same additions in the
+    same order as the row-indexed form, so the result is bitwise the same;
+    numpy's flat-index path is much faster than its row-indexed one."""
+    width = math.prod(buf.shape[1:])
+    flat = (idx[..., None] * width + np.arange(width)).reshape(-1)
+    np.add.at(buf.reshape(-1), flat, g.reshape(-1))
+
+
 def _padded_sum(padded: np.ndarray) -> np.ndarray:
     """Sum a zero-padded (G, P, ...) layout over axis 1: the P addends of
     each output entry are value-sorted, then added strictly left to right.
@@ -363,10 +375,13 @@ def square_norm(a: Tensor) -> Tensor:
 
 
 def spow(s: Tensor, p: float) -> Tensor:
-    """Elementwise real power s**p of a positive real tensor."""
+    """Elementwise real power s**p of a positive real tensor. A NaN base
+    gives NaN: it comes from values that already overflowed upstream, and
+    it reaches the loss, where a training loop can report the divergence."""
     base = s.values.real
-    if not np.all(base > 0.0):
-        raise AutodiffError(f"spow requires a positive base, got {float(base.min()):.3e}")
+    bad = base[base <= 0.0]
+    if bad.size:
+        raise AutodiffError(f"spow requires a positive base, got {float(bad.min()):.3e}")
     val = np.power(base, p)
     dval = p * np.power(base, p - 1.0)
     return _make(val.astype(_COMPLEX), (s,), lambda g: ((g.real * dval).astype(_COMPLEX),))
@@ -510,7 +525,7 @@ def take_rows(a: Tensor, indices) -> Tensor:
 
     def vjp(g):
         buf = np.zeros(shape, dtype=_COMPLEX)
-        np.add.at(buf, idx, g)
+        _scatter_rows(buf, idx, g)
         return (buf,)
 
     return _make(av[idx], (a,), vjp)

@@ -90,7 +90,7 @@ def ansatz_rows(states: Tensor, angles: Tensor, q: int, layers: int,
         if idx is None:
             return (g_rows, g_ang.astype(np.complex128))
         g_state = np.zeros(shape, dtype=np.complex128)
-        np.add.at(g_state, idx, g_rows)
+        ad._scatter_rows(g_state, idx, g_rows)
         return (g_state, g_ang.astype(np.complex128))
 
     return ad._make(out, (states, angles), vjp)

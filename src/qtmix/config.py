@@ -10,6 +10,7 @@ gets embedded in checkpoints, metrics files, and reports.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -114,6 +115,8 @@ class OptimizerConfig:
             raise ConfigError("optimizer.epochs must be >= 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError("optimizer betas must be in [0, 1)")
+        if not self.eps > 0:
+            raise ConfigError(f"optimizer.eps must be > 0, got {self.eps}")
 
 
 @dataclass
@@ -159,6 +162,11 @@ class RunConfig:
     out_dir: str = "runs/default"
 
     def validate(self) -> "RunConfig":
+        for name in _SECTIONS:
+            for key, value in vars(getattr(self, name)).items():
+                # JSON's NaN and Infinity parse as floats; no field takes them
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigError(f"{name}.{key} must be finite, got {value}")
         self.model.validate()
         self.loss.validate()
         self.optimizer.validate()

@@ -76,7 +76,7 @@ class BudgetError(QtmixError):
 
 
 class TrainingDiverged(QtmixError):
-    """The training loss became non-finite."""
+    """The training loss or a parameter became non-finite."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)

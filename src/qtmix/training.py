@@ -345,6 +345,14 @@ def train(cfg: RunConfig, log=None) -> TrainOutcome:
                 last_lr = cosine_lr(step, total_steps,
                                     cfg.optimizer.lr_max, cfg.optimizer.lr_min)
                 opt.step(grads, last_lr)
+                bad = next((name for name, t in params.named().items()
+                            if not np.isfinite(t.values.view(np.float64)).all()), None)
+                if bad is not None:
+                    raise TrainingDiverged(
+                        f"non-finite parameter '{bad}' after the update at epoch "
+                        f"{epoch} batch {b}",
+                        diagnostics={"epoch": epoch, "batch": b, "step": step,
+                                     "parameter": bad, "lr": last_lr})
                 step += 1
                 for key in sums:
                     sums[key] += float(np.sum([p[key] for p in parts]))

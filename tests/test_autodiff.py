@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtmix import autodiff as ad
 from qtmix.errors import ArityError, AutodiffError, LabelError, ShapeError
@@ -153,6 +154,38 @@ def test_fd_structural_ops(seed):
     check_op_gradients(lambda ls: ad.take_rows(ls[0], idx), [ad.tensor(vec[:7])], rng)
     check_op_gradients(lambda ls: ad.slice_vec(ls[0], 2, 6), [ad.tensor(vec)], rng)
     check_op_gradients(lambda ls: ad.broadcast_rows(ls[0], 4), [ad.tensor(vec)], rng)
+
+
+def _scatter_both_ways(buf_shape, idx, rng):
+    # addends of mixed magnitude, so a change of summation order shows
+    g = rand_complex(rng, idx.shape + buf_shape[1:]) * 10.0 ** rng.integers(
+        -8, 9, size=idx.shape + buf_shape[1:])
+    want = np.zeros(buf_shape, dtype=complex)
+    np.add.at(want, idx, g)
+    got = np.zeros(buf_shape, dtype=complex)
+    ad._scatter_rows(got, idx, g)
+    return want, got
+
+
+@pytest.mark.parametrize("buf_shape", [(5,), (5, 3)])
+@pytest.mark.parametrize("idx_shape", [(40,), (8, 6)])
+def test_scatter_rows_matches_add_at_bitwise(buf_shape, idx_shape):
+    rng = np.random.default_rng(17)
+    idx = rng.integers(0, buf_shape[0], size=idx_shape)   # every id repeats
+    want, got = _scatter_both_ways(buf_shape, idx, rng)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 9), width=st.integers(0, 4),
+       idx_shape=st.lists(st.integers(0, 6), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_scatter_rows_matches_add_at_property(rows, width, idx_shape, seed):
+    rng = np.random.default_rng(seed)
+    buf_shape = (rows,) if width == 0 else (rows, width)
+    idx = rng.integers(0, rows, size=tuple(idx_shape))
+    want, got = _scatter_both_ways(buf_shape, idx, rng)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -329,6 +362,14 @@ def test_backward_after_tape_closed_raises():
     assert len(tape) == 0                 # leaving the block drops the records
     with pytest.raises(AutodiffError, match="closed"):
         ad.backward(loss)
+
+
+def test_spow_propagates_nan_and_rejects_non_positive_bases():
+    out = ad.spow(ad.tensor(np.array([4.0, np.nan])), -0.5)
+    assert out.values[0] == 0.5 and np.isnan(out.values[1])
+    for bad in (0.0, -1.0, -np.inf):
+        with pytest.raises(AutodiffError, match="positive base"):
+            ad.spow(ad.tensor(np.array([4.0, np.nan, bad])), -0.5)
 
 
 def test_backward_without_tape_raises():

@@ -83,6 +83,13 @@ def test_unknown_key_lists_all():
     ({"data": {"kind": "tsv"}}, "needs paths"),
     ({"data": {"task": "parity"}}, "task"),
     ({"workers": 0}, "workers"),
+    ({"optimizer": {"eps": 0.0}}, "eps"),
+    ({"optimizer": {"eps": -1.0}}, "eps"),
+    ({"optimizer": {"eps": float("inf")}}, "optimizer.eps must be finite"),
+    ({"optimizer": {"lr_max": float("nan")}}, "optimizer.lr_max must be finite"),
+    ({"optimizer": {"weight_decay": float("inf")}}, "weight_decay must be finite"),
+    ({"loss": {"lambda_ps": float("nan")}}, "loss.lambda_ps must be finite"),
+    ({"model": {"init_angle_scale": float("inf")}}, "model.init_angle_scale must be finite"),
 ])
 def test_validation_rejects(payload, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -154,6 +161,16 @@ def test_load_file_bad_json(tmp_path):
     p = tmp_path / "c.json"
     p.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
+        load_file(p)
+
+
+def test_load_file_rejects_json_nan_and_infinity(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_text('{"optimizer": {"lr_max": NaN}}')
+    with pytest.raises(ConfigError, match="lr_max must be finite"):
+        load_file(p)
+    p.write_text('{"model": {"dropout": -Infinity}}')
+    with pytest.raises(ConfigError, match="dropout must be finite"):
         load_file(p)
 
 

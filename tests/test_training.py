@@ -258,6 +258,42 @@ def test_train_divergence_raises_with_diagnostics(tmp_path, monkeypatch):
     assert {"epoch", "batch", "step", "batch_loss", "mean_pre_norm"} <= set(diag)
 
 
+def test_huge_learning_rate_diverges_with_metrics_kept(tmp_path):
+    # the first update leaves parameters near 1e300: finite, but the next
+    # forward overflows, and its NaN reaches the loss check
+    out_dir = tmp_path / "big"
+    cfg = tiny_cfg(out_dir, optimizer=OptimizerConfig(epochs=2, batch_size=8,
+                                                      lr_max=1e300, lr_min=1e299))
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as exc:
+        train(cfg)
+    assert exc.value.diagnostics["step"] == 1
+    records = [json.loads(line) for line in open(out_dir / "metrics.jsonl")]
+    assert [r["record"] for r in records] == ["config"]
+    assert not (out_dir / "checkpoint.json").exists()
+
+
+def test_non_finite_parameter_after_update_diverges(tmp_path, monkeypatch):
+    # a finite loss with an infinite gradient: the update makes head_b2 NaN
+    real = training.batch_gradients
+
+    def poisoned(batch, params, run_cfg, *, epoch):
+        grads, parts = real(batch, params, run_cfg, epoch=epoch)
+        if epoch == 1:
+            grads["head_b2"] = np.full_like(grads["head_b2"], np.inf)
+        return grads, parts
+
+    monkeypatch.setattr(training, "batch_gradients", poisoned)
+    out_dir = tmp_path / "p"
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match="head_b2") as exc:
+        train(tiny_cfg(out_dir))
+    diag = exc.value.diagnostics
+    batches = -(-len(load_bundle(tiny_cfg(out_dir)).train) // 8)    # steps in epoch 0
+    assert diag["parameter"] == "head_b2"
+    assert (diag["epoch"], diag["batch"], diag["step"]) == (1, 0, batches)
+    records = [json.loads(line) for line in open(out_dir / "metrics.jsonl")]
+    assert [r["record"] for r in records] == ["config", "epoch"]
+
+
 @pytest.mark.parametrize("bad_epoch", [0, 1])
 def test_diverged_run_keeps_metrics_of_finished_epochs(tmp_path, monkeypatch, bad_epoch):
     # metrics.jsonl keeps the config record and the epochs before the one
