@@ -161,9 +161,11 @@ def backward(scalar: Tensor, populate_leaves: bool = True) -> dict[Tensor, np.nd
     """Reverse sweep from a real 0-d node.
 
     Returns a map {tracked leaf -> gradient array} for every leaf reached.
-    When ``populate_leaves`` is true (default) the same gradients are also
-    accumulated into each leaf's ``grad``; calling backward twice without
-    resetting therefore accumulates.
+    The arrays are read-only by contract: one may be the very array a vjp
+    returned, shared with another leaf's entry. When ``populate_leaves``
+    is true (default) the same gradients are also accumulated into each
+    leaf's ``grad``; calling backward twice without resetting therefore
+    accumulates.
     """
     if not isinstance(scalar, Tensor):
         raise AutodiffError("backward expects a Tensor")
@@ -203,7 +205,9 @@ def backward(scalar: Tensor, populate_leaves: bool = True) -> dict[Tensor, np.nd
                 if p.node_id in leaf_sums:
                     leaf_sums[p.node_id] = (p, leaf_sums[p.node_id][1] + c)
                 else:
-                    leaf_sums[p.node_id] = (p, np.array(c, dtype=_COMPLEX))
+                    # no copy: nothing here or downstream writes into a
+                    # gradient in place, so an alias is safe to keep
+                    leaf_sums[p.node_id] = (p, np.asarray(c, dtype=_COMPLEX))
             else:
                 prev = grads.get(p.node_id)
                 # never mutate a stored buffer in place: other edges may alias it
@@ -475,11 +479,12 @@ def collapse_rows(coeffs: Tensor, rows: Tensor, mask=None) -> Tensor:
     """sum_j coeffs[j] * rows[j, :] for a (k, m) tensor; canonical reduction
     over j, same permutation guarantee as ``weighted_sum``.
 
-    With a (W, n) boolean ``mask``, ``coeffs`` is (W, n) and ``rows`` holds
-    one row per True entry of ``mask``, in row-major order. The output is
-    (W, m): window w sums its n positions, the masked ones as exact zeros,
-    in a padded (W, n, m) layout, so each window's sum is computed the same
-    way in any batch and keeps the permutation guarantee per window.
+    With a (W, n) boolean ``mask``, ``rows`` holds one row per True entry
+    of ``mask``, in row-major order, and ``coeffs`` is (W, n), or (k,) with
+    only the entries under the mask, in the same order. The output is
+    (W, m): window w sums its n slots, the masked ones as exact zeros, in a
+    padded (W, n, m) layout, so each window's sum is computed the same way
+    in any batch and keeps the permutation guarantee per window.
     """
     if mask is None:
         if coeffs.values.ndim != 1:
@@ -487,15 +492,16 @@ def collapse_rows(coeffs: Tensor, rows: Tensor, mask=None) -> Tensor:
         m2 = np.ones((1, coeffs.shape[0]), dtype=bool)
     else:
         m2 = np.asarray(mask, dtype=bool)
-        if m2.ndim != 2 or coeffs.shape != m2.shape:
-            raise ShapeError(f"collapse_rows: need (W, n) coefficients and mask, got "
-                             f"{coeffs.shape} and {m2.shape}")
+        if m2.ndim != 2 or coeffs.shape not in (m2.shape, (int(m2.sum()),)):
+            raise ShapeError(f"collapse_rows: need (W, n) or one per masked-in entry "
+                             f"coefficients for a (W, n) mask, got {coeffs.shape} and {m2.shape}")
     k = int(m2.sum())
     if rows.values.ndim != 2 or rows.shape[0] != k:
         raise ShapeError(f"collapse_rows: need ({k}, m) rows for the mask, got {rows.shape}")
-    cv, rv = coeffs.values.reshape(m2.shape), rows.values
+    cv, rv = coeffs.values, rows.values
+    picked = cv.shape == (k,)
     win = np.nonzero(m2)[0]
-    active = cv[m2]
+    active = cv if picked else cv.reshape(m2.shape)[m2]
     padded = np.zeros(m2.shape + rv.shape[1:], dtype=_COMPLEX)
     padded[m2] = active[:, None] * rv
     out = _padded_sum(padded)
@@ -504,8 +510,11 @@ def collapse_rows(coeffs: Tensor, rows: Tensor, mask=None) -> Tensor:
 
     def vjp(g):
         gw = g.reshape(m2.shape[0], -1)[win]
+        ga = np.matmul(np.conj(rv)[:, None, :], gw[:, :, None])[:, 0, 0]
+        if picked:
+            return (ga, np.conj(active)[:, None] * gw)
         gc = np.zeros(m2.shape, dtype=_COMPLEX)
-        gc[m2] = np.matmul(np.conj(rv)[:, None, :], gw[:, :, None])[:, 0, 0]
+        gc[m2] = ga
         return (gc.reshape(coeffs.shape), np.conj(active)[:, None] * gw)
 
     return _make(out, (coeffs, rows), vjp)

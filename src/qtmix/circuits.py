@@ -45,16 +45,21 @@ class AnsatzAngles:
 
 
 def ansatz_rows(states: Tensor, angles: Tensor, q: int, layers: int,
-                index=None, *, operands: kernels.TemplateOperands | None = None) -> Tensor:
+                index=None, *, angle_index=None,
+                operands: kernels.TemplateOperands | None = None) -> Tensor:
     """Fused template application over a batch.
 
     ``states``: (k, 2**q) tensor of statevector rows; ``angles``: (k, L)
     per-row angle matrix, or (L,) angles shared by every row, with
     L = 4 * layers * q. ``index`` optionally picks the rows to run: row j of
     the (len(index), 2**q) output evolves ``states[index[j]]``, so a state
-    shared by many rows is stored once. One tape node covers the whole gate
-    sequence; the backward pass re-derives intermediate states by
-    un-applying gates (adjoint sweep) instead of storing them.
+    shared by many rows is stored once. ``angle_index`` likewise picks each
+    row's angles from a (U, L) matrix: row j runs ``angles[angle_index[j]]``,
+    so rows that share angles (one token in many windows) share one angle
+    row and one operand holder, and their angle gradients are summed into
+    it. One tape node covers the whole gate sequence; the backward pass
+    re-derives intermediate states by un-applying gates (adjoint sweep)
+    instead of storing them.
 
     ``operands`` optionally passes the template's block operands, built by
     ``kernels.template_operands(q, layers, angles.values)``, so that calls
@@ -71,26 +76,37 @@ def ansatz_rows(states: Tensor, angles: Tensor, q: int, layers: int,
         raise ShapeError(f"ansatz_rows: states must be (k, {1 << q}), got {states.shape}")
     idx = None if index is None else np.asarray(index, dtype=np.int64)
     src = states.values if idx is None else states.values[idx]
-    want = kernels.angle_count(q, layers)
-    if angles.shape not in ((src.shape[0], want), (want,)):
+    k, want = src.shape[0], kernels.angle_count(q, layers)
+    rows = None if angle_index is None else np.asarray(angle_index, dtype=np.int64)
+    if rows is None:
+        if angles.shape not in ((k, want), (want,)):
+            raise ShapeError(
+                f"ansatz_rows: angles must be ({k}, {want}) or ({want},), got {angles.shape}")
+    elif (angles.values.ndim != 2 or angles.shape[1] != want or rows.shape != (k,)
+          or (k and (rows.min() < 0 or rows.max() >= angles.shape[0]))):
         raise ShapeError(
-            f"ansatz_rows: angles must be ({src.shape[0]}, {want}) or ({want},), "
-            f"got {angles.shape}"
-        )
+            f"ansatz_rows: angle_index must pick {k} row(s) of (U, {want}) angles, "
+            f"got {rows.shape} into {angles.shape}")
     if operands is None:
         operands = kernels.template_operands(q, layers, angles.values)
     elif operands.angles is not angles.values or (operands.q, operands.layers) != (q, layers):
         raise ShapeError("ansatz_rows: the operands were not built from these angles "
                          f"for q={q} with {layers} layer(s)")
-    out = kernels.ansatz_rows_forward(src, operands)
-    shape = states.shape
+    out = kernels.ansatz_rows_forward(src, operands, rows)
+    shape, angle_shape, tracked = states.shape, angles.shape, states.tracked
 
     def vjp(g):
-        g_rows, g_ang = kernels.ansatz_rows_vjp(out, operands, g)
-        if idx is None:
-            return (g_rows, g_ang.astype(np.complex128))
-        g_state = np.zeros(shape, dtype=np.complex128)
-        ad._scatter_rows(g_state, idx, g_rows)
+        g_rows, g_ang = kernels.ansatz_rows_vjp(out, operands, g, rows)
+        if rows is not None:
+            per_row, g_ang = g_ang, np.zeros(angle_shape)
+            ad._scatter_rows(g_ang, rows, per_row)
+        if not tracked:
+            g_state = None          # a constant input, such as the |0...0> rows
+        elif idx is None:
+            g_state = g_rows
+        else:
+            g_state = np.zeros(shape, dtype=np.complex128)
+            ad._scatter_rows(g_state, idx, g_rows)
         return (g_state, g_ang.astype(np.complex128))
 
     return ad._make(out, (states, angles), vjp)

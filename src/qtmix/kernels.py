@@ -13,8 +13,11 @@ in buffers allocated once per call; the caller's arrays are never
 modified. The blocks' operands are built once per set of angles by
 ``template_operands`` and passed to every sweep that runs those angles:
 the forward sweeps and the adjoint sweep, which reads each operand as its
-inverse. Each row's results depend only on that row's inputs, so
-permuting the rows permutes the results exactly. The Pauli kernels
+inverse. A sweep's rows may share operand rows through an index (one
+token's operands serving every window that holds it); each block gathers
+the rows it needs for its step and drops them after it. Each row's
+results depend only on that row's inputs, so permuting the rows permutes
+the results exactly. The Pauli kernels
 (``pauli_apply``, ``pauli_expectations_raw``) serve the readout.
 
 Gate conventions (theta real):
@@ -415,35 +418,52 @@ def _front(view: np.ndarray, buf: np.ndarray, conj: bool = False) -> np.ndarray:
     return out.reshape(lead + (d, hi * lo)) if moved else out
 
 
-def _inverse(form: str, op: np.ndarray) -> np.ndarray:
+def _rows(op, index):
+    """A block's forward operand for the rows of a batch: row j gets
+    operand row ``index[j]`` (a gathered copy), or row j when ``index`` is
+    None."""
+    if index is None:
+        return op
+    if isinstance(op, tuple):
+        return tuple(part[index] for part in op)
+    return op[index]
+
+
+def _inverse(form: str, op: np.ndarray, index=None) -> np.ndarray:
     """A non-strided block's inverse operand M^H, read off its forward
-    operand: the transpose of the real "low", "half" and "real" operands,
-    the conjugate transpose of a "complex" one. "low", "half" and "complex"
-    get a contiguous copy, made per adjoint step and dropped after it: the
-    batched products run up to twice as fast on it as on a transposed view
-    (or, for "complex", on conjugated copies of the state)."""
+    operand, rows picked by ``index`` as in ``_rows``: the transpose of the
+    real "low", "half" and "real" operands, the conjugate transpose of a
+    "complex" one. "low", "half" and "complex" get a contiguous copy, made
+    per adjoint step and dropped after it: the batched products run up to
+    twice as fast on it as on a transposed view (or, for "complex", on
+    conjugated copies of the state). With ``index``, the copy is made once
+    per operand row, then gathered."""
     if form == "real":
-        return op.swapaxes(-1, -2)
-    return np.ascontiguousarray((op.conj() if form == "complex" else op).swapaxes(-1, -2))
+        return _rows(op, index).swapaxes(-1, -2)
+    inv = np.ascontiguousarray(op.swapaxes(-1, -2))
+    if form == "complex":
+        np.conjugate(inv, out=inv)
+    return _rows(inv, index)
 
 
-def _apply(b: _Block, op, src: np.ndarray, dst: np.ndarray, inverse: bool = False) -> np.ndarray:
+def _apply(b: _Block, op, src: np.ndarray, dst: np.ndarray, inverse: bool = False,
+           index=None) -> np.ndarray:
     """Apply block ``b``, or with ``inverse`` its inverse, through its
-    forward operand ``op`` to the batch ``src`` (..., 2**q); the inverse of
-    a "strided" block negates its sine, the others use ``_inverse``.
-    Returns the buffer holding the result: ``dst``, or ``src`` itself for a
-    "strided" block, which works in place and uses ``dst`` as scratch.
-    ``src`` may be overwritten either way."""
+    forward operand ``op``, rows picked by ``index`` as in ``_rows``, to
+    the batch ``src`` (..., 2**q); the inverse of a "strided" block negates
+    its sine, the others use ``_inverse``. Returns the buffer holding the
+    result: ``dst``, or ``src`` itself for a "strided" block, which works
+    in place and uses ``dst`` as scratch. ``src`` may be overwritten
+    either way."""
     if b.form == "strided":
-        c, ms = op
+        c, ms = _rows(op, index)
         x = _views(b, src)
         t = dst.reshape(-1)[:x.size].reshape(x.shape)
         np.multiply(x[..., ::-1, :], ms, out=t)
         np.multiply(x, c, out=x)
         (np.subtract if inverse else np.add)(x, t, out=x)
         return src
-    if inverse:
-        op = _inverse(b.form, op)
+    op = _inverse(b.form, op, index) if inverse else _rows(op, index)
     x, y = _views(b, src), _views(b, dst)
     if b.form in ("low", "half"):
         np.matmul(x, op, out=y)
@@ -476,9 +496,12 @@ def _gram(b: _Block, s: np.ndarray, scratch: np.ndarray):
     return w if w.ndim == 3 else w.sum(axis=-3)
 
 
-def ansatz_rows_forward(arr: np.ndarray, ops: TemplateOperands) -> np.ndarray:
+def ansatz_rows_forward(arr: np.ndarray, ops: TemplateOperands, index=None) -> np.ndarray:
     """Run the template over a (k, 2**q) batch with the operands ``ops``
     of its angles: (k, 4*layers*q) per-row angles, or (4*layers*q,) shared.
+    With per-row angles, ``index`` optionally maps row j of the batch to
+    angle row ``index[j]``, so that rows sharing angles share one holder;
+    each block gathers its operand rows for the step and drops them after.
 
     The gates run as fused blocks (see above), each one batched matmul on
     a view of the state, ping-ponging between two buffers allocated once
@@ -489,13 +512,13 @@ def ansatz_rows_forward(arr: np.ndarray, ops: TemplateOperands) -> np.ndarray:
     x = np.array(arr, dtype=_C, order="C")
     y = np.empty_like(x)
     for b, op in zip(ops.plan.blocks, ops.ops):
-        if _apply(b, op, x, y) is y:
+        if _apply(b, op, x, y, index=index) is y:
             x, y = y, x
     return x
 
 
 def ansatz_rows_vjp(out_arr: np.ndarray, ops: TemplateOperands,
-                    g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                    g: np.ndarray, index=None) -> tuple[np.ndarray, np.ndarray]:
     """Adjoint sweep for the template.
 
     Given the forward *output* batch, the operands ``ops`` the forward ran
@@ -510,16 +533,17 @@ def ansatz_rows_vjp(out_arr: np.ndarray, ops: TemplateOperands,
                           pre-gate state)_i ).
 
     Returns (g_input_rows, g_angles) with g_angles real-valued, shaped like
-    the angles. ``out_arr`` and ``g`` are copied once into a stacked
-    working buffer; neither argument is modified. Each row's results
-    depend only on that row, its angles and its gradient.
+    the angles, or one row per batch row when the forward ran with
+    ``index`` (pass the same ``index``). ``out_arr`` and ``g`` are copied
+    once into a stacked working buffer; neither argument is modified. Each
+    row's results depend only on that row, its angles and its gradient.
     """
     plan, w, shared = ops.plan, ops.weights, np.ndim(ops.angles) == 1
     s = np.empty((2,) + out_arr.shape, dtype=_C)
     s[0] = out_arr
     s[1] = g
     t = np.empty_like(s)
-    g_ang = np.zeros((ops.table.shape[1], np.shape(ops.angles)[-1]))
+    g_ang = np.zeros((1 if shared else out_arr.shape[0], np.shape(ops.angles)[-1]))
     reads = [None] * len(plan.blocks)
     for i in range(len(plan.blocks) - 1, -1, -1):
         b, loc = plan.blocks[i], plan.where[i]
@@ -537,12 +561,13 @@ def ansatz_rows_vjp(out_arr: np.ndarray, ops: TemplateOperands,
             # the batch it sits in
             readout = plan.groups[loc[0]].readout
             reads[i] = np.matmul(gram.reshape(gram.shape[0], 1, readout.shape[0]), readout)[:, 0]
-        if _apply(b, ops.ops[i], s, t, inverse=True) is t:
+        if _apply(b, ops.ops[i], s, t, inverse=True, index=index) is t:
             s, t = t, s
     for grp in plan.groups:
         m = np.stack([reads[i] for i in grp.ids]).real      # (nb, r, n)
         if grp.pair is not None:
-            first = np.einsum("brj,bjr->br", m[..., 1:], w[grp.pair])
+            pw = w[grp.pair] if index is None else w[grp.pair[..., None], index]
+            first = np.einsum("brj,bjr->br", m[..., 1:], pw)
             m = np.stack((first, m[..., 0]), axis=-1)
         g_ang[:, grp.angles.ravel()] = m.transpose(1, 0, 2).reshape(m.shape[1], grp.angles.size)
     # a copy, so that the caller's gradient does not keep psi's half alive

@@ -14,13 +14,20 @@ resulting (sub-normalized) state is recorded as ``pre_norm`` before the
 state is renormalized, pushed through a trainable feed-forward template,
 and read out as per-qubit X/Y/Z expectations.
 
-A batch of W windows runs at once: each application of M is one template
-call over the active tokens of all W windows, and the feed-forward
-template one call over the W states. Each template row depends only on
-that row, and each window sums over its own zero-padded token axis, so a
-window's outputs are bitwise the same whatever else is in the batch. One
-window (angles (n, L), mask (n,)) is the batch W = 1, returned without
-the batch axis.
+A batch of W windows runs at once. Its token angles come per position,
+(W, n, L), every position its own token; or as (U, L), one row per
+distinct token, with a (W, n) index saying which token sits where. Every
+window starts from |0...0>, so the first application of M is one template
+call with one row per distinct token, whose results each window gathers;
+every later application is one call with one row per distinct
+(window, token) pair, run from that window's state. A window's repeated
+tokens thus share one coefficient: the canonical (value-sorted) sum of its
+weights at the positions holding the token. The feed-forward template is
+one call over the W states. Each template row depends only on that row,
+and each window sums over its own zero-padded axis, so a window's outputs
+are bitwise the same whatever else is in the batch. One window (angles
+(n, L) or (U, L), mask (n,)) is the batch W = 1, returned without the
+batch axis.
 """
 
 from __future__ import annotations
@@ -141,36 +148,118 @@ def _check_token_angles(token_angles: Tensor, lead: tuple, n: int, q: int, layer
         )
 
 
-def _window_batch(b_norm: Tensor, token_angles: Tensor, active, q: int, layers: int):
-    """One window's (n,) weights and (n, L) angles, or a batch's (W, n) and
-    (W, n, L), as (weights (W, n), the (K, L) angles of the K tokens to run
-    in (window, token) order, the (W, n) mask of those tokens, whether one
-    window was given)."""
-    single = b_norm.values.ndim == 1
-    _check_token_angles(token_angles, b_norm.shape[:-1], b_norm.shape[-1], q, layers)
-    keep = np.ones(b_norm.shape, dtype=bool) if active is None else np.asarray(active, dtype=bool)
-    if keep.shape != b_norm.shape:
-        raise ShapeError(f"active mask must have shape {b_norm.shape}, got {keep.shape}")
-    if single:
-        b_norm = ad.reshape(b_norm, (1,) + b_norm.shape)
-        token_angles = ad.reshape(token_angles, (1,) + token_angles.shape)
-        keep = keep[None]
-    if not keep.any(axis=1).all():
-        raise EmptyWindowError("no active tokens to mix")
+def _check_token_rows(token_angles: Tensor, tokens: np.ndarray, keep: np.ndarray,
+                      q: int, layers: int) -> None:
+    want = kernels.angle_count(q, layers)
+    if token_angles.values.ndim != 2 or token_angles.shape[1] != want:
+        raise ShapeError(f"token angles must be (U, {want}) for q={q}, layers={layers} "
+                         f"with a token index, got {token_angles.shape}")
+    if tokens.shape != keep.shape:
+        raise ShapeError(f"token index must have shape {keep.shape}, got {tokens.shape}")
+    used = tokens[keep]
+    if used.size and (used.min() < 0 or used.max() >= token_angles.shape[0]):
+        raise ShapeError(f"token index out of range for {token_angles.shape[0]} token(s)")
+
+
+@dataclass(frozen=True)
+class _Tokens:
+    """What a batch of W windows of n positions runs through the token
+    template. The first power runs each distinct token once, from
+    |0...0>; every later power runs each distinct (window, token) pair
+    once, from its window's state. A pair's term carries the sum of its
+    window's weights at the positions holding that token.
+
+    Pairs are ordered by the first position holding them, row-major, so
+    that with no repeated token they are the active positions in order.
+    """
+
+    angles: Tensor                  # (U, L) the distinct tokens' angles
+    window: np.ndarray              # (P,) window of each pair
+    token: np.ndarray | None        # (P,) token row of each pair; None: pair p is token p
+    slots: np.ndarray               # (W, n) one True per pair, in pair order
+    merge: tuple | None             # None: each pair is one position; else
+                                    # (flat positions grouped by pair, pair sizes)
+
+
+def _per_position(token_angles: Tensor, keep: np.ndarray) -> _Tokens:
+    """Every active position is its own token (angles (W, n, L))."""
     w, n, width = token_angles.shape
     flat = ad.reshape(token_angles, (w * n, width))
     rows = flat if keep.all() else ad.take_rows(flat, np.flatnonzero(keep))
-    return b_norm, rows, keep, single
+    return _Tokens(rows, np.nonzero(keep)[0], None, keep, None)
 
 
-def _apply_m_rows(amps: Tensor, b_norm: Tensor, rows: Tensor, keep: np.ndarray,
-                  q: int, layers: int, operands=None) -> Tensor:
+def _distinct(token_angles: Tensor, tokens: np.ndarray, keep: np.ndarray) -> _Tokens:
+    """Tokens named by a (W, n) index into (U, L) angles: one pair per
+    distinct token of each window."""
+    n_tok = token_angles.shape[0]
+    win, pos = np.nonzero(keep)
+    flat, ids = win * keep.shape[1] + pos, tokens[win, pos]
+    _, first, inverse, sizes = np.unique(win * n_tok + ids, return_index=True,
+                                         return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    token = ids[first[order]]
+    if token.size == n_tok and np.array_equal(token, np.arange(n_tok)):
+        token = None
+    slots = np.zeros(keep.shape, dtype=bool)
+    slots.reshape(-1)[flat[first[order]]] = True
+    merge = None
+    if order.size < flat.size:
+        merge = (flat[np.argsort(rank[inverse], kind="stable")], sizes[order])
+    return _Tokens(token_angles, win[first[order]], token, slots, merge)
+
+
+def _window_batch(b_norm: Tensor, token_angles: Tensor, active, tokens, q: int, layers: int):
+    """One window's (n,) weights, or a batch's (W, n), with their token
+    angles: per position, (n, L) or (W, n, L); or with a ``tokens`` index
+    shaped like the weights into (U, L) angles. Returns (weights (W, n),
+    the ``_Tokens`` to run, whether one window was given)."""
+    single = b_norm.values.ndim == 1
+    keep = np.ones(b_norm.shape, dtype=bool) if active is None else np.asarray(active, dtype=bool)
+    if keep.shape != b_norm.shape:
+        raise ShapeError(f"active mask must have shape {b_norm.shape}, got {keep.shape}")
+    if tokens is not None:
+        tokens = np.asarray(tokens, dtype=np.int64)
+        _check_token_rows(token_angles, tokens, keep, q, layers)
+    else:
+        _check_token_angles(token_angles, b_norm.shape[:-1], b_norm.shape[-1], q, layers)
+    if single:
+        b_norm = ad.reshape(b_norm, (1,) + b_norm.shape)
+        keep = keep[None]
+        if tokens is None:
+            token_angles = ad.reshape(token_angles, (1,) + token_angles.shape)
+        else:
+            tokens = tokens[None]
+    if not keep.any(axis=1).all():
+        raise EmptyWindowError("no active tokens to mix")
+    if tokens is None:
+        return b_norm, _per_position(token_angles, keep), single
+    return b_norm, _distinct(token_angles, tokens, keep), single
+
+
+def _pair_weights(b_norm: Tensor, tok: _Tokens) -> Tensor:
+    """Each pair's coefficient: the (W, n) weights themselves when every
+    pair is one position, else per pair the canonical (value-sorted) sum
+    of its window's weights at the positions holding its token."""
+    if tok.merge is None:
+        return b_norm
+    positions, sizes = tok.merge
+    flat = ad.reshape(b_norm, (b_norm.shape[0] * b_norm.shape[1],))
+    return ad.segment_sum(ad.take_rows(flat, positions), sizes)
+
+
+def _apply_m_rows(amps: Tensor, coeffs: Tensor, tok: _Tokens, q: int, layers: int,
+                  operands=None) -> Tensor:
     """One application of each window's mixing operator to its (W, 2**q)
-    amplitudes: one template call over the kept tokens of every window,
-    then each window's weighted sum over its own tokens. ``operands``
-    optionally passes the block operands built from ``rows``."""
-    evolved = ansatz_rows(amps, rows, q, layers, index=np.nonzero(keep)[0], operands=operands)
-    return ad.collapse_rows(b_norm, evolved, keep)
+    amplitudes: one template call over the (window, token) pairs of every
+    window, then each window's weighted sum over its own pairs.
+    ``operands`` optionally passes the block operands built from the
+    token angles."""
+    evolved = ansatz_rows(amps, tok.angles, q, layers, index=tok.window,
+                          angle_index=tok.token, operands=operands)
+    return ad.collapse_rows(coeffs, evolved, tok.slots)
 
 
 def apply_m(amps: Tensor, b_norm: Tensor, token_angles: Tensor, q: int,
@@ -183,40 +272,62 @@ def apply_m(amps: Tensor, b_norm: Tensor, token_angles: Tensor, q: int,
     Dropped tokens must carry exactly zero weight (the caller masks them),
     so skipping them changes nothing but cost.
     """
-    b, rows, keep, single = _window_batch(b_norm, token_angles, active, q, layers)
+    b, tok, single = _window_batch(b_norm, token_angles, active, None, q, layers)
     out = _apply_m_rows(ad.reshape(amps, (1, 1 << q)) if single else amps,
-                        b, rows, keep, q, layers)
+                        _pair_weights(b, tok), tok, q, layers)
     return ad.reshape(out, (1 << q,)) if single else out
 
 
+def _ground(k: int, q: int) -> Tensor:
+    """k constant rows of |0...0>."""
+    zero = np.zeros((k, 1 << q), dtype=np.complex128)
+    zero[:, 0] = 1.0
+    return ad.tensor(zero)
+
+
 def apply_polynomial(b_norm: Tensor, token_angles: Tensor, poly_coeffs: Tensor,
-                     q: int, layers: int, active=None) -> Tensor:
+                     q: int, layers: int, active=None, tokens=None) -> Tensor:
     """Evaluate sum_k c_k M^k |0...0> with exactly ``degree`` applications
     of M, accumulating the running powers. Shapes as in ``apply_m``: one
     window's (n,) weights give one state, a batch's (W, n) one per window.
-    The token template's block operands are built once and serve every
-    power, forward and adjoint."""
+    With ``tokens``, an index shaped like ``b_norm``, the angles are
+    instead (U, L), one row per distinct token.
+
+    Every window starts from |0...0>, so the first power runs each
+    distinct token once and gathers the results per pair; each later power
+    runs each pair once. The token template's block operands are built
+    once, on the distinct tokens' angles, and serve every power, forward
+    and adjoint."""
     if poly_coeffs.values.ndim != 1 or poly_coeffs.shape[0] < 1:
         raise ShapeError(f"polynomial coefficients must be a non-empty vector, got {poly_coeffs.shape}")
-    b, rows, keep, single = _window_batch(b_norm, token_angles, active, q, layers)
-    zero = np.zeros((keep.shape[0], 1 << q), dtype=np.complex128)
-    zero[:, 0] = 1.0
-    amps = ad.tensor(zero)
-    powers = [amps]
-    ops = kernels.template_operands(q, layers, rows.values) if poly_coeffs.shape[0] > 1 else None
-    for _ in range(poly_coeffs.shape[0] - 1):
-        amps = _apply_m_rows(amps, b, rows, keep, q, layers, ops)
-        powers.append(amps)
+    b, tok, single = _window_batch(b_norm, token_angles, active, tokens, q, layers)
+    coeffs = _pair_weights(b, tok)
+    powers = [_ground(b.shape[0], q)]
+    if poly_coeffs.shape[0] > 1:
+        ops = kernels.template_operands(q, layers, tok.angles.values)
+        evolved = ansatz_rows(_ground(tok.angles.shape[0], q), tok.angles, q, layers,
+                              operands=ops)
+        if tok.token is not None:
+            evolved = ad.take_rows(evolved, tok.token)
+        powers.append(ad.collapse_rows(coeffs, evolved, tok.slots))
+        for _ in range(poly_coeffs.shape[0] - 2):
+            powers.append(_apply_m_rows(powers[-1], coeffs, tok, q, layers, ops))
     acc = ad.weighted_sum(poly_coeffs, powers)
     return ad.reshape(acc, (1 << q,)) if single else acc
 
 
 def mix_window(token_angles: Tensor, params: MixerParams, mask, *, q: int,
-               embed_layers: int, window_id=None, normalize_lcu: bool = True) -> MixerOutput:
+               embed_layers: int, tokens=None, window_id=None,
+               normalize_lcu: bool = True) -> MixerOutput:
     """Full mixer pipeline for a batch of windows, or for one.
 
-    token_angles: (W, n, 4*embed_layers*q) per-token template angles, or
-    (n, 4*embed_layers*q) for one window.
+    token_angles: (W, n, 4*embed_layers*q) per-position template angles, or
+    (n, 4*embed_layers*q) for one window; every position is its own token.
+    With ``tokens``, a (W, n) (or (n,)) integer index, they are instead
+    (U, 4*embed_layers*q), one row per distinct token, and position j of
+    window w runs row ``tokens[w, j]``: each token's template then runs
+    once per batch in the first power and once per window holding it
+    after that, and a window's repeated tokens share one merged weight.
     mask: (W, n) booleans, or (n,), True where a real token sits.
     window_id: names windows in errors; one id for one window, a sequence
     of W ids for a batch (default: the window's position).
@@ -225,10 +336,16 @@ def mix_window(token_angles: Tensor, params: MixerParams, mask, *, q: int,
     """
     n = params.window
     m, single = _batch_mask(mask, n)
-    _check_token_angles(token_angles, () if single else m.shape[:1], n, q, embed_layers)
+    angles, index = token_angles, None
+    if tokens is not None:
+        index = np.asarray(tokens, dtype=np.int64)
+        index = index[None] if single else index
+    else:
+        _check_token_angles(token_angles, () if single else m.shape[:1], n, q, embed_layers)
+        if single:
+            angles = ad.reshape(token_angles, (1,) + token_angles.shape)
     labels = _labels(window_id, m.shape[0], single)
     _check_nonempty(m, labels)
-    angles = ad.reshape(token_angles, (1,) + token_angles.shape) if single else token_angles
 
     if normalize_lcu:
         weights = l1_normalize(params.lcu_coeffs, m, window_id=labels)
@@ -237,7 +354,7 @@ def mix_window(token_angles: Tensor, params: MixerParams, mask, *, q: int,
                                m.astype(np.float64))
 
     poly_state = apply_polynomial(weights, angles, params.poly_coeffs,
-                                  q, embed_layers, active=m)
+                                  q, embed_layers, active=m, tokens=index)
     pre_norm = ad.square_norm(poly_state)
     low = np.flatnonzero(pre_norm.values.real < COLLAPSE_THRESHOLD)
     if low.size:

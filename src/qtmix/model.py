@@ -1,14 +1,18 @@
 """Full classifier: embeddings, quantum token mixer, readout head.
 
-A batch of documents runs as one block of windows: token ids gather
-embedding rows, a linear projection turns each row into per-token template
-angles, the mixer produces a 3q-dim expectation readout per window, and a
-small MLP maps that to class logits. Each document's window logits are
-combined by plain averaging or by a learned attention pool, and its loss
-adds the norm-targeting and coefficient regularizers on top of
-cross-entropy. Every product over rows keeps a window axis until the
-per-document aggregation, so a document's logits and loss are bitwise the
-same in any batch; one document is the batch of one.
+A batch of documents runs as one block of windows. A token's template
+angles depend on its id alone (a linear projection of its embedding row,
+with no position term), so they are computed once per distinct active id
+of the batch, one product per id, and the mixer gets them with a (W, n)
+index that says which token sits at each position; it runs each token's
+template once per batch in the first polynomial power. The mixer produces
+a 3q-dim expectation readout per window, and a small MLP maps that to
+class logits. Each document's window logits are combined by plain
+averaging or by a learned attention pool, and its loss adds the
+norm-targeting and coefficient regularizers on top of cross-entropy.
+Every product over rows is made per token or keeps a window axis until
+the per-document aggregation, so a document's logits and loss are bitwise
+the same in any batch; one document is the batch of one.
 """
 
 from __future__ import annotations
@@ -171,10 +175,16 @@ def _forward(docs: list, params: Params, cfg: ModelConfig, training: bool,
     labels = [f"document {name} window {w}" for name, c in zip(names, counts)
               for w in range(c)]
 
-    emb = ad.take_rows(params.embed_table, ids)
+    # angles depend on the token id alone: one row per distinct active id,
+    # each its own product, so a token's angles are the same in any batch
+    distinct, inverse = np.unique(ids[masks], return_inverse=True)
+    tokens = np.zeros(ids.shape, dtype=np.int64)
+    tokens[masks] = inverse
+    emb = ad.take_rows(params.embed_table, distinct[:, None])
     theta = ad.matmul(emb, ad.transpose(params.embed_proj))
+    theta = ad.reshape(theta, (distinct.size, theta.shape[-1]))
     out = mix_window(theta, params.mixer, masks, q=cfg.qubits,
-                     embed_layers=cfg.embed_layers, window_id=labels,
+                     embed_layers=cfg.embed_layers, tokens=tokens, window_id=labels,
                      normalize_lcu=cfg.normalize_lcu)
     feats = out.features
     if cfg.measurement_mask is not None:

@@ -166,10 +166,11 @@ def _encode_array(arr: np.ndarray) -> dict:
 
 
 def _decode_array(payload: dict) -> np.ndarray:
+    # the bytes are read back as (re, im) pairs, not recombined with
+    # arithmetic, so every value (-0.0, inf and NaN too) round-trips bitwise
     shape = tuple(payload["shape"])
-    flat = np.frombuffer(base64.b64decode(payload["data"]), dtype="<f8").copy()
-    pairs = flat.reshape(-1, 2)
-    return (pairs[:, 0] + 1j * pairs[:, 1]).reshape(shape)
+    flat = np.frombuffer(base64.b64decode(payload["data"]), dtype="<c16")
+    return flat.astype(np.complex128).reshape(shape)
 
 
 def save_checkpoint(path: str | Path, params: Params, cfg: RunConfig,
