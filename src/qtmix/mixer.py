@@ -168,17 +168,15 @@ class _Tokens:
     |0...0>; every later power runs each distinct (window, token) pair
     once, from its window's state. A pair's term carries the sum of its
     window's weights at the positions holding that token.
-
-    Pairs are ordered by the first position holding them, row-major, so
-    that with no repeated token they are the active positions in order.
     """
 
     angles: Tensor                  # (U, L) the distinct tokens' angles
     window: np.ndarray              # (P,) window of each pair
     token: np.ndarray | None        # (P,) token row of each pair; None: pair p is token p
     slots: np.ndarray               # (W, n) one True per pair, in pair order
-    merge: tuple | None             # None: each pair is one position; else
-                                    # (flat positions grouped by pair, pair sizes)
+    merge: tuple | None             # None: each pair is one position (its weight
+                                    # as it is); else (flat positions grouped
+                                    # by pair, pair sizes)
 
 
 def _per_position(token_angles: Tensor, keep: np.ndarray) -> _Tokens:
@@ -191,24 +189,16 @@ def _per_position(token_angles: Tensor, keep: np.ndarray) -> _Tokens:
 
 def _distinct(token_angles: Tensor, tokens: np.ndarray, keep: np.ndarray) -> _Tokens:
     """Tokens named by a (W, n) index into (U, L) angles: one pair per
-    distinct token of each window."""
-    n_tok = token_angles.shape[0]
+    distinct token of each window, in (window, token) order, each window's
+    pairs in its first slots."""
+    n_tok, (w, n) = token_angles.shape[0], keep.shape
     win, pos = np.nonzero(keep)
-    flat, ids = win * keep.shape[1] + pos, tokens[win, pos]
-    _, first, inverse, sizes = np.unique(win * n_tok + ids, return_index=True,
-                                         return_inverse=True, return_counts=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    token = ids[first[order]]
-    if token.size == n_tok and np.array_equal(token, np.arange(n_tok)):
-        token = None
-    slots = np.zeros(keep.shape, dtype=bool)
-    slots.reshape(-1)[flat[first[order]]] = True
-    merge = None
-    if order.size < flat.size:
-        merge = (flat[np.argsort(rank[inverse], kind="stable")], sizes[order])
-    return _Tokens(token_angles, win[first[order]], token, slots, merge)
+    keys, inverse, sizes = np.unique(win * n_tok + tokens[win, pos], return_inverse=True,
+                                     return_counts=True)
+    window = keys // n_tok
+    slots = np.arange(n) < np.bincount(window, minlength=w)[:, None]
+    positions = (win * n + pos)[np.argsort(inverse, kind="stable")]
+    return _Tokens(token_angles, window, keys % n_tok, slots, (positions, sizes))
 
 
 def _window_batch(b_norm: Tensor, token_angles: Tensor, active, tokens, q: int, layers: int):
