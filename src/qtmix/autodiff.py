@@ -22,6 +22,9 @@ counting alone; ``backward`` must run inside the block.
 Ops that take a batch treat the leading axis (or axes) as independent
 windows: each window's forward arithmetic has the same shapes whatever
 the batch holds, so a window's values are bitwise the same in any batch.
+A gradient that sums over the rows of a batch does so in an order fixed
+by the shapes alone, never through a BLAS product, whose split of the sum
+(and so whose bits) depends on its thread count.
 """
 
 from __future__ import annotations
@@ -250,6 +253,22 @@ def _scatter_rows(buf: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
     np.add.at(buf.reshape(-1), flat, g.reshape(-1))
 
 
+_OUTER_CHUNK = 1 << 16          # complex entries in one chunk of row products
+
+
+def _row_outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_u outer(a[u], b[u]) over the rows of (U, m) and (U, p) arrays:
+    the products of a chunk of rows summed by ``np.add.reduce`` over the
+    chunk, the chunk sums added in row order. The order depends on the
+    shapes alone, so the bits do not depend on the BLAS thread count."""
+    out = np.zeros((a.shape[1], b.shape[1]), dtype=_COMPLEX)
+    step = max(1, _OUTER_CHUNK // max(1, out.size))
+    for start in range(0, a.shape[0], step):
+        stop = start + step
+        out += np.add.reduce(a[start:stop, :, None] * b[start:stop, None, :], axis=0)
+    return out
+
+
 def _padded_sum(padded: np.ndarray) -> np.ndarray:
     """Sum a zero-padded (G, P, ...) layout over axis 1: the P addends of
     each output entry are value-sorted, then added strictly left to right.
@@ -409,14 +428,15 @@ def matvec(m: Tensor, v: Tensor) -> Tensor:
         return _make(mv @ vv, (m, v), vjp)
 
     def vjp_rows(g):
-        return (g.T @ np.conj(vv), g @ np.conj(mv))
+        return (_row_outer_sum(g, np.conj(vv)), g @ np.conj(mv))
 
     return _make(np.matmul(mv, vv[:, :, None])[:, :, 0], (m, v), vjp_rows)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """(r, c) @ (c, p), or (..., r, c) @ (c, p) with one product per
-    leading index; ``b``'s gradient sums over all rows of ``a``."""
+    leading index; ``b``'s gradient sums over all rows of ``a`` in an
+    order fixed by the shapes (see ``_row_outer_sum``)."""
     if a.values.ndim < 2 or b.values.ndim != 2:
         raise ShapeError(f"matmul: need (..., r, c) and 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[0]:
@@ -425,7 +445,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def vjp(g):
         rows = av.reshape(-1, av.shape[-1])
-        return (g @ np.conj(bv).T, np.conj(rows).T @ g.reshape(rows.shape[0], -1))
+        return (g @ np.conj(bv).T, _row_outer_sum(np.conj(rows), g.reshape(rows.shape[0], -1)))
 
     return _make(np.matmul(av, bv), (a, b), vjp)
 
@@ -467,7 +487,7 @@ def weighted_sum(coeffs: Tensor, terms: Sequence[Tensor]) -> Tensor:
 
     def vjp(g):
         gf = g.reshape(-1)
-        gc = np.conj(stack) @ gf
+        gc = np.add.reduce(np.conj(stack) * gf, axis=1)
         contribs = [np.asarray(gc, dtype=_COMPLEX)]
         contribs.extend((np.conj(cv[j]) * gf).reshape(shape) for j in range(len(terms)))
         return tuple(contribs)

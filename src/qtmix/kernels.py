@@ -8,17 +8,22 @@ compare them against dense Kronecker oracles.
 
 The template sweeps (``ansatz_rows_forward``, ``ansatz_rows_vjp``) fuse
 the template's gates into blocks on a few adjacent qubits and apply each
-block as one batched matrix product (see "fused template sweeps" below),
-in buffers allocated once per call; the caller's arrays are never
-modified. The blocks' operands are built once per set of angles by
+block as one batched real matrix product on the state's float64 view
+(see "fused template sweeps" below), in buffers allocated once per call;
+the caller's arrays are never modified. Every CRX block acts on the
+lowest bits: the sweeps run in a rotating qubit frame, relabelling the
+qubits cyclically (one copy of the register) before each block that sits
+elsewhere. The blocks' operands are built once per set of angles by
 ``template_operands`` and passed to every sweep that runs those angles:
-the forward sweeps and the adjoint sweep, which reads each operand as its
-inverse. A sweep's rows may share operand rows through an index (one
-token's operands serving every window that holds it); each block gathers
-the rows it needs for its step and drops them after it. Each row's
-results depend only on that row's inputs, so permuting the rows permutes
-the results exactly. The Pauli kernels
-(``pauli_apply``, ``pauli_expectations_raw``) serve the readout.
+the forward sweeps and the adjoint sweep, which walks the same steps
+backwards, reads each operand as its inverse and reads the angle
+gradients off sparse entries of per-block Gram matrices. A sweep's rows
+may share operand rows through an index (one token's operands serving
+every window that holds it); each block gathers the rows it needs for its
+step and drops them after it. Each row's results depend only on that
+row's inputs, so permuting the rows permutes the results exactly. The
+Pauli kernels (``pauli_apply``, ``pauli_expectations_raw``) serve the
+readout.
 
 Gate conventions (theta real):
 
@@ -97,52 +102,64 @@ def angle_count(q: int, layers: int) -> int:
 # ---------------------------------------------------------------------------
 # fused template sweeps
 #
-# The sweeps cut the gate list into blocks. A block is one per-row matrix
-# on a few adjacent qubits, applied to a whole batch with one np.matmul:
+# The sweeps cut the gate list into blocks. A block is one per-row real
+# matrix on a few bits of the state's float64 view, where the real/imaginary
+# part is one more bit below bit 0, applied to a whole batch with one
+# np.matmul. It has one of two forms:
 #
-#   "low"      qubits [0, n) on the float64 view of the state, where the
-#              real/imaginary part is one more bit below qubit 0: a real
-#              2**(n+1)-square matrix right-multiplies (k, hi, 2**(n+1)).
-#   "real"     RY on qubits [lo, lo+n), lo >= 1, on the float64 view: a real
-#              matrix left-multiplies (k, hi, 2**n, 2*2**lo).
-#   "complex"  CRX on qubits [lo, lo+n), lo >= 1, on the complex view: a
-#              complex matrix left-multiplies (k, hi, 2**n, 2**lo).
-#   "half"     the ring-A wrap gate CRX(q-1 -> 0): RX on qubit 0 of the
-#              half of each row where qubit q-1 is set, in the "low" form.
-#   "strided"  the ring-B wrap gate CRX(0 -> q-1), whose control sits below
-#              its target: three in-place ufunc calls on strided views.
+#   "low"   bits [0, n): a 2**(n+1)-square matrix right-multiplies
+#           (k, hi, 2**(n+1)).
+#   "real"  RY on bits [lo, lo+n), lo >= 2: a 2**n-square matrix
+#           left-multiplies (k, hi, 2**n, 2*2**lo).
 #
-# Each RY layer (q commuting rotations) becomes Kronecker chunks: qubits
-# {0, 1} in the "low" form, then 3 qubits at a time. Each CRX ring keeps
-# its order: the wrap gate runs alone, and the other gates, which act on
-# adjacent wires, are fused in pairs.
+# Bits are not tied to qubits. Each block runs in a frame r, a cyclic
+# relabelling in which bit b holds qubit (b + r) mod q. Before a block
+# whose frame differs from the current one, the sweep rotates the register
+# into it: one copy of each row, reshaped and transposed (``_rotate``).
+# Every sweep starts and ends in frame 0.
+#
+# From q = 7 each CRX ring runs in pairs of consecutive gates, its
+# wrap-around gate included. A pair's three wires are cyclically adjacent,
+# so in its own frame it sits on bits 0-2 and runs as a "low" block, and
+# all pairs of a ring have the same wiring. With q odd the ring's last gate
+# runs alone on bits 0-1. Below q = 7 every ring gate runs alone on bits
+# 0-1 of its own frame (see ``_ring_blocks``). An RY layer (q commuting
+# rotations) runs in whatever frame the state is in, as Kronecker chunks:
+# bits {0, 1} "low", then 3 bits at a time "real".
 #
 # Gate t of a block is G_t = P0 + cos(theta/2) Pc + sin(theta/2) Ps with
 # constant patterns (P0 = 0 for RY), so a block's matrix is a sum of
-# constant matrices weighted by products of cos and sin of its angles;
-# all blocks' matrices are built with a few batched calls, once per set of
-# angles (``TemplateOperands``), and shared by every sweep over them.
+# constant matrices weighted by products of cos and sin of its angles.
+# Blocks of one shape (form, width, wiring) form a group that shares those
+# constant matrices. All blocks' matrices are built with one batched product
+# per group, once per set of angles (``TemplateOperands``), and shared by
+# every sweep over them.
 #
-# The adjoint un-applies a block through the same operand: the gates are
-# unitary, so the inverse is M^H, the transpose of the real "low", "half"
-# and "real" matrices and the conjugate transpose of a "complex" one.
-# "strided" negates its sine. No inverse is built from the angles or kept:
-# an adjoint step reads it off the forward operand (see ``_inverse``).
+# The adjoint walks the same steps backwards. It un-rotates, and it
+# un-applies each block through its forward operand read as the inverse:
+# the gates are unitary and the operands real, so the inverse is the
+# transpose. No inverse is built from the angles or kept (see ``_inverse``).
 #
-# The adjoint reads the angle gradients off each block's output pair
-# (psi, g) with the generator identity: dG_t/dtheta = A_t G_t with
-# A_t = Ps/2 (-iY/2 for RY, -i|1><1| (x) X/2 for CRX), so with (psi_t, g_t)
-# the pair just after gate t,
+# It reads the angle gradients off each block's output pair (psi, g) with
+# the generator identity: dG_t/dtheta = A_t G_t with A_t = Ps/2 (-iY/2 for
+# RY, -i|1><1| (x) X/2 for CRX). With (psi_t, g_t) the pair just after
+# gate t, and R_t the matrix A_t in the block's form,
 #
-#     dL/dtheta_t = Re <g_t, A_t psi_t> = Re sum_ij A_t[i, j] W_t[i, j],
-#     W_t[i, j] = sum over the other qubits of conj(g_t[i]) psi_t[j].
+#     dL/dtheta_t = Re <g_t, A_t psi_t> = sum_ij R_t[i, j] W[i, j],
+#     W[i, j] = sum over the block's other bits of g_t[i] psi_t[j].
 #
-# The Gram matrix W at the block's output is one batched matmul. The gates
-# of an RY chunk commute with each other's generators, so all of them read
-# it. In a CRX pair G_2 G_1, the first generator is carried to the output
-# instead, A_1 -> G_2 A_1 G_2^H, a quadratic form in (1, cos, sin) of the
-# second angle. psi and g are then un-applied together as one stacked
-# (2, k, 2**q) batch.
+# The Gram matrix W at the block's output is one batched matmul of two
+# views. The gates of an RY chunk commute with each other's generators, so
+# all of them read it. In a CRX pair G_2 G_1, the first generator is
+# carried to the output instead, A_1 -> G_2 A_1 G_2^H, a quadratic form in
+# (1, cos, sin) of the second angle. psi and g are then un-applied
+# together as one stacked (2, k, 2**q) batch.
+#
+# The readout matrices R are sparse: a CRX pair's read 28 of its 256 Gram
+# entries, a lone CRX gate's 4 of 64, an RY chunk's on bits {0, 1} 16 of
+# 64. Each step keeps only the entries its group reads; after the sweep,
+# one weighted np.add.reduceat per group sums them into gradients. Both are
+# elementwise per row, so a row's gradients round the same in any batch.
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])   # multiplication by 1j on (re, im)
 
@@ -150,25 +167,33 @@ _J = np.array([[0.0, -1.0], [1.0, 0.0]])   # multiplication by 1j on (re, im)
 @dataclass(frozen=True)
 class _Block:
     form: str
-    lo: int             # lowest qubit the block acts on
-    width: int          # number of qubits it acts on
-    gates: tuple        # ((kind, wires, angle index), ...) in application order
+    frame: int          # bit b holds qubit (b + frame) mod q
+    lo: int             # lowest bit the block acts on
+    width: int          # number of bits it acts on
+    gates: tuple        # ((kind, bits, angle index), ...) in application order
+    view: tuple         # trailing shape of the float64 view it multiplies (see _views)
 
 
-def _gate_patterns(kind: str, wires, lo: int, width: int) -> np.ndarray:
-    """(P0, Pc, Ps) of one gate on qubits [lo, lo+width), as a
-    (3, 2**width, 2**width) complex array. ``kind`` "rx" is RX on qubit
-    ``wires`` (the wrap gate restricted to its control-set half)."""
+def _block(q: int, form: str, frame: int, lo: int, width: int, gates: tuple) -> _Block:
+    view = ((1 << (q - width), 2 << width) if form == "low"
+            else (1 << (q - lo - width), 1 << width, 2 << lo))
+    return _Block(form, frame, lo, width, gates, view)
+
+
+def _gate_patterns(kind: str, bits, lo: int, width: int) -> np.ndarray:
+    """(P0, Pc, Ps) of one gate on bits [lo, lo+width), as a
+    (3, 2**width, 2**width) complex array; ``bits`` is RY's bit or CRX's
+    (control, target)."""
     d = 1 << width
     pats = np.zeros((3, d, d), dtype=_C)
     idx = np.arange(d)
     if kind == "ry":
-        bit = 1 << (wires - lo)
+        bit = 1 << (bits - lo)
         pats[1] = np.eye(d)
         pats[2, idx, idx ^ bit] = np.where(idx & bit, 1.0, -1.0)
         return pats
-    ctl, tgt = wires if kind == "crx" else (None, wires)
-    on = np.ones(d, dtype=bool) if ctl is None else (idx >> (ctl - lo)) & 1 == 1
+    ctl, tgt = bits
+    on = (idx >> (ctl - lo)) & 1 == 1
     pats[0] = np.diag(~on)
     pats[1] = np.diag(on)
     pats[2, idx[on], idx[on] ^ (1 << (tgt - lo))] = -1j
@@ -176,50 +201,56 @@ def _gate_patterns(kind: str, wires, lo: int, width: int) -> np.ndarray:
 
 
 def _represent(form: str, m: np.ndarray) -> np.ndarray:
-    """Complex matrices (..., d, d) on a block's qubits in the block's own
-    representation: real (2d, 2d) acting on interleaved (re, im) pairs for
-    "low"/"half", the real part for "real" (RY is real), unchanged for
-    "complex"."""
+    """Complex matrices (..., d, d) on a block's bits in the block's own
+    representation: the real part for "real" (RY is real), real (2d, 2d)
+    acting on interleaved (re, im) pairs for "low"."""
     if form == "real":
         return m.real
-    if form == "complex":
-        return m
     out = (m.real[..., :, None, :, None] * np.eye(2)[:, None, :]
            + m.imag[..., :, None, :, None] * _J[:, None, :])
     return out.reshape(m.shape[:-2] + (2 * m.shape[-2], 2 * m.shape[-1]))
 
 
 def _operand(form: str, m: np.ndarray) -> np.ndarray:
-    """Forward operand of a block with matrices ``m``: "low" and "half"
-    right-multiply row vectors (M^T); the others left-multiply (M)."""
+    """Forward operand of a block with matrices ``m``: "low" right-multiplies
+    row vectors (M^T), "real" left-multiplies (M)."""
     r = _represent(form, m)
-    return r.swapaxes(-1, -2) if form in ("low", "half") else r
+    return r.swapaxes(-1, -2) if form == "low" else r
 
 
-def _ring_blocks(q: int, gates: list) -> list[_Block]:
-    """A CRX ring: its wrap-around gate (first in both rings) alone, then the
-    chain of adjacent-wire gates in pairs, the pair holding qubit 0 full
-    ("low" is the cheapest form)."""
+def _in_frame(q: int, frame: int, gates) -> list:
+    """``gates`` with their wires replaced by their bits in ``frame``."""
+    return [(kind, (w - frame) % q if kind == "ry" else tuple((x - frame) % q for x in w), t)
+            for kind, w, t in gates]
+
+
+def _ring_blocks(q: int, gates: list, frame: int) -> list[_Block]:
+    """A CRX ring in pieces of consecutive gates, each in the frame that
+    puts its wires lowest, the current frame on a tie (q <= 3). From q = 7
+    the pieces are pairs on bits 0-2, with q odd the last gate alone. Below
+    it, a pair's operand (16x16 float64, 2 KB a row) outweighs the state
+    row it acts on and costs more to build, gather and transpose than the
+    block it saves, so each gate runs alone on bits 0-1 (8x8, 512 B); at
+    q = 2 both gates of a ring sit there and still run as one pair."""
+    step = 2 if q >= 7 or q == 2 else 1
     blocks = []
-    chain = [g for g in gates if abs(g[1][0] - g[1][1]) == 1]
-    for gate in gates[:len(gates) - len(chain)]:
-        ctl, t = gate[1][0], gate[2]
-        blocks.append(_Block("half", 0, 1, (("rx", 0, t),)) if ctl == q - 1
-                      else _Block("strided", 0, q, (gate,)))
-    start = 0 if 0 in chain[0][1] else len(chain) % 2
-    pieces = [chain[:start]] * (start > 0) + [chain[i:i + 2] for i in range(start, len(chain), 2)]
-    for p in pieces:
-        ws = [w for _, wires, _ in p for w in wires]
-        lo = min(ws)
-        blocks.append(_Block("low" if lo == 0 else "complex", lo, max(ws) - lo + 1, tuple(p)))
+    for i in range(0, len(gates), step):
+        piece = gates[i:i + step]
+        wires = [w for _, ws, _ in piece for w in ws]
+        frame = min(range(frame, frame + q),
+                    key=lambda r: max((w - r) % q for w in wires)) % q
+        rel = tuple(_in_frame(q, frame, piece))
+        blocks.append(_block(q, "low", frame, 0, 1 + max(max(bits) for _, bits, _ in rel), rel))
     return blocks
 
 
-def _ry_blocks(q: int, gates: list) -> list[_Block]:
-    """An RY layer as Kronecker chunks: qubits {0, 1}, then 3 at a time."""
+def _ry_blocks(q: int, gates: list, frame: int) -> list[_Block]:
+    """An RY layer in the current frame as Kronecker chunks: bits {0, 1},
+    then 3 at a time."""
+    rel = sorted(_in_frame(q, frame, gates), key=lambda g: g[1])
     cuts = sorted({0, min(2, q), *range(min(2, q) + 3, q, 3), q})
-    return [_Block("low" if lo == 0 else "real", lo, hi - lo,
-                   tuple(g for g in gates if lo <= g[1] < hi))
+    return [_block(q, "low" if lo == 0 else "real", frame, lo, hi - lo,
+                   tuple(g for g in rel if lo <= g[1] < hi))
             for lo, hi in zip(cuts[:-1], cuts[1:])]
 
 
@@ -231,7 +262,9 @@ class _Group:
     ids: tuple              # block ids
     first: int              # first of the group's term weights
     fwd: np.ndarray         # (T_b, d*d) Q_a as forward operands
-    readout: np.ndarray     # (d*d, n) generator readout
+    entries: np.ndarray     # (E,) Gram entries the readout reads, column by column
+    coef: np.ndarray        # (E,) their readout coefficients
+    starts: np.ndarray      # (n,) each readout column's first entry
     angles: np.ndarray      # (nb, m) angle index of each gate
     pair: np.ndarray | None  # (nb, 9) terms: pair weights of a CRX pair's last angle
 
@@ -241,14 +274,14 @@ class _Plan:
     blocks: tuple
     terms: np.ndarray       # (3, T): the term table rows multiplied per weight
     groups: tuple
-    where: tuple            # per block: (group, position), None if "strided"
+    where: tuple            # per block: (group, position)
 
 
 def _block_terms(b: _Block, one: int):
     """The block's matrix as sum_a w_a Q_a: each w_a a product of term table
     rows (angle t has rows 3t, 3t+1, 3t+2 = 1, cos, sin of theta/2; row
-    ``one`` is 1), each Q_a a complex matrix on the block's qubits."""
-    pats = [_gate_patterns(kind, wires, b.lo, b.width) for kind, wires, _ in b.gates]
+    ``one`` is 1), each Q_a a complex matrix on the block's bits."""
+    pats = [_gate_patterns(kind, bits, b.lo, b.width) for kind, bits, _ in b.gates]
     terms = [((), np.eye(pats[0].shape[-1], dtype=_C))]
     for (kind, _, t), p in zip(b.gates, pats):
         first = 1 if kind == "ry" else 0
@@ -259,12 +292,14 @@ def _block_terms(b: _Block, one: int):
 
 
 def _readout(b: _Block):
-    """Generator readout of a block: the flattened Gram matrix W times R
-    gives, per column, a value whose real part is a gradient. For a CRX
-    pair, column 0 serves the second gate and columns 1-9 the first: its
-    generator carried to the pair's output, expanded over the pair weights
-    (1, cos, sin) x (1, cos, sin) of the second angle."""
-    pats = [_gate_patterns(kind, wires, b.lo, b.width) for kind, wires, _ in b.gates]
+    """Generator readout of a block, sparse: (entries, coefficients,
+    starts). Column c sums W.flat[entries] * coefficients over
+    [starts[c], starts[c+1]) to a gradient. For a CRX pair, column 0
+    serves the second gate and columns 1-9 the first: its generator carried
+    to the pair's output, expanded over the pair weights (1, cos, sin) x
+    (1, cos, sin) of the second angle. An all-zero column reads one entry
+    with coefficient 0, so that every column has one."""
+    pats = [_gate_patterns(kind, bits, b.lo, b.width) for kind, bits, _ in b.gates]
     gens = [0.5 * p[2] for p in pats]
     if len(pats) == 1 or b.gates[0][0] == "ry":
         cols = gens
@@ -272,8 +307,11 @@ def _readout(b: _Block):
         p2 = pats[1]
         cols = [gens[1]] + [p2[i] @ gens[0] @ p2[j].conj().T
                             for i in range(3) for j in range(3)]
-    r = _represent(b.form, np.stack(cols))
-    return np.ascontiguousarray(r.reshape(len(cols), -1).T)
+    r = _represent(b.form, np.stack(cols)).reshape(len(cols), -1)
+    keep = r != 0
+    keep[~keep.any(axis=1), 0] = True
+    col, entries = np.nonzero(keep)
+    return entries, r[col, entries], np.searchsorted(col, np.arange(len(cols)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -283,12 +321,12 @@ def _plan(q: int, layers: int) -> _Plan:
     blocks: list[_Block] = []
     for start in range(0, len(seq), q):
         seg = seq[start:start + q]
-        blocks += _ry_blocks(q, seg) if seg[0][0] == "ry" else _ring_blocks(q, seg)
+        frame = blocks[-1].frame if blocks else 0
+        blocks += (_ry_blocks if seg[0][0] == "ry" else _ring_blocks)(q, seg, frame)
     shapes: dict = {}
     for i, b in enumerate(blocks):
-        if b.form != "strided":
-            rel = tuple((kind, np.subtract(wires, b.lo).tolist()) for kind, wires, _ in b.gates)
-            shapes.setdefault(repr((b.form, b.width, rel)), []).append(i)
+        rel = tuple((kind, np.subtract(bits, b.lo).tolist()) for kind, bits, _ in b.gates)
+        shapes.setdefault(repr((b.form, b.width, rel)), []).append(i)
     terms, groups, where = [], [], [None] * len(blocks)
     for ids in shapes.values():
         first = len(terms)
@@ -297,15 +335,15 @@ def _plan(q: int, layers: int) -> _Plan:
             terms += rows
             where[i] = (len(groups), j)
         fwd = _operand(blocks[ids[0]].form, qa)
-        readout = _readout(blocks[ids[0]])
+        entries, coef, starts = _readout(blocks[ids[0]])
         angles = np.array([[g[2] for g in blocks[i].gates] for i in ids])
         pair = None
-        if readout.shape[1] == 10:
+        if len(starts) == 10:
             pair = len(terms) + np.arange(9 * len(ids)).reshape(len(ids), 9)
             for t in 3 * angles[:, 1]:
                 terms += [(t + a, t + c, one) for a in range(3) for c in range(3)]
         groups.append(_Group(tuple(ids), first, fwd.reshape(len(rows), -1),
-                             readout, angles, pair))
+                             entries, coef, starts, angles, pair))
     return _Plan(tuple(blocks), np.array(terms).T.copy(), tuple(groups), tuple(where))
 
 
@@ -332,24 +370,16 @@ def _term_weights(plan: _Plan, tab: np.ndarray) -> np.ndarray:
     return w
 
 
-def _block_operands(plan: _Plan, tab: np.ndarray, w: np.ndarray) -> tuple:
+def _block_operands(plan: _Plan, w: np.ndarray) -> tuple:
     """Per block, its forward operand (r, d, d) from the term weights ``w``
-    (T, r); for a "strided" block, its cos and -1j*sin of theta/2 shaped
-    (r, 1, 1)."""
+    (T, r)."""
     built = []
     for grp in plan.groups:
         nb, (tb, dd) = len(grp.ids), grp.fwd.shape
         wg = w[grp.first:grp.first + nb * tb].reshape(nb, tb, -1).swapaxes(1, 2)
         d = math.isqrt(dd)
         built.append(np.matmul(wg, grp.fwd).reshape(nb, w.shape[1], d, d))
-    ops = []
-    for b, loc in zip(plan.blocks, plan.where):
-        if loc is None:
-            t = 3 * b.gates[0][2]
-            ops.append((tab[t + 1, :, None, None], -1j * tab[t + 2, :, None, None]))
-        else:
-            ops.append(built[loc[0]][loc[1]])
-    return tuple(ops)
+    return tuple(built[g][j] for g, j in plan.where)
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,8 +392,7 @@ class TemplateOperands:
     q: int
     layers: int
     angles: np.ndarray      # the array built from, as given (callers check identity)
-    table: np.ndarray       # (3L + 1, r) term table, r = k or 1
-    weights: np.ndarray     # (T, r) term weights
+    weights: np.ndarray     # (T, r) term weights, r = k or 1
     ops: tuple              # per block, its forward operand
 
     @property
@@ -376,124 +405,75 @@ def template_operands(q: int, layers: int, angles) -> TemplateOperands:
     row or (L,) shared, L = 4*layers*q; a complex array's real part is
     used."""
     plan = _plan(q, layers)
-    tab = _term_table(np.asarray(angles).real)
-    w = _term_weights(plan, tab)
-    return TemplateOperands(q, layers, angles, tab, w, _block_operands(plan, tab, w))
+    w = _term_weights(plan, _term_table(np.asarray(angles).real))
+    return TemplateOperands(q, layers, angles, w, _block_operands(plan, w))
 
 
-def _views(b: _Block, arr: np.ndarray):
-    """The view of ``arr`` (..., 2**q) that block ``b`` multiplies: (..., hi, d)
-    for "low"/"half", (..., hi, d, lo) for "real"/"complex", and the
-    control-set slice (..., 2, 2**(q-2)) for "strided"."""
-    lead, n = arr.shape[:-1], arr.shape[-1]
-    if b.form == "complex":
-        return arr.reshape(lead + (n >> (b.lo + b.width), 1 << b.width, 1 << b.lo))
-    if b.form == "strided":
-        return arr.reshape(lead + (2, n // 4, 2))[..., 1]
-    f = arr.view(np.float64)
-    if b.form == "low":
-        return f.reshape(lead + (n >> b.width, 2 << b.width))
-    if b.form == "real":
-        return f.reshape(lead + (n >> (b.lo + b.width), 1 << b.width, 2 << b.lo))
-    return f.reshape(lead + (2, n))[..., 1, :].reshape(lead + (n // 4, 4))
+def _views(b: _Block, arr: np.ndarray) -> np.ndarray:
+    """The float64 view of ``arr`` (..., 2**q) that block ``b`` multiplies:
+    (..., hi, d) for "low", (..., hi, d, lo) for "real"."""
+    return arr.view(np.float64).reshape(arr.shape[:-1] + b.view)
 
 
-def _front(view: np.ndarray, buf: np.ndarray, conj: bool = False) -> np.ndarray:
-    """A left-multiplied view (..., hi, d, lo) made ready for the product.
-    When its contiguous runs are short (lo < 8) and hi > 1, it is copied
-    (conjugated if asked) into the scratch ``buf`` as (..., d, hi*lo), so
-    that one product per row replaces one per (row, hi) on tiny matrices;
-    otherwise it is returned as it is, or conjugated into ``buf``."""
-    lead, (hi, d, lo) = view.shape[:-3], view.shape[-3:]
-    moved = hi > 1 and lo < 8
-    if not (moved or conj):
-        return view
-    shape = lead + ((d, hi, lo) if moved else (hi, d, lo))
-    out = buf.view(view.dtype).reshape(shape)
-    src = view.swapaxes(-3, -2) if moved else view
-    if conj:
-        np.conjugate(src, out=out)
-    else:
-        np.copyto(out, src)
-    return out.reshape(lead + (d, hi * lo)) if moved else out
+def _rotate(src: np.ndarray, dst: np.ndarray, shift: int) -> None:
+    """Copy the batch ``src`` (..., 2**q) into ``dst`` with its bits
+    relabelled cyclically: bit j of ``dst`` holds bit (j + shift) mod q of
+    ``src``, so a state in frame r lands in frame r + shift."""
+    n, lo = src.shape[-1], 1 << shift
+    x, y = src.reshape(-1, n // lo, lo), dst.reshape(-1, lo, n // lo)
+    if n // lo > 2:
+        np.copyto(y, x.swapaxes(1, 2))
+        return
+    # numpy copies along the destination's last axis, here short: copy
+    # one source run at a time instead
+    for a in range(n // lo):
+        y[:, :, a] = x[:, a, :]
 
 
-def _rows(op, index):
-    """A block's forward operand for the rows of a batch: row j gets
-    operand row ``index[j]`` (a gathered copy), or row j when ``index`` is
-    None."""
-    if index is None:
-        return op
-    if isinstance(op, tuple):
-        return tuple(part[index] for part in op)
-    return op[index]
+def _rows(op: np.ndarray, index) -> np.ndarray:
+    """A block's operand for the rows of a batch: row j gets operand row
+    ``index[j]`` (a gathered copy), or row j when ``index`` is None."""
+    return op if index is None else op[index]
 
 
 def _inverse(form: str, op: np.ndarray, index=None) -> np.ndarray:
-    """A non-strided block's inverse operand M^H, read off its forward
-    operand, rows picked by ``index`` as in ``_rows``: the transpose of the
-    real "low", "half" and "real" operands, the conjugate transpose of a
-    "complex" one. "low", "half" and "complex" get a contiguous copy, made
-    per adjoint step and dropped after it: the batched products run up to
-    twice as fast on it as on a transposed view (or, for "complex", on
-    conjugated copies of the state). With ``index``, the copy is made once
-    per operand row, then gathered."""
+    """A block's inverse operand M^T, read off its forward operand, rows
+    picked by ``index`` as in ``_rows``: a transposed view of a "real"
+    operand; a "low" one gets a contiguous copy, made per adjoint step and
+    dropped after it (the batched products run up to twice as fast on it as
+    on a transposed view). With ``index``, the copy is made once per
+    operand row, then gathered."""
     if form == "real":
         return _rows(op, index).swapaxes(-1, -2)
-    inv = np.ascontiguousarray(op.swapaxes(-1, -2))
-    if form == "complex":
-        np.conjugate(inv, out=inv)
-    return _rows(inv, index)
+    return _rows(np.ascontiguousarray(op.swapaxes(-1, -2)), index)
 
 
-def _apply(b: _Block, op, src: np.ndarray, dst: np.ndarray, inverse: bool = False,
-           index=None) -> np.ndarray:
-    """Apply block ``b``, or with ``inverse`` its inverse, through its
-    forward operand ``op``, rows picked by ``index`` as in ``_rows``, to
-    the batch ``src`` (..., 2**q); the inverse of a "strided" block negates
-    its sine, the others use ``_inverse``. Returns the buffer holding the
-    result: ``dst``, or ``src`` itself for a "strided" block, which works
-    in place and uses ``dst`` as scratch. ``src`` may be overwritten
-    either way."""
-    if b.form == "strided":
-        c, ms = _rows(op, index)
-        x = _views(b, src)
-        t = dst.reshape(-1)[:x.size].reshape(x.shape)
-        np.multiply(x[..., ::-1, :], ms, out=t)
-        np.multiply(x, c, out=x)
-        (np.subtract if inverse else np.add)(x, t, out=x)
-        return src
-    op = _inverse(b.form, op, index) if inverse else _rows(op, index)
+def _apply(b: _Block, op: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
+    """Apply block ``b`` through the operand ``op`` (its forward operand,
+    or its inverse) to the batch ``src`` (..., 2**q), into ``dst``."""
     x, y = _views(b, src), _views(b, dst)
-    if b.form in ("low", "half"):
+    if b.form == "low":
         np.matmul(x, op, out=y)
-        if b.form == "half":
-            half = src.shape[-1] // 2
-            dst[..., :half] = src[..., :half]
-        return dst
-    xf = _front(x, dst)
-    if xf is x:
+    else:
         np.matmul(op[:, None], x, out=y)
-        return dst
-    # the block's axis was moved to the front through dst: multiply into
-    # src, then move it back into dst
-    lead, (hi, d, lo) = x.shape[:-3], x.shape[-3:]
-    yt = src.view(x.dtype).reshape(xf.shape)
-    np.matmul(op, xf, out=yt)
-    np.copyto(y, yt.reshape(lead + (d, hi, lo)).swapaxes(-3, -2))
-    return dst
 
 
-def _gram(b: _Block, s: np.ndarray, scratch: np.ndarray):
-    """W[r, i, j] = sum over the block's other indices of conj(g_i) psi_j,
-    per row, in the block's representation, for the stacked pair
-    s = (psi, g); ``scratch`` is two free state-sized batches."""
-    pv, gv = _views(b, s[0]), _views(b, s[1])
-    if b.form in ("low", "half"):
-        return np.matmul(gv.swapaxes(-1, -2), pv)
-    g = _front(gv, scratch[0], conj=b.form == "complex")
-    w = np.matmul(g, _front(pv, scratch[1]).swapaxes(-1, -2))
-    return w if w.ndim == 3 else w.sum(axis=-3)
+def _gram(b: _Block, s: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """W[r, i, j] = sum over the block's other bits of g_i psi_j, per row,
+    on the float views of the stacked pair s = (psi, g); ``scratch`` is a
+    free buffer of the same size."""
+    v = _views(b, s)
+    if b.form == "low":
+        return np.matmul(v[1].swapaxes(-1, -2), v[0])
+    lead, (hi, d, lo) = v.shape[:-3], v.shape[-3:]
+    if hi > 1:
+        # (2, k, hi, d, lo) -> (2, k, d, hi, lo) through scratch, so that one
+        # product per row sums over both hi and lo
+        moved = scratch.view(np.float64).reshape(lead + (d, hi, lo))
+        np.copyto(moved, v.swapaxes(-3, -2))
+        v = moved
+    v = v.reshape(lead + (d, hi * lo))
+    return np.matmul(v[1], v[0].swapaxes(-1, -2))
 
 
 def ansatz_rows_forward(arr: np.ndarray, ops: TemplateOperands, index=None) -> np.ndarray:
@@ -504,16 +484,25 @@ def ansatz_rows_forward(arr: np.ndarray, ops: TemplateOperands, index=None) -> n
     each block gathers its operand rows for the step and drops them after.
 
     The gates run as fused blocks (see above), each one batched matmul on
-    a view of the state, ping-ponging between two buffers allocated once
-    per call; ``arr`` is never modified. The result matches the ordered
-    product of the gates of ``ansatz_sequence`` to rounding, not bitwise.
-    Each row's result depends only on that row and its angles.
+    a view of the state in the block's frame, ping-ponging between two
+    buffers allocated once per call; ``arr`` is never modified. The result
+    matches the ordered product of the gates of ``ansatz_sequence`` to
+    rounding, not bitwise. Each row's result depends only on that row and
+    its angles.
     """
+    q = ops.q
     x = np.array(arr, dtype=_C, order="C")
     y = np.empty_like(x)
+    frame = 0
     for b, op in zip(ops.plan.blocks, ops.ops):
-        if _apply(b, op, x, y, index=index) is y:
-            x, y = y, x
+        if b.frame != frame:
+            _rotate(x, y, (b.frame - frame) % q)
+            x, y, frame = y, x, b.frame
+        _apply(b, _rows(op, index), x, y)
+        x, y = y, x
+    if frame:
+        _rotate(x, y, -frame % q)
+        x = y
     return x
 
 
@@ -522,12 +511,13 @@ def ansatz_rows_vjp(out_arr: np.ndarray, ops: TemplateOperands,
     """Adjoint sweep for the template.
 
     Given the forward *output* batch, the operands ``ops`` the forward ran
-    with and the output gradient, walks the blocks backwards. At each block
-    it reads the gradients of the block's angles off the pair (psi, g) at
-    the block's output with the generator identity (see above), then
+    with and the output gradient, walks the forward's steps backwards. At
+    each block it reads the Gram entries the block's angle gradients need
+    off the pair (psi, g) at the block's output (see above), then
     un-applies the block from psi and g at once through its forward
     operand, read as its inverse: the gates are unitary, so the pre-block
-    state is recovered instead of stored. For gate t,
+    state is recovered instead of stored. Between blocks of different
+    frames it rotates the pair back. For gate t,
 
         dL/dtheta_t = Re( sum_i conj(g_i) * (dG_t/dtheta applied to the
                           pre-gate state)_i ).
@@ -538,40 +528,38 @@ def ansatz_rows_vjp(out_arr: np.ndarray, ops: TemplateOperands,
     once into a stacked working buffer; neither argument is modified. Each
     row's results depend only on that row, its angles and its gradient.
     """
-    plan, w, shared = ops.plan, ops.weights, np.ndim(ops.angles) == 1
+    plan, w, q, shared = ops.plan, ops.weights, ops.q, np.ndim(ops.angles) == 1
     s = np.empty((2,) + out_arr.shape, dtype=_C)
     s[0] = out_arr
     s[1] = g
     t = np.empty_like(s)
-    g_ang = np.zeros((1 if shared else out_arr.shape[0], np.shape(ops.angles)[-1]))
     reads = [None] * len(plan.blocks)
+    frame = 0
     for i in range(len(plan.blocks) - 1, -1, -1):
-        b, loc = plan.blocks[i], plan.where[i]
-        if loc is None:
-            # 0.5 * Im sum over the control-set quarters of
-            # conj(g0) psi1 + conj(g1) psi0
-            pv, gv = _views(b, s[0]), _views(b, np.conjugate(s[1], out=t[0]))
-            cross = 0.5 * np.einsum("kij,kij->k", gv, pv[..., ::-1, :]).imag
-            g_ang[:, b.gates[0][2]] = cross.sum() if shared else cross
-        else:
-            gram = _gram(b, s, t)
-            if shared:
-                gram = gram.sum(axis=0, keepdims=True)
-            # one product per row keeps each row's rounding independent of
-            # the batch it sits in
-            readout = plan.groups[loc[0]].readout
-            reads[i] = np.matmul(gram.reshape(gram.shape[0], 1, readout.shape[0]), readout)[:, 0]
-        if _apply(b, ops.ops[i], s, t, inverse=True, index=index) is t:
-            s, t = t, s
+        b, grp = plan.blocks[i], plan.groups[plan.where[i][0]]
+        if b.frame != frame:
+            _rotate(s, t, (b.frame - frame) % q)
+            s, t, frame = t, s, b.frame
+        gram = _gram(b, s, t)
+        picked = np.take(gram.reshape(-1, gram.shape[-2] * gram.shape[-1]), grp.entries, axis=1)
+        reads[i] = picked.sum(axis=0, keepdims=True) if shared else picked
+        _apply(b, _inverse(b.form, ops.ops[i], index), s, t)
+        s, t = t, s
+    # a fresh array for the input gradient alone, so that it does not keep
+    # psi's half alive
+    g_in = np.empty_like(s[1])
+    _rotate(s[1], g_in, -frame % q)
+    g_ang = np.zeros((1 if shared else out_arr.shape[0], np.shape(ops.angles)[-1]))
     for grp in plan.groups:
-        m = np.stack([reads[i] for i in grp.ids]).real      # (nb, r, n)
+        m = np.stack([reads[i] for i in grp.ids])           # (nb, r, E)
+        m *= grp.coef
+        m = np.add.reduceat(m, grp.starts, axis=-1)         # (nb, r, n)
         if grp.pair is not None:
             pw = w[grp.pair] if index is None else w[grp.pair[..., None], index]
             first = np.einsum("brj,bjr->br", m[..., 1:], pw)
             m = np.stack((first, m[..., 0]), axis=-1)
         g_ang[:, grp.angles.ravel()] = m.transpose(1, 0, 2).reshape(m.shape[1], grp.angles.size)
-    # a copy, so that the caller's gradient does not keep psi's half alive
-    return s[1].copy(), (g_ang[0] if shared else g_ang)
+    return g_in, (g_ang[0] if shared else g_ang)
 
 
 # ---------------------------------------------------------------------------

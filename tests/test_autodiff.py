@@ -188,6 +188,18 @@ def test_scatter_rows_matches_add_at_property(rows, width, idx_shape, seed):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 60, 1 << 16])
+def test_row_outer_sum_matches_product(monkeypatch, chunk):
+    # one row per chunk, chunks ending mid-batch, one chunk for all rows
+    rng = np.random.default_rng(23)
+    a, b = rand_complex(rng, (37, 4)), rand_complex(rng, (37, 3))
+    monkeypatch.setattr(ad, "_OUTER_CHUNK", chunk)
+    got = ad._row_outer_sum(a, b)
+    assert got.shape == (4, 3)
+    assert np.max(np.abs(got - a.T @ b)) <= 1e-12
+    assert np.array_equal(ad._row_outer_sum(a[:0], b[:0]), np.zeros((4, 3)))
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_fd_batched_ops(seed):
     rng = np.random.default_rng(1100 + seed)

@@ -135,7 +135,8 @@ def test_ansatz_equals_dense_gate_product_q3_l2():
 @pytest.mark.parametrize("shared", [False, True], ids=["per_row", "shared"])
 def test_ansatz_equals_dense_gate_product(q, shared):
     # q=2: both rings act on the same pair; q=4, 5, 8: RY chunks with and
-    # without a remainder, CRX pairs and singles in every form, the wrap gates
+    # without a remainder, CRX single gates (q=4, 5) and pairs (q=8) in
+    # rotated frames, the wrap gates
     rng = np.random.default_rng(2024 + q)
     layers = 2
     angles = rng.uniform(-np.pi, np.pi, size=kernels.angle_count(q, layers))
@@ -308,6 +309,87 @@ def test_ansatz_sweeps_leave_inputs_unmodified():
 
 
 # ---------------------------------------------------------------------------
+# the rotating qubit frame
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("lead", [(5,), (2, 5)], ids=["rows", "stacked"])
+def test_rotation_relabels_bits_and_round_trips(q, lead):
+    rng = np.random.default_rng(11 + q)
+    x = rand_complex(rng, lead + (1 << q,))
+    index = np.arange(1 << q)
+    for s in range(q):
+        y, back = np.empty_like(x), np.empty_like(x)
+        kernels._rotate(x, y, s)
+        # bit j of the rotated index holds bit (j + s) mod q of the source
+        src = sum(((index >> j) & 1) << ((j + s) % q) for j in range(q))
+        assert np.array_equal(y, x[..., src])
+        kernels._rotate(y, back, (q - s) % q)
+        assert np.array_equal(back, x)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 7, 8])
+def test_plan_runs_every_crx_gate_in_a_bottom_block(q):
+    plan = kernels._plan(q, 2)
+    seq = kernels.ansatz_sequence(q, 2)
+    assert {b.form for b in plan.blocks} <= {"low", "real"}
+    # every block's gates, mapped back from its frame, are the sequence's
+    # gates in order (an RY layer's commuting gates in any order)
+    mapped = [(kind, (bits + b.frame) % q if kind == "ry"
+               else tuple((w + b.frame) % q for w in bits), t)
+              for b in plan.blocks for kind, bits, t in b.gates]
+    assert len(mapped) == len(seq)
+    for start in range(0, len(seq), q):
+        got, want = mapped[start:start + q], seq[start:start + q]
+        assert (got if want[0][0] == "crx" else sorted(got, key=lambda g: g[2])) == want
+    rings = {}
+    for i, b in enumerate(plan.blocks):
+        if b.gates[0][0] == "crx":
+            assert b.form == "low" and b.lo == 0
+            assert b.width == (3 if len(b.gates) == 2 and q > 2 else 2)
+            ring = b.gates[0][2] // q % 4        # 1: ring A, 3: ring B
+            rings.setdefault((ring, len(b.gates)), set()).add(plan.where[i][0])
+    # pairs from q = 7 (and at q = 2), single gates from 3 to 6; with q odd a
+    # ring's last gate is alone
+    sizes = {size for _, size in rings}
+    if q == 2 or q >= 7:
+        assert sizes == ({2} if q % 2 == 0 else {2, 1})
+    else:
+        assert sizes == {1}
+    assert all(len(groups) == 1 for groups in rings.values())
+
+
+def _index_inputs(rng, q, layers, k, u):
+    n = kernels.angle_count(q, layers)
+    states = rand_complex(rng, (k, 1 << q))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    index = rng.integers(0, u, k)
+    return states, rng.uniform(-np.pi, np.pi, size=(u, n)), index, rand_complex(rng, (k, 1 << q))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("angles_kind", ["per_row", "shared", "index"])
+def test_frame_sweeps_match_gate_by_gate(q, angles_kind):
+    # odd q leaves a ring gate alone; at q = 2 both gates of a ring run as
+    # one pair; q = 3..6 run single gates, q = 7 pairs
+    rng = np.random.default_rng(300 + q)
+    layers, k = 2, 6
+    states, angles, index, g = _index_inputs(rng, q, layers, k, 4)
+    if angles_kind == "per_row":
+        angles, index = angles[index], None
+    elif angles_kind == "shared":
+        angles, index = angles[0], None
+    ops = kernels.template_operands(q, layers, angles)
+    out = kernels.ansatz_rows_forward(states, ops, index)
+    ref_angles = angles if index is None else angles[index]
+    assert np.max(np.abs(out - _compose_forward(states, q, layers, ref_angles))) <= 1e-12
+    g_in, g_ang = kernels.ansatz_rows_vjp(out, ops, g, index)
+    want_in, want_ang = _compose_vjp(out, q, layers, ref_angles, g)
+    assert g_ang.shape == ref_angles.shape
+    assert np.max(np.abs(g_in - want_in)) <= 1e-12
+    assert np.max(np.abs(g_ang - want_ang)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # readout
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
@@ -390,11 +472,12 @@ def test_fd_ansatz_rows(seed):
                        complex_leaves={0}, atol=5e-6)
 
 
-@pytest.mark.parametrize("q", [2, 4, 5, 8])
+@pytest.mark.parametrize("q", [2, 4, 5, 8, 3, 6, 7])
 @pytest.mark.parametrize("shared", [False, True], ids=["per_row", "shared"])
 def test_fd_ansatz_rows_fusion_boundaries(q, shared):
     # per-row angles on one row (k=1); shared angles reach two rows
-    # through broadcast_rows
+    # through broadcast_rows. Every q from 2 to 8: ring pairs and single
+    # gates, frame rotations between blocks, RY chunks in rotated frames
     rng = np.random.default_rng(1200 + q)
     layers = 2 if q < 8 else 1
     k = 2 if shared else 1

@@ -3,6 +3,8 @@
 import gc
 import json
 import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -214,6 +216,40 @@ def test_train_run_to_run_bitwise(tmp_path):
     assert normalized_records(a.metrics_path) == normalized_records(b.metrics_path)
     for name, t in a.params.named().items():
         assert np.array_equal(t.values, b.params.named()[name].values), name
+
+
+_TRAIN_SCRIPT = "import sys; from qtmix import cli; sys.exit(cli.main(['train', '--config', sys.argv[1]]))"
+
+
+def test_train_artifacts_same_bytes_at_any_blas_thread_count(tmp_path):
+    # 800 words over 64 documents of 40 tokens: a batch holds a few hundred
+    # distinct tokens, enough for OpenBLAS to split a product that sums
+    # over them across two threads
+    rng = np.random.default_rng(4)
+    words = [f"w{i}" for i in range(800)]
+    paths = {}
+    for split, n in (("train", 64), ("val", 8), ("test", 8)):
+        paths[split] = str(tmp_path / f"{split}.tsv")
+        write_tsv(paths[split], [(" ".join(rng.choice(words, 40)), i % 2) for i in range(n)])
+    cfg = {"model": {"qubits": 4, "window": 16, "stride": 8, "degree": 2, "embed_dim": 32,
+                     "embed_layers": 1, "ff_layers": 1, "hidden": 8,
+                     "aggregation": "attention_pool"},
+           "optimizer": {"epochs": 1, "batch_size": 32},
+           "data": {"kind": "tsv", **paths, "min_freq": 1},
+           "seed": 3, "out_dir": str(tmp_path / "run")}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    src = os.path.dirname(os.path.dirname(training.__file__))
+    artifacts = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", _TRAIN_SCRIPT, str(tmp_path / "cfg.json")],
+                       env=env, check=True, capture_output=True, timeout=300)
+        artifacts.append([(tmp_path / "run" / name).read_bytes()
+                          for name in ("metrics.jsonl", "checkpoint.json")])
+    assert artifacts[0][0] == artifacts[1][0], "metrics.jsonl differs between 1 and 2 threads"
+    assert artifacts[0][1] == artifacts[1][1], "checkpoint.json differs between 1 and 2 threads"
 
 
 def test_train_zero_epochs_reports_init_metrics(tmp_path):
