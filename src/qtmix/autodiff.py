@@ -495,16 +495,60 @@ def weighted_sum(coeffs: Tensor, terms: Sequence[Tensor]) -> Tensor:
     return _make(out, (coeffs, *terms), vjp)
 
 
+def _window_order(mask: np.ndarray, win: np.ndarray, coeffs: np.ndarray,
+                  rows: np.ndarray) -> np.ndarray:
+    """An order of the k entries under a (W, n) ``mask`` (``win``: the
+    window of each, in row-major order) that keeps each window's entries
+    together and orders them by coefficient, real part then imaginary
+    part. Entries of one window whose whole coefficients tie are ordered by
+    their rows' values, compared lexicographically (the real, then the
+    imaginary part of each amplitude in turn); entries that tie on all of
+    that carry identical terms."""
+    w, n = mask.shape
+    key = np.zeros(mask.shape)
+    key[mask] = coeffs.real
+    flat = mask.reshape(-1)
+    # each window's slots by real part, masked-out ones dropped; a slot's
+    # rank among the masked-in slots is its entry
+    slots = (np.argsort(key, axis=1) + n * np.arange(w)[:, None]).reshape(-1)
+    order = (np.cumsum(flat) - 1)[slots[flat[slots]]]
+    re = coeffs.real[order]
+    tie = (win[1:] == win[:-1]) & (re[1:] == re[:-1])
+    if not tie.any():
+        return order
+    # rare: refine each run of tied real parts by the imaginary part, then by
+    # the row's values, one key at a time until no two entries tie
+    tied = np.r_[tie, False] | np.r_[False, tie]
+    sub, cls = order[tied], np.cumsum(np.r_[True, ~tie])[tied]
+    keys = np.column_stack([coeffs.imag[sub], rows[sub].view(np.float64)])
+    for j in range(keys.shape[1]):
+        p = np.lexsort((keys[:, j], cls))
+        sub, cls, keys = sub[p], cls[p], keys[p]
+        step = (cls[1:] != cls[:-1]) | (keys[1:, j] != keys[:-1, j])
+        if step.all():
+            break
+        cls = np.cumsum(np.r_[True, step])
+    order[tied] = sub
+    return order
+
+
 def collapse_rows(coeffs: Tensor, rows: Tensor, mask=None) -> Tensor:
-    """sum_j coeffs[j] * rows[j, :] for a (k, m) tensor; canonical reduction
-    over j, same permutation guarantee as ``weighted_sum``.
+    """sum_j coeffs[j] * rows[j, :] for a (k, m) tensor.
 
     With a (W, n) boolean ``mask``, ``rows`` holds one row per True entry
     of ``mask``, in row-major order, and ``coeffs`` is (W, n), or (k,) with
     only the entries under the mask, in the same order. The output is
-    (W, m): window w sums its n slots, the masked ones as exact zeros, in a
-    padded (W, n, m) layout, so each window's sum is computed the same way
-    in any batch and keeps the permutation guarantee per window.
+    (W, m): window w sums the terms of its masked-in slots, and a window
+    with none gives an exact zero row.
+
+    The sum is canonical per window: its terms are ordered by coefficient
+    (real part, then imaginary part), and only terms whose whole
+    coefficients tie are ordered by their rows' values, compared
+    lexicographically. Then one ``np.add.reduceat`` over the ordered (k, m)
+    terms reduces each window's run, so a window's bits depend only on its
+    own ordered terms: jointly permuting a window's coefficients and rows
+    leaves them unchanged (terms that tie on the whole key are identical),
+    and so does whatever else the batch holds.
     """
     if mask is None:
         if coeffs.values.ndim != 1:
@@ -522,9 +566,13 @@ def collapse_rows(coeffs: Tensor, rows: Tensor, mask=None) -> Tensor:
     picked = cv.shape == (k,)
     win = np.nonzero(m2)[0]
     active = cv if picked else cv.reshape(m2.shape)[m2]
-    padded = np.zeros(m2.shape + rv.shape[1:], dtype=_COMPLEX)
-    padded[m2] = active[:, None] * rv
-    out = _padded_sum(padded)
+    counts = np.bincount(win, minlength=m2.shape[0])
+    order = _window_order(m2, win, active, rv)
+    terms = np.take(rv, order, axis=0)
+    np.multiply(active[order, None], terms, out=terms)
+    out = np.zeros((m2.shape[0], rv.shape[1]), dtype=_COMPLEX)
+    filled = counts > 0             # reduceat would hand an empty run the next run's row
+    out[filled] = np.add.reduceat(terms, (np.cumsum(counts) - counts)[filled], axis=0)
     if mask is None:
         out = out[0]
 
@@ -572,7 +620,7 @@ def _segment_ids(counts, total: int) -> tuple[np.ndarray, np.ndarray]:
 
 def segment_sum(a: Tensor, counts) -> Tensor:
     """Sum consecutive runs of rows: (W, ...) -> (D, ...) for D run lengths
-    ``counts``. Canonical like ``collapse_rows``: each run's rows are
+    ``counts``. Canonical like ``weighted_sum``: each run's rows are
     value-sorted per entry in a zero-padded (D, max run, ...) layout."""
     av = a.values
     if av.ndim == 0:

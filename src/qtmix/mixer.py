@@ -24,8 +24,11 @@ every later application is one call with one row per distinct
 tokens thus share one coefficient: the canonical (value-sorted) sum of its
 weights at the positions holding the token. The feed-forward template is
 one call over the W states. Each template row depends only on that row,
-and each window sums over its own zero-padded axis, so a window's outputs
-are bitwise the same whatever else is in the batch. One window (angles
+and each power's LCU sum orders a window's terms by their coefficients
+(real part, then imaginary part; only a whole tie is broken by the rows'
+values, compared lexicographically) and reduces that window's terms alone.
+So a window's outputs are bitwise the same whatever else is in the batch,
+and under any joint permutation of its positions. One window (angles
 (n, L) or (U, L), mask (n,)) is the batch W = 1, returned without the
 batch axis.
 """

@@ -258,6 +258,26 @@ def test_mix_window_joint_permutation_bitwise():
     assert np.array_equal(a.state.values, b.state.values)
 
 
+def test_mix_window_equal_raw_coefficients_joint_permutation_bitwise():
+    # unnormalized equal weights tie in every power, so the template rows
+    # alone order each window's sum
+    rng = np.random.default_rng(17)
+    q, n, degree, layers = 3, 7, 3, 1
+    params = make_params(rng, n, degree, q)
+    params.lcu_coeffs.values[:] = 0.4 + 0.1j
+    angle_vals = token_angle_block(rng, n, q, layers)
+    mask = np.array([True, True, False, True, True, True, True])
+    a = mixer.mix_window(ad.tensor(angle_vals), params, mask, q=q, embed_layers=layers,
+                         normalize_lcu=False)
+    for _ in range(10):
+        perm = rng.permutation(n)
+        b = mixer.mix_window(ad.tensor(angle_vals[perm]), params, mask[perm], q=q,
+                             embed_layers=layers, normalize_lcu=False)
+        assert np.array_equal(a.features.values, b.features.values), perm
+        assert np.array_equal(a.pre_norm.values, b.pre_norm.values), perm
+        assert np.array_equal(a.state.values, b.state.values), perm
+
+
 def test_mix_window_masked_tokens_have_no_influence():
     # changing the angles of a masked token must not move any output
     rng = np.random.default_rng(17)
