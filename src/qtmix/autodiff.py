@@ -533,13 +533,12 @@ def _window_order(mask: np.ndarray, win: np.ndarray, coeffs: np.ndarray,
 
 
 def collapse_rows(coeffs: Tensor, rows: Tensor, mask=None) -> Tensor:
-    """sum_j coeffs[j] * rows[j, :] for a (k, m) tensor.
+    """sum_j coeffs[j] * rows[j, :] for (k,) coefficients and (k, m) rows.
 
-    With a (W, n) boolean ``mask``, ``rows`` holds one row per True entry
-    of ``mask``, in row-major order, and ``coeffs`` is (W, n), or (k,) with
-    only the entries under the mask, in the same order. The output is
-    (W, m): window w sums the terms of its masked-in slots, and a window
-    with none gives an exact zero row.
+    With a (W, n) boolean ``mask``, which has k True entries, row j and
+    coefficient j belong to the j-th True entry in row-major order. The
+    output is (W, m): window w sums the terms of its masked-in slots, and a
+    window with none gives an exact zero row.
 
     The sum is canonical per window: its terms are ordered by coefficient
     (real part, then imaginary part), and only terms whose whole
@@ -550,26 +549,21 @@ def collapse_rows(coeffs: Tensor, rows: Tensor, mask=None) -> Tensor:
     leaves them unchanged (terms that tie on the whole key are identical),
     and so does whatever else the batch holds.
     """
-    if mask is None:
-        if coeffs.values.ndim != 1:
-            raise ShapeError(f"collapse_rows: need (k,) coefficients, got {coeffs.shape}")
-        m2 = np.ones((1, coeffs.shape[0]), dtype=bool)
-    else:
-        m2 = np.asarray(mask, dtype=bool)
-        if m2.ndim != 2 or coeffs.shape not in (m2.shape, (int(m2.sum()),)):
-            raise ShapeError(f"collapse_rows: need (W, n) or one per masked-in entry "
-                             f"coefficients for a (W, n) mask, got {coeffs.shape} and {m2.shape}")
-    k = int(m2.sum())
+    if coeffs.values.ndim != 1:
+        raise ShapeError(f"collapse_rows: need (k,) coefficients, got {coeffs.shape}")
+    k = coeffs.shape[0]
+    m2 = np.ones((1, k), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if m2.ndim != 2 or int(m2.sum()) != k:
+        raise ShapeError(f"collapse_rows: need one coefficient per masked-in entry of a "
+                         f"(W, n) mask, got {coeffs.shape} and {m2.shape}")
     if rows.values.ndim != 2 or rows.shape[0] != k:
         raise ShapeError(f"collapse_rows: need ({k}, m) rows for the mask, got {rows.shape}")
     cv, rv = coeffs.values, rows.values
-    picked = cv.shape == (k,)
     win = np.nonzero(m2)[0]
-    active = cv if picked else cv.reshape(m2.shape)[m2]
     counts = np.bincount(win, minlength=m2.shape[0])
-    order = _window_order(m2, win, active, rv)
+    order = _window_order(m2, win, cv, rv)
     terms = np.take(rv, order, axis=0)
-    np.multiply(active[order, None], terms, out=terms)
+    np.multiply(cv[order, None], terms, out=terms)
     out = np.zeros((m2.shape[0], rv.shape[1]), dtype=_COMPLEX)
     filled = counts > 0             # reduceat would hand an empty run the next run's row
     out[filled] = np.add.reduceat(terms, (np.cumsum(counts) - counts)[filled], axis=0)
@@ -579,11 +573,7 @@ def collapse_rows(coeffs: Tensor, rows: Tensor, mask=None) -> Tensor:
     def vjp(g):
         gw = g.reshape(m2.shape[0], -1)[win]
         ga = np.matmul(np.conj(rv)[:, None, :], gw[:, :, None])[:, 0, 0]
-        if picked:
-            return (ga, np.conj(active)[:, None] * gw)
-        gc = np.zeros(m2.shape, dtype=_COMPLEX)
-        gc[m2] = ga
-        return (gc.reshape(coeffs.shape), np.conj(active)[:, None] * gw)
+        return (ga, np.conj(cv)[:, None] * gw)
 
     return _make(out, (coeffs, rows), vjp)
 

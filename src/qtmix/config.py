@@ -241,9 +241,11 @@ def from_dict(raw: dict) -> RunConfig:
 def load_file(path: str | Path) -> RunConfig:
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")
     except OSError as e:
         raise ConfigError(f"cannot read config file {p}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config file {p} is not UTF-8 text: {e}") from e
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:

@@ -104,6 +104,8 @@ def load_tsv(path: str | Path) -> list[tuple[str, int]]:
         text = p.read_text(encoding="utf-8")
     except OSError as e:
         raise DataIOError(f"cannot read {p}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{p} is not UTF-8 text: {e}") from e
     rows = []
     bad: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -14,19 +14,22 @@ resulting (sub-normalized) state is recorded as ``pre_norm`` before the
 state is renormalized, pushed through a trainable feed-forward template,
 and read out as per-qubit X/Y/Z expectations.
 
-A batch of W windows runs at once. Its token angles come per position,
-(W, n, L), every position its own token; or as (U, L), one row per
-distinct token, with a (W, n) index saying which token sits where. Every
+A batch of W windows runs at once, through one token path. Its token
+angles come as (U, L), one row per distinct token, with a (W, n) index
+saying which token sits where; angles given per position, (W, n, L),
+become the active positions' rows, each position its own token. Every
 window starts from |0...0>, so the first application of M is one template
 call with one row per distinct token, whose results each window gathers;
 every later application is one call with one row per distinct
-(window, token) pair, run from that window's state. A window's repeated
-tokens thus share one coefficient: the canonical (value-sorted) sum of its
-weights at the positions holding the token. The feed-forward template is
-one call over the W states. Each template row depends only on that row,
-and each power's LCU sum orders a window's terms by their coefficients
-(real part, then imaginary part; only a whole tie is broken by the rows'
-values, compared lexicographically) and reduces that window's terms alone.
+(window, token) pair, run from that window's state. When the pairs are
+the tokens in order (per-position input, say), nothing is gathered. A
+window's repeated tokens share one coefficient: the canonical
+(value-sorted) sum of its weights at the positions holding the token. The
+feed-forward template is one call over the W states. Each template row
+depends only on that row, and each power's LCU sum orders a window's
+terms by their coefficients (real part, then imaginary part; only a whole
+tie is broken by the rows' values, compared lexicographically) and
+reduces that window's terms alone.
 So a window's outputs are bitwise the same whatever else is in the batch,
 and under any joint permutation of its positions. One window (angles
 (n, L) or (U, L), mask (n,)) is the batch W = 1, returned without the
@@ -54,7 +57,7 @@ COLLAPSE_THRESHOLD = 1e-12
 
 __all__ = [
     "COLLAPSE_THRESHOLD", "MixerParams", "MixerOutput",
-    "l1_normalize", "apply_m", "apply_polynomial", "mix_window",
+    "l1_normalize", "apply_polynomial", "mix_window",
 ]
 
 
@@ -142,15 +145,6 @@ def l1_normalize(coeffs: Tensor, mask, window_id=None) -> Tensor:
     return ad.scalar_mul(ad.spow(total, -1.0), masked)
 
 
-def _check_token_angles(token_angles: Tensor, lead: tuple, n: int, q: int, layers: int) -> None:
-    want = lead + (n, kernels.angle_count(q, layers))
-    if token_angles.shape != want:
-        raise ShapeError(
-            f"token angles must be {want} for q={q}, layers={layers}, "
-            f"got {token_angles.shape}"
-        )
-
-
 def _check_token_rows(token_angles: Tensor, tokens: np.ndarray, keep: np.ndarray,
                       q: int, layers: int) -> None:
     want = kernels.angle_count(q, layers)
@@ -177,98 +171,40 @@ class _Tokens:
     window: np.ndarray              # (P,) window of each pair
     token: np.ndarray | None        # (P,) token row of each pair; None: pair p is token p
     slots: np.ndarray               # (W, n) one True per pair, in pair order
-    merge: tuple | None             # None: each pair is one position (its weight
-                                    # as it is); else (flat positions grouped
-                                    # by pair, pair sizes)
+    positions: np.ndarray           # flat (W * n) positions, grouped by pair
+    sizes: np.ndarray               # (P,) positions per pair
 
 
-def _per_position(token_angles: Tensor, keep: np.ndarray) -> _Tokens:
-    """Every active position is its own token (angles (W, n, L))."""
-    w, n, width = token_angles.shape
-    flat = ad.reshape(token_angles, (w * n, width))
-    rows = flat if keep.all() else ad.take_rows(flat, np.flatnonzero(keep))
-    return _Tokens(rows, np.nonzero(keep)[0], None, keep, None)
-
-
-def _distinct(token_angles: Tensor, tokens: np.ndarray, keep: np.ndarray) -> _Tokens:
-    """Tokens named by a (W, n) index into (U, L) angles: one pair per
+def _tokens(token_angles: Tensor, tokens, keep: np.ndarray, q: int, layers: int) -> _Tokens:
+    """The pairs of a (W, n) batch whose ``keep`` positions run: one per
     distinct token of each window, in (window, token) order, each window's
-    pairs in its first slots."""
+    pairs in its first slots. Tokens are named by a (W, n) index into (U, L)
+    angles; per-position (W, n, L) angles become the active positions'
+    rows, indexed in order, so that every active position is its own token.
+    """
+    if tokens is None:
+        want = keep.shape + (kernels.angle_count(q, layers),)
+        if token_angles.shape != want:
+            raise ShapeError(f"per-position token angles must be {want} for q={q}, "
+                             f"layers={layers}, got {token_angles.shape}")
+        flat = ad.reshape(token_angles, (keep.size, want[-1]))
+        token_angles = flat if keep.all() else ad.take_rows(flat, np.flatnonzero(keep))
+        tokens = np.zeros(keep.shape, dtype=np.int64)
+        tokens[keep] = np.arange(token_angles.shape[0])
+    else:
+        tokens = np.asarray(tokens, dtype=np.int64)
+        _check_token_rows(token_angles, tokens, keep, q, layers)
     n_tok, (w, n) = token_angles.shape[0], keep.shape
     win, pos = np.nonzero(keep)
     keys, inverse, sizes = np.unique(win * n_tok + tokens[win, pos], return_inverse=True,
                                      return_counts=True)
-    window = keys // n_tok
+    window, token = keys // n_tok, keys % n_tok
     slots = np.arange(n) < np.bincount(window, minlength=w)[:, None]
     positions = (win * n + pos)[np.argsort(inverse, kind="stable")]
-    return _Tokens(token_angles, window, keys % n_tok, slots, (positions, sizes))
-
-
-def _window_batch(b_norm: Tensor, token_angles: Tensor, active, tokens, q: int, layers: int):
-    """One window's (n,) weights, or a batch's (W, n), with their token
-    angles: per position, (n, L) or (W, n, L); or with a ``tokens`` index
-    shaped like the weights into (U, L) angles. Returns (weights (W, n),
-    the ``_Tokens`` to run, whether one window was given)."""
-    single = b_norm.values.ndim == 1
-    keep = np.ones(b_norm.shape, dtype=bool) if active is None else np.asarray(active, dtype=bool)
-    if keep.shape != b_norm.shape:
-        raise ShapeError(f"active mask must have shape {b_norm.shape}, got {keep.shape}")
-    if tokens is not None:
-        tokens = np.asarray(tokens, dtype=np.int64)
-        _check_token_rows(token_angles, tokens, keep, q, layers)
-    else:
-        _check_token_angles(token_angles, b_norm.shape[:-1], b_norm.shape[-1], q, layers)
-    if single:
-        b_norm = ad.reshape(b_norm, (1,) + b_norm.shape)
-        keep = keep[None]
-        if tokens is None:
-            token_angles = ad.reshape(token_angles, (1,) + token_angles.shape)
-        else:
-            tokens = tokens[None]
-    if not keep.any(axis=1).all():
-        raise EmptyWindowError("no active tokens to mix")
-    if tokens is None:
-        return b_norm, _per_position(token_angles, keep), single
-    return b_norm, _distinct(token_angles, tokens, keep), single
-
-
-def _pair_weights(b_norm: Tensor, tok: _Tokens) -> Tensor:
-    """Each pair's coefficient: the (W, n) weights themselves when every
-    pair is one position, else per pair the canonical (value-sorted) sum
-    of its window's weights at the positions holding its token."""
-    if tok.merge is None:
-        return b_norm
-    positions, sizes = tok.merge
-    flat = ad.reshape(b_norm, (b_norm.shape[0] * b_norm.shape[1],))
-    return ad.segment_sum(ad.take_rows(flat, positions), sizes)
-
-
-def _apply_m_rows(amps: Tensor, coeffs: Tensor, tok: _Tokens, q: int, layers: int,
-                  operands=None) -> Tensor:
-    """One application of each window's mixing operator to its (W, 2**q)
-    amplitudes: one template call over the (window, token) pairs of every
-    window, then each window's weighted sum over its own pairs.
-    ``operands`` optionally passes the block operands built from the
-    token angles."""
-    evolved = ansatz_rows(amps, tok.angles, q, layers, index=tok.window,
-                          angle_index=tok.token, operands=operands)
-    return ad.collapse_rows(coeffs, evolved, tok.slots)
-
-
-def apply_m(amps: Tensor, b_norm: Tensor, token_angles: Tensor, q: int,
-            layers: int, active=None) -> Tensor:
-    """Apply M = sum_j b_norm[j] U_j to a state, or each window's M to its
-    state of a batch: amps (2**q,) with ``b_norm`` (n,) and
-    ``token_angles`` (n, L), or amps (W, 2**q) with (W, n) and (W, n, L).
-
-    ``active`` optionally masks, in ``b_norm``'s shape, the tokens to run.
-    Dropped tokens must carry exactly zero weight (the caller masks them),
-    so skipping them changes nothing but cost.
-    """
-    b, tok, single = _window_batch(b_norm, token_angles, active, None, q, layers)
-    out = _apply_m_rows(ad.reshape(amps, (1, 1 << q)) if single else amps,
-                        _pair_weights(b, tok), tok, q, layers)
-    return ad.reshape(out, (1 << q,)) if single else out
+    # pair p runs token p: the first power needs no gather, no power an angle index
+    if token.size == n_tok and np.array_equal(token, np.arange(n_tok)):
+        token = None
+    return _Tokens(token_angles, window, token, slots, positions, sizes)
 
 
 def _ground(k: int, q: int) -> Tensor:
@@ -280,22 +216,35 @@ def _ground(k: int, q: int) -> Tensor:
 
 def apply_polynomial(b_norm: Tensor, token_angles: Tensor, poly_coeffs: Tensor,
                      q: int, layers: int, active=None, tokens=None) -> Tensor:
-    """Evaluate sum_k c_k M^k |0...0> with exactly ``degree`` applications
-    of M, accumulating the running powers. Shapes as in ``apply_m``: one
-    window's (n,) weights give one state, a batch's (W, n) one per window.
-    With ``tokens``, an index shaped like ``b_norm``, the angles are
-    instead (U, L), one row per distinct token.
+    """Evaluate sum_k c_k M^k |0...0> for each window of a batch, with
+    exactly ``degree`` applications of its M = sum_j b_norm[w, j] U_j,
+    accumulating the running powers: (W, 2**q) states for (W, n) weights.
+    The angles come per position, (W, n, L); or, with ``tokens``, a (W, n)
+    index, as (U, L), one row per distinct token. ``active`` optionally
+    masks, in ``b_norm``'s shape, the positions to run; dropped positions
+    must carry exactly zero weight (the caller masks them), so skipping
+    them changes nothing but cost.
 
     Every window starts from |0...0>, so the first power runs each
     distinct token once and gathers the results per pair; each later power
-    runs each pair once. The token template's block operands are built
-    once, on the distinct tokens' angles, and serve every power, forward
-    and adjoint."""
+    runs each pair once and sums each window's pairs. A pair's coefficient
+    is the canonical (value-sorted) sum of its window's weights at the
+    positions holding its token. The token template's block operands are
+    built once, on the distinct tokens' angles, and serve every power,
+    forward and adjoint."""
     if poly_coeffs.values.ndim != 1 or poly_coeffs.shape[0] < 1:
         raise ShapeError(f"polynomial coefficients must be a non-empty vector, got {poly_coeffs.shape}")
-    b, tok, single = _window_batch(b_norm, token_angles, active, tokens, q, layers)
-    coeffs = _pair_weights(b, tok)
-    powers = [_ground(b.shape[0], q)]
+    if b_norm.values.ndim != 2:
+        raise ShapeError(f"weights must be (W, n), got {b_norm.shape}")
+    keep = np.ones(b_norm.shape, dtype=bool) if active is None else np.asarray(active, dtype=bool)
+    if keep.shape != b_norm.shape:
+        raise ShapeError(f"active mask must have shape {b_norm.shape}, got {keep.shape}")
+    if not keep.any(axis=1).all():
+        raise EmptyWindowError("no active tokens to mix")
+    tok = _tokens(token_angles, tokens, keep, q, layers)
+    flat = ad.reshape(b_norm, (b_norm.shape[0] * b_norm.shape[1],))
+    coeffs = ad.segment_sum(ad.take_rows(flat, tok.positions), tok.sizes)
+    powers = [_ground(b_norm.shape[0], q)]
     if poly_coeffs.shape[0] > 1:
         ops = kernels.template_operands(q, layers, tok.angles.values)
         evolved = ansatz_rows(_ground(tok.angles.shape[0], q), tok.angles, q, layers,
@@ -304,9 +253,10 @@ def apply_polynomial(b_norm: Tensor, token_angles: Tensor, poly_coeffs: Tensor,
             evolved = ad.take_rows(evolved, tok.token)
         powers.append(ad.collapse_rows(coeffs, evolved, tok.slots))
         for _ in range(poly_coeffs.shape[0] - 2):
-            powers.append(_apply_m_rows(powers[-1], coeffs, tok, q, layers, ops))
-    acc = ad.weighted_sum(poly_coeffs, powers)
-    return ad.reshape(acc, (1 << q,)) if single else acc
+            evolved = ansatz_rows(powers[-1], tok.angles, q, layers, index=tok.window,
+                                  angle_index=tok.token, operands=ops)
+            powers.append(ad.collapse_rows(coeffs, evolved, tok.slots))
+    return ad.weighted_sum(poly_coeffs, powers)
 
 
 def mix_window(token_angles: Tensor, params: MixerParams, mask, *, q: int,
@@ -314,13 +264,14 @@ def mix_window(token_angles: Tensor, params: MixerParams, mask, *, q: int,
                normalize_lcu: bool = True) -> MixerOutput:
     """Full mixer pipeline for a batch of windows, or for one.
 
-    token_angles: (W, n, 4*embed_layers*q) per-position template angles, or
-    (n, 4*embed_layers*q) for one window; every position is its own token.
-    With ``tokens``, a (W, n) (or (n,)) integer index, they are instead
-    (U, 4*embed_layers*q), one row per distinct token, and position j of
-    window w runs row ``tokens[w, j]``: each token's template then runs
-    once per batch in the first power and once per window holding it
-    after that, and a window's repeated tokens share one merged weight.
+    token_angles: (U, 4*embed_layers*q), one row per distinct token, with
+    ``tokens``, a (W, n) (or (n,)) integer index: position j of window w
+    runs row ``tokens[w, j]``. Each token's template then runs once per
+    batch in the first power and once per window holding it after that,
+    and a window's repeated tokens share one merged weight. Without
+    ``tokens``, the angles are per position, (W, n, 4*embed_layers*q) or
+    (n, 4*embed_layers*q) for one window, and each active position is its
+    own token, run through the same path.
     mask: (W, n) booleans, or (n,), True where a real token sits.
     window_id: names windows in errors; one id for one window, a sequence
     of W ids for a batch (default: the window's position).
@@ -329,14 +280,11 @@ def mix_window(token_angles: Tensor, params: MixerParams, mask, *, q: int,
     """
     n = params.window
     m, single = _batch_mask(mask, n)
-    angles, index = token_angles, None
-    if tokens is not None:
-        index = np.asarray(tokens, dtype=np.int64)
-        index = index[None] if single else index
-    else:
-        _check_token_angles(token_angles, () if single else m.shape[:1], n, q, embed_layers)
-        if single:
-            angles = ad.reshape(token_angles, (1,) + token_angles.shape)
+    angles, index = token_angles, tokens
+    if single and tokens is None:
+        angles = ad.reshape(token_angles, (1,) + token_angles.shape)
+    elif single:
+        index = np.asarray(tokens)[None]
     labels = _labels(window_id, m.shape[0], single)
     _check_nonempty(m, labels)
 

@@ -194,9 +194,11 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, Params, Vocab, int, di
     ``ParseError`` naming the key or parameter array at fault."""
     p = Path(path)
     try:
-        payload = json.loads(p.read_text())
+        payload = json.loads(p.read_text(encoding="utf-8"))
     except OSError as e:
         raise DataIOError(f"cannot read checkpoint {p}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"checkpoint {p} is not UTF-8 text: {e}") from e
     except json.JSONDecodeError as e:
         raise ParseError(f"checkpoint {p} is not valid JSON: {e}") from e
     if not isinstance(payload, dict):

@@ -232,7 +232,7 @@ def test_fd_batched_ops(seed):
     idx = rng.integers(0, 7, size=(2, 4))
     check_op_gradients(lambda ls: ad.take_rows(ls[0], idx), [ad.tensor(table)], rng)
     mask = np.array([[True, False, True], [False, False, True]])
-    coeffs = rand_complex(rng, (2, 3))
+    coeffs = rand_complex(rng, (2, 3))[mask]
     kept = rand_complex(rng, (3, 4))
     check_op_gradients(lambda ls: ad.collapse_rows(ls[0], ls[1], mask),
                        [ad.tensor(coeffs), ad.tensor(kept)], rng)
@@ -380,14 +380,15 @@ def test_collapse_rows_masked_out_window_is_exact_zero():
                      [False, False, False]])
     coeffs = rand_complex(rng, mask.shape)
     rows = rand_complex(rng, (int(mask.sum()), 4))
-    out = ad.collapse_rows(ad.tensor(coeffs), ad.tensor(rows), mask).values
+    out = ad.collapse_rows(ad.tensor(coeffs[mask]), ad.tensor(rows), mask).values
     for w in (0, 2, 4):
         assert np.all(out[w] == 0)
         assert not np.any(np.signbit(out[w].real)) and not np.any(np.signbit(out[w].imag))
     for w, (lo, hi) in ((1, (0, 2)), (3, (2, 4))):
         alone = ad.collapse_rows(ad.tensor(coeffs[w][mask[w]]), ad.tensor(rows[lo:hi])).values
         assert np.array_equal(out[w], alone)
-    none = ad.collapse_rows(ad.tensor(coeffs), ad.tensor(np.zeros((0, 4))), mask & False).values
+    none = ad.collapse_rows(ad.tensor(coeffs[:0, 0]), ad.tensor(np.zeros((0, 4))),
+                            mask & False).values
     assert none.shape == (5, 4) and np.all(none == 0) and not np.any(np.signbit(none.real))
 
 
@@ -408,7 +409,7 @@ def test_collapse_rows_matches_per_window_sum():
     coeffs = rand_complex(rng, mask.shape)
     coeffs[2, :] = 0.5                      # one window ties on every coefficient
     rows = rand_complex(rng, (int(mask.sum()), 16))
-    out = ad.collapse_rows(ad.tensor(coeffs), ad.tensor(rows), mask).values
+    out = ad.collapse_rows(ad.tensor(coeffs[mask]), ad.tensor(rows), mask).values
     win = np.nonzero(mask)[0]
     for w in range(mask.shape[0]):
         want = (coeffs[w][mask[w]][:, None] * rows[win == w]).sum(axis=0)
@@ -422,11 +423,28 @@ def test_collapse_rows_mask_forms_agree_bitwise():
     one = ad.collapse_rows(ad.tensor(coeffs), ad.tensor(rows), np.ones((1, 6), bool)).values
     assert one.shape == (1, 8) and np.array_equal(plain, one[0])
     mask = rng.random((4, 5)) < 0.6
+    mask[2] = False
     full = rand_complex(rng, mask.shape)
     kept = spread_rows(rng, (int(mask.sum()), 8))
-    grid = ad.collapse_rows(ad.tensor(full), ad.tensor(kept), mask).values
-    picked = ad.collapse_rows(ad.tensor(full[mask]), ad.tensor(kept), mask).values
-    assert np.array_equal(grid, picked)
+    batch = ad.collapse_rows(ad.tensor(full[mask]), ad.tensor(kept), mask).values
+    win = np.nonzero(mask)[0]
+    for w in range(mask.shape[0]):
+        if not mask[w].any():
+            assert np.all(batch[w] == 0)
+            continue
+        alone = ad.collapse_rows(ad.tensor(full[w][mask[w]]), ad.tensor(kept[win == w])).values
+        assert np.array_equal(batch[w], alone), w
+
+
+def test_collapse_rows_rejects_grid_coefficients():
+    # one coefficient per masked-in entry is the only form under a mask
+    rng = np.random.default_rng(48)
+    mask = np.array([[True, False, True], [False, True, True]])
+    rows = ad.tensor(rand_complex(rng, (4, 3)))
+    with pytest.raises(ShapeError):
+        ad.collapse_rows(ad.tensor(rand_complex(rng, mask.shape)), rows, mask)
+    with pytest.raises(ShapeError):
+        ad.collapse_rows(ad.tensor(rand_complex(rng, (3,))), rows, mask)
 
 
 def test_collapse_rows_does_not_value_sort_amplitudes(monkeypatch):
@@ -438,7 +456,7 @@ def test_collapse_rows_does_not_value_sort_amplitudes(monkeypatch):
     monkeypatch.setattr(ad, "_padded_sum", refuse)
     rng = np.random.default_rng(46)
     mask = np.array([[True, True, False], [True, True, True]])
-    ad.collapse_rows(ad.tensor(rand_complex(rng, (2, 3))),
+    ad.collapse_rows(ad.tensor(rand_complex(rng, (5,))),
                      ad.tensor(rand_complex(rng, (5, 4))), mask)
     with pytest.raises(AssertionError, match="padded sort"):
         ad.weighted_sum(ad.tensor([1.0, 2.0]), [ad.tensor([1.0]), ad.tensor([3.0])])

@@ -149,6 +149,37 @@ def test_malformed_tsv_exit_3(tmp_path, capsys):
     assert "line(s) 2" in capsys.readouterr().err
 
 
+def latin1_file(tmp_path, name, text):
+    p = tmp_path / name
+    p.write_bytes(text.encode("latin-1"))
+    return p
+
+
+def assert_refused_without_traceback(argv, code, named, capsys):
+    capsys.readouterr()
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert "is not UTF-8 text" in err and named in err and "Traceback" not in err
+
+
+def test_tsv_not_utf8_exit_3(tmp_path, capsys):
+    bad = latin1_file(tmp_path, "bad.tsv", "0\tcaf\xe9 au lait\n")
+    cfg = write_cfg(tmp_path, data={"kind": "tsv", "train": str(bad),
+                                    "val": str(bad), "test": str(bad)})
+    assert_refused_without_traceback(["train", "--config", str(cfg)], 3, "bad.tsv", capsys)
+
+
+def test_checkpoint_not_utf8_exit_3(tmp_path, capsys):
+    bad = latin1_file(tmp_path, "ckpt.json", '{"format": "caf\xe9"}')
+    assert_refused_without_traceback(["eval", "--checkpoint", str(bad)], 3, "ckpt.json",
+                                     capsys)
+
+
+def test_config_not_utf8_exit_2(tmp_path, capsys):
+    bad = latin1_file(tmp_path, "cfg.json", '{"out_dir": "caf\xe9"}')
+    assert_refused_without_traceback(["train", "--config", str(bad)], 2, "cfg.json", capsys)
+
+
 @pytest.mark.parametrize("where", ["under_a_file", "is_a_file"])
 def test_uncreatable_out_dir_exit_3(tmp_path, capsys, monkeypatch, where):
     blocker = tmp_path / "blocker"

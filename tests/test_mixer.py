@@ -91,42 +91,51 @@ def test_l1_normalize_gradients():
 
 
 # ---------------------------------------------------------------------------
-# apply_m
+# applications of M, through apply_polynomial on a batch of one window
+
+def one_window_poly(b, angles, c, q, layers):
+    """sum_k c_k M^k |0...0> for one window's (n,) weights and (n, L)
+    per-position angles, run as the batch W = 1."""
+    out = mixer.apply_polynomial(ad.tensor(np.asarray(b)[None]), ad.tensor(angles[None]),
+                                 ad.tensor(np.asarray(c, dtype=complex)), q, layers)
+    assert out.shape == (1, 1 << q)
+    return out.values[0]
+
 
 def test_apply_m_single_identity_token():
     q, layers = 2, 1
-    angles = ad.tensor(np.zeros((1, kernels.angle_count(q, layers))))
-    out = mixer.apply_m(ad.tensor(zero_amps(q)), ad.tensor([1.0]), angles, q, layers)
-    assert np.allclose(out.values, zero_amps(q), atol=1e-15)
+    angles = np.zeros((1, kernels.angle_count(q, layers)))
+    out = one_window_poly([1.0], angles, [0.0, 1.0], q, layers)
+    assert np.allclose(out, zero_amps(q), atol=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_apply_m_matches_dense_oracle(seed):
+    # M|0...0> and M^2|0...0>
     rng = np.random.default_rng(100 + seed)
     q, layers = int(rng.integers(2, 4)), int(rng.integers(1, 3))
     n = int(rng.integers(1, 5))
     b = rand_complex(rng, (n,))
     b = b / np.abs(b).sum()
     angles = token_angle_block(rng, n, q, layers)
-    v = rand_complex(rng, (1 << q,))
-    v = v / np.linalg.norm(v)
-    got = mixer.apply_m(ad.tensor(v), ad.tensor(b), ad.tensor(angles), q, layers)
-    want = oracle.lcu_dense(b, angles, q, layers) @ v
-    assert np.max(np.abs(got.values - want)) <= 1e-10
+    m = oracle.lcu_dense(b, angles, q, layers)
+    once = one_window_poly(b, angles, [0.0, 1.0], q, layers)
+    assert np.max(np.abs(once - m @ zero_amps(q))) <= 1e-10
+    twice = one_window_poly(b, angles, [0.0, 0.0, 1.0], q, layers)
+    assert np.max(np.abs(twice - m @ m @ zero_amps(q))) <= 1e-10
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_apply_m_contraction(seed):
-    # with sum|b| = 1, the mixing operator cannot grow the norm
+    # with sum|b| = 1, no power of the mixing operator can grow the norm
     rng = np.random.default_rng(200 + seed)
     q, layers, n = 3, 2, 4
     b = rand_complex(rng, (n,))
     b = b / np.abs(b).sum()
     angles = token_angle_block(rng, n, q, layers)
-    v = rand_complex(rng, (1 << q,))
-    v = v / np.linalg.norm(v)
-    out = mixer.apply_m(ad.tensor(v), ad.tensor(b), ad.tensor(angles), q, layers)
-    assert np.linalg.norm(out.values) <= 1.0 + 1e-10
+    for k in range(1, 4):
+        out = one_window_poly(b, angles, np.eye(k + 1)[k], q, layers)
+        assert np.linalg.norm(out) <= 1.0 + 1e-10, k
 
 
 # ---------------------------------------------------------------------------
@@ -136,19 +145,22 @@ def test_polynomial_constant_term_only():
     q, layers, n = 2, 1, 3
     rng = np.random.default_rng(0)
     b = mixer.l1_normalize(ad.tensor(rand_complex(rng, (n,))), [True] * n)
-    angles = ad.tensor(token_angle_block(rng, n, q, layers))
-    out = mixer.apply_polynomial(b, angles, ad.tensor([1.0, 0.0, 0.0]), q, layers)
-    assert np.array_equal(out.values, zero_amps(q))
+    angles = token_angle_block(rng, n, q, layers)
+    out = one_window_poly(b.values, angles, [1.0, 0.0, 0.0], q, layers)
+    assert np.array_equal(out, zero_amps(q))
 
 
 def test_polynomial_linear_term_is_one_application():
+    # c = (0, 1) gives sum_j b_j U_j |0...0>, each U_j run on its own
     q, layers, n = 2, 1, 3
     rng = np.random.default_rng(1)
-    b = mixer.l1_normalize(ad.tensor(rand_complex(rng, (n,))), [True] * n)
-    angles = ad.tensor(token_angle_block(rng, n, q, layers))
-    poly = mixer.apply_polynomial(b, angles, ad.tensor([0.0, 1.0]), q, layers)
-    direct = mixer.apply_m(ad.tensor(zero_amps(q)), b, angles, q, layers)
-    assert np.max(np.abs(poly.values - direct.values)) <= 1e-14
+    b = mixer.l1_normalize(ad.tensor(rand_complex(rng, (n,))), [True] * n).values
+    angles = token_angle_block(rng, n, q, layers)
+    poly = one_window_poly(b, angles, [0.0, 1.0], q, layers)
+    direct = sum(b[j] * circuits.ansatz_rows(ad.tensor(zero_amps(q)[None]),
+                                             ad.tensor(angles[j]), q, layers).values[0]
+                 for j in range(n))
+    assert np.max(np.abs(poly - direct)) <= 1e-14
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -160,10 +172,10 @@ def test_polynomial_matches_dense_oracle(seed):
     b = b / np.abs(b).sum()
     c = rand_complex(rng, (degree + 1,))
     angles = token_angle_block(rng, n, q, layers)
-    got = mixer.apply_polynomial(ad.tensor(b), ad.tensor(angles), ad.tensor(c), q, layers)
+    got = one_window_poly(b, angles, c, q, layers)
     m = oracle.lcu_dense(b, angles, q, layers)
     want = oracle.poly_state_dense(c, m)
-    assert np.max(np.abs(got.values - want)) <= 1e-10
+    assert np.max(np.abs(got - want)) <= 1e-10
 
 
 def test_polynomial_uses_exactly_degree_applications(monkeypatch):
@@ -179,9 +191,8 @@ def test_polynomial_uses_exactly_degree_applications(monkeypatch):
     q, layers, n, degree = 2, 1, 3, 4
     b = rand_complex(rng, (n,))
     b = b / np.abs(b).sum()
-    angles = ad.tensor(token_angle_block(rng, n, q, layers))
-    mixer.apply_polynomial(ad.tensor(b), angles, ad.tensor(rand_complex(rng, (degree + 1,))),
-                           q, layers)
+    angles = token_angle_block(rng, n, q, layers)
+    one_window_poly(b, angles, rand_complex(rng, (degree + 1,)), q, layers)
     assert calls["n"] == degree
 
 

@@ -91,6 +91,59 @@ def test_token_index_bitwise_per_position_without_repeats_in_a_window(q):
         assert np.array_equal(a, b)
 
 
+def record_token_template(monkeypatch):
+    """Patch the token template and ``take_rows``: the returned lists get
+    each template call's ``angle_index`` and, per gather, whether it
+    gathered a template call's output."""
+    indices, outs, gathers = [], [], []
+    run, take = mixer.ansatz_rows, ad.take_rows
+
+    def running(*args, **kwargs):
+        indices.append(kwargs.get("angle_index"))
+        outs.append(run(*args, **kwargs))
+        return outs[-1]
+
+    def taking(a, idx):
+        gathers.append(any(a is out for out in outs))
+        return take(a, idx)
+
+    monkeypatch.setattr(mixer, "ansatz_rows", running)
+    monkeypatch.setattr(ad, "take_rows", taking)
+    return indices, gathers
+
+
+def test_identity_index_runs_no_gather(monkeypatch):
+    # per-position angles, and a token index whose pairs are its tokens in
+    # order, run every power without an angle index or a gathered first power
+    rng = np.random.default_rng(75)
+    q, n, degree, layers = 3, 4, 3, 1
+    params = mixer_params(rng, n, degree, q)
+    width = kernels.angle_count(q, layers)
+    masks = np.array([[True, False, True, True], [True, True, True, True]])
+    per_position = rng.uniform(-np.pi, np.pi, size=(2, n, width))
+    rows = rng.uniform(-np.pi, np.pi, size=(8, width))
+    identity = np.array([[2, 0, 3, 1], [6, 5, 4, 7]])        # each window its own block
+    repeated = np.array([[2, 0, 3, 2], [6, 5, 4, 7]])
+    calls = [(ad.tensor(per_position), masks, None),
+             (ad.tensor(per_position[0]), masks[0], None),
+             (ad.tensor(rows), np.ones_like(masks), identity),
+             (ad.tensor(rows[:4]), np.ones(n, dtype=bool), identity[0])]
+    indices, gathers = record_token_template(monkeypatch)
+    for angles, mask, tokens in calls:
+        indices.clear()
+        gathers.clear()
+        mixer.mix_window(angles, params, mask, q=q, embed_layers=layers, tokens=tokens)
+        assert [i is None for i in indices] == [True] * degree
+        assert not any(gathers)
+    # the probe sees a map that is not the identity
+    indices.clear()
+    gathers.clear()
+    mixer.mix_window(ad.tensor(rows), params, np.ones_like(masks), q=q, embed_layers=layers,
+                     tokens=repeated)
+    assert len(indices) == degree and all(i is not None for i in indices[1:])
+    assert gathers[-1]
+
+
 def test_joint_permutation_with_repeated_tokens_bitwise():
     # one window: permute its positions, token ids, mask and mixing
     # coefficients together; the repeated ids' merged weights are
