@@ -253,20 +253,23 @@ def _scatter_rows(buf: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
     np.add.at(buf.reshape(-1), flat, g.reshape(-1))
 
 
-_OUTER_CHUNK = 1 << 16          # complex entries in one chunk of row products
+_OUTER_CHUNK = 8                # rows in one chunk of row products
 
 
 def _row_outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum_u outer(a[u], b[u]) over the rows of (U, m) and (U, p) arrays:
-    the products of a chunk of rows summed by ``np.add.reduce`` over the
-    chunk, the chunk sums added in row order. The order depends on the
-    shapes alone, so the bits do not depend on the BLAS thread count."""
-    out = np.zeros((a.shape[1], b.shape[1]), dtype=_COMPLEX)
-    step = max(1, _OUTER_CHUNK // max(1, out.size))
-    for start in range(0, a.shape[0], step):
-        stop = start + step
-        out += np.add.reduce(a[start:stop, :, None] * b[start:stop, None, :], axis=0)
-    return out
+    each chunk of ``_OUTER_CHUNK`` rows (the last one may be shorter)
+    summed by one matrix product, all chunks in one batched ``np.matmul``,
+    then the chunk sums added in chunk order by ``np.add.reduce``. The
+    order depends on the shapes alone, so the bits do not depend on the
+    BLAS thread count."""
+    step = _OUTER_CHUNK
+    full = a.shape[0] - a.shape[0] % step
+    sums = np.matmul(a[:full].reshape(-1, step, a.shape[1]).swapaxes(1, 2),
+                     b[:full].reshape(-1, step, b.shape[1]))
+    if full < a.shape[0]:
+        sums = np.concatenate((sums, (a[full:].T @ b[full:])[None]))
+    return np.add.reduce(sums, axis=0)
 
 
 def _padded_sum(padded: np.ndarray) -> np.ndarray:
@@ -611,11 +614,15 @@ def _segment_ids(counts, total: int) -> tuple[np.ndarray, np.ndarray]:
 def segment_sum(a: Tensor, counts) -> Tensor:
     """Sum consecutive runs of rows: (W, ...) -> (D, ...) for D run lengths
     ``counts``. Canonical like ``weighted_sum``: each run's rows are
-    value-sorted per entry in a zero-padded (D, max run, ...) layout."""
+    value-sorted per entry in a zero-padded (D, max run, ...) layout; when
+    every run is one row, each row is its own sum."""
     av = a.values
     if av.ndim == 0:
         raise ShapeError("segment_sum: operand must have at least one axis")
-    seg, pos = _segment_ids(counts, av.shape[0])
+    c = np.asarray(counts)
+    if c.ndim == 1 and 0 < c.size == av.shape[0] and np.all(c == 1):
+        return _make(av.astype(_COMPLEX), (a,), lambda g: (g,))
+    seg, pos = _segment_ids(c, av.shape[0])
     padded = np.zeros((int(seg[-1]) + 1, int(pos.max()) + 1) + av.shape[1:], dtype=_COMPLEX)
     padded[seg, pos] = av
     out = _padded_sum(padded)

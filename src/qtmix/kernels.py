@@ -7,17 +7,19 @@ materialized. The tape ops in ``circuits`` wrap these functions; tests
 compare them against dense Kronecker oracles.
 
 The template sweeps (``ansatz_rows_forward``, ``ansatz_rows_vjp``) fuse
-the template's gates into blocks on a few adjacent qubits and apply each
-block as one batched real matrix product on the state's float64 view
-(see "fused template sweeps" below), in buffers allocated once per call;
-the caller's arrays are never modified. Every CRX block acts on the
-lowest bits: the sweeps run in a rotating qubit frame, relabelling the
-qubits cyclically (one copy of the register) before each block that sits
+the template's gates into blocks of one or two CRX ring gates, each with
+the RY gates before it on its wires folded in, and apply each block as
+one batched real matrix product on the state's float64 view (see "fused
+template sweeps" below), in buffers allocated once per call; the
+caller's arrays are never modified. Every block acts on the lowest bits:
+the sweeps run in a rotating qubit frame, relabelling the qubits
+cyclically (one copy of the register) before each block that sits
 elsewhere. The blocks' operands are built once per set of angles by
 ``template_operands`` and passed to every sweep that runs those angles:
 the forward sweeps and the adjoint sweep, which walks the same steps
 backwards, reads each operand as its inverse and reads the angle
-gradients off sparse entries of per-block Gram matrices. A sweep's rows
+gradients off sparse entries of per-block Gram matrices, at the block's
+output for its CRX gates and at its input for its RY gates. A sweep's rows
 may share operand rows through an index (one token's operands serving
 every window that holds it); each block gathers the rows it needs for its
 step and drops them after it. Each row's results depend only on that
@@ -38,6 +40,7 @@ Gate conventions (theta real):
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -103,14 +106,10 @@ def angle_count(q: int, layers: int) -> int:
 # fused template sweeps
 #
 # The sweeps cut the gate list into blocks. A block is one per-row real
-# matrix on a few bits of the state's float64 view, where the real/imaginary
-# part is one more bit below bit 0, applied to a whole batch with one
-# np.matmul. It has one of two forms:
-#
-#   "low"   bits [0, n): a 2**(n+1)-square matrix right-multiplies
-#           (k, hi, 2**(n+1)).
-#   "real"  RY on bits [lo, lo+n), lo >= 2: a 2**n-square matrix
-#           left-multiplies (k, hi, 2**n, 2*2**lo).
+# matrix on the lowest bits [0, n) of the state's float64 view, where the
+# real/imaginary part is one more bit below bit 0: a 2**(n+1)-square matrix
+# that right-multiplies (k, hi, 2**(n+1)), applied to a whole batch with one
+# np.matmul.
 #
 # Bits are not tied to qubits. Each block runs in a frame r, a cyclic
 # relabelling in which bit b holds qubit (b + r) mod q. Before a block
@@ -120,45 +119,50 @@ def angle_count(q: int, layers: int) -> int:
 #
 # From q = 7 each CRX ring runs in pairs of consecutive gates, its
 # wrap-around gate included. A pair's three wires are cyclically adjacent,
-# so in its own frame it sits on bits 0-2 and runs as a "low" block, and
-# all pairs of a ring have the same wiring. With q odd the ring's last gate
-# runs alone on bits 0-1. Below q = 7 every ring gate runs alone on bits
-# 0-1 of its own frame (see ``_ring_blocks``). An RY layer (q commuting
-# rotations) runs in whatever frame the state is in, as Kronecker chunks:
-# bits {0, 1} "low", then 3 bits at a time "real".
+# so in its own frame it sits on bits 0-2, and all pairs of a ring have the
+# same wiring. With q odd the ring's last gate runs alone on bits 0-1.
+# Below q = 7 every ring gate runs alone on bits 0-1 of its own frame (see
+# ``_ring_blocks``). An RY layer has no blocks of its own: the ring gates
+# that run before the first one on an RY gate's wire act on other wires,
+# so the RY gate joins the first ring block that touches its wire, ahead of
+# the block's CRX gates, in the block's frame.
 #
 # Gate t of a block is G_t = P0 + cos(theta/2) Pc + sin(theta/2) Ps with
-# constant patterns (P0 = 0 for RY), so a block's matrix is a sum of
-# constant matrices weighted by products of cos and sin of its angles.
-# Blocks of one shape (form, width, wiring) form a group that shares those
-# constant matrices. All blocks' matrices are built with one batched product
-# per group, once per set of angles (``TemplateOperands``), and shared by
-# every sweep over them.
+# constant patterns (P0 = 0 for RY), so the block's CRX part C and its RY
+# part R are each a sum of constant matrices weighted by products of cos
+# and sin of their angles, and the block's matrix C R is the sum over both
+# parts' terms of the constant products, weighted by the products of the
+# two parts' weights. Blocks of one shape (width and gate wiring) form a
+# group that shares those constant matrices. All blocks' matrices are
+# built with one batched product per group, once per set of angles
+# (``TemplateOperands``), and shared by every sweep over them.
 #
 # The adjoint walks the same steps backwards. It un-rotates, and it
 # un-applies each block through its forward operand read as the inverse:
 # the gates are unitary and the operands real, so the inverse is the
 # transpose. No inverse is built from the angles or kept (see ``_inverse``).
 #
-# It reads the angle gradients off each block's output pair (psi, g) with
+# It reads the angle gradients off Gram matrices of the pair (psi, g) with
 # the generator identity: dG_t/dtheta = A_t G_t with A_t = Ps/2 (-iY/2 for
 # RY, -i|1><1| (x) X/2 for CRX). With (psi_t, g_t) the pair just after
-# gate t, and R_t the matrix A_t in the block's form,
+# gate t, and R_t the matrix A_t acting on the block's float64 view,
 #
 #     dL/dtheta_t = Re <g_t, A_t psi_t> = sum_ij R_t[i, j] W[i, j],
 #     W[i, j] = sum over the block's other bits of g_t[i] psi_t[j].
 #
-# The Gram matrix W at the block's output is one batched matmul of two
-# views. The gates of an RY chunk commute with each other's generators, so
-# all of them read it. In a CRX pair G_2 G_1, the first generator is
-# carried to the output instead, A_1 -> G_2 A_1 G_2^H, a quadratic form in
-# (1, cos, sin) of the second angle. psi and g are then un-applied
-# together as one stacked (2, k, 2**q) batch.
+# The CRX gates read W at the block's output, one batched matmul of two
+# views. In a CRX pair G_2 G_1, the first generator is carried to the
+# output, A_1 -> G_2 A_1 G_2^H, a quadratic form in (1, cos, sin) of the
+# second angle. psi and g are then un-applied together as one stacked
+# (2, k, 2**q) batch, and the RY gates read W of the un-applied pair at the
+# block's input: RY_w commutes with its own generator and with the other
+# RY gates, so for the block C R, Re <C^H g_out, A_w R psi_in> equals
+# Re <g_in, A_w psi_in>.
 #
 # The readout matrices R are sparse: a CRX pair's read 28 of its 256 Gram
-# entries, a lone CRX gate's 4 of 64, an RY chunk's on bits {0, 1} 16 of
-# 64. Each step keeps only the entries its group reads; after the sweep,
-# one weighted np.add.reduceat per group sums them into gradients. Both are
+# entries, a lone CRX gate's 4 of 64, an RY gate's 16 of 256 (8 of 64). Each
+# step keeps only the entries its group reads; after the sweep, one
+# weighted np.add.reduceat per group sums them into gradients. Both are
 # elementwise per row, so a row's gradients round the same in any batch.
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])   # multiplication by 1j on (re, im)
@@ -166,56 +170,37 @@ _J = np.array([[0.0, -1.0], [1.0, 0.0]])   # multiplication by 1j on (re, im)
 
 @dataclass(frozen=True)
 class _Block:
-    form: str
     frame: int          # bit b holds qubit (b + frame) mod q
-    lo: int             # lowest bit the block acts on
-    width: int          # number of bits it acts on
-    gates: tuple        # ((kind, bits, angle index), ...) in application order
-    view: tuple         # trailing shape of the float64 view it multiplies (see _views)
+    width: int          # number of bits it acts on, from bit 0
+    gates: tuple        # ((kind, bits, angle index), ...): its RY gates, then its CRX gates
 
 
-def _block(q: int, form: str, frame: int, lo: int, width: int, gates: tuple) -> _Block:
-    view = ((1 << (q - width), 2 << width) if form == "low"
-            else (1 << (q - lo - width), 1 << width, 2 << lo))
-    return _Block(form, frame, lo, width, gates, view)
-
-
-def _gate_patterns(kind: str, bits, lo: int, width: int) -> np.ndarray:
-    """(P0, Pc, Ps) of one gate on bits [lo, lo+width), as a
+def _gate_patterns(kind: str, bits, width: int) -> np.ndarray:
+    """(P0, Pc, Ps) of one gate on bits [0, width), as a
     (3, 2**width, 2**width) complex array; ``bits`` is RY's bit or CRX's
     (control, target)."""
     d = 1 << width
     pats = np.zeros((3, d, d), dtype=_C)
     idx = np.arange(d)
     if kind == "ry":
-        bit = 1 << (bits - lo)
+        bit = 1 << bits
         pats[1] = np.eye(d)
         pats[2, idx, idx ^ bit] = np.where(idx & bit, 1.0, -1.0)
         return pats
     ctl, tgt = bits
-    on = (idx >> (ctl - lo)) & 1 == 1
+    on = (idx >> ctl) & 1 == 1
     pats[0] = np.diag(~on)
     pats[1] = np.diag(on)
-    pats[2, idx[on], idx[on] ^ (1 << (tgt - lo))] = -1j
+    pats[2, idx[on], idx[on] ^ (1 << tgt)] = -1j
     return pats
 
 
-def _represent(form: str, m: np.ndarray) -> np.ndarray:
-    """Complex matrices (..., d, d) on a block's bits in the block's own
-    representation: the real part for "real" (RY is real), real (2d, 2d)
-    acting on interleaved (re, im) pairs for "low"."""
-    if form == "real":
-        return m.real
+def _represent(m: np.ndarray) -> np.ndarray:
+    """Complex matrices (..., d, d) on a block's bits as real (2d, 2d)
+    matrices acting on interleaved (re, im) pairs."""
     out = (m.real[..., :, None, :, None] * np.eye(2)[:, None, :]
            + m.imag[..., :, None, :, None] * _J[:, None, :])
     return out.reshape(m.shape[:-2] + (2 * m.shape[-2], 2 * m.shape[-1]))
-
-
-def _operand(form: str, m: np.ndarray) -> np.ndarray:
-    """Forward operand of a block with matrices ``m``: "low" right-multiplies
-    row vectors (M^T), "real" left-multiplies (M)."""
-    r = _represent(form, m)
-    return r.swapaxes(-1, -2) if form == "low" else r
 
 
 def _in_frame(q: int, frame: int, gates) -> list:
@@ -224,49 +209,109 @@ def _in_frame(q: int, frame: int, gates) -> list:
             for kind, w, t in gates]
 
 
-def _ring_blocks(q: int, gates: list, frame: int) -> list[_Block]:
+def _ring_blocks(q: int, ry: list, ring: list, frame: int) -> list[_Block]:
     """A CRX ring in pieces of consecutive gates, each in the frame that
     puts its wires lowest, the current frame on a tie (q <= 3). From q = 7
     the pieces are pairs on bits 0-2, with q odd the last gate alone. Below
     it, a pair's operand (16x16 float64, 2 KB a row) outweighs the state
     row it acts on and costs more to build, gather and transpose than the
     block it saves, so each gate runs alone on bits 0-1 (8x8, 512 B); at
-    q = 2 both gates of a ring sit there and still run as one pair."""
+    q = 2 both gates of a ring sit there and still run as one pair. Each
+    gate of the RY layer ``ry`` before the ring joins the first piece that
+    touches its wire, ahead of the piece's CRX gates, in bit order."""
     step = 2 if q >= 7 or q == 2 else 1
     blocks = []
-    for i in range(0, len(gates), step):
-        piece = gates[i:i + step]
-        wires = [w for _, ws, _ in piece for w in ws]
+    for i in range(0, len(ring), step):
+        piece = ring[i:i + step]
+        wires = {w for _, ws, _ in piece for w in ws}
         frame = min(range(frame, frame + q),
                     key=lambda r: max((w - r) % q for w in wires)) % q
-        rel = tuple(_in_frame(q, frame, piece))
-        blocks.append(_block(q, "low", frame, 0, 1 + max(max(bits) for _, bits, _ in rel), rel))
+        rys = sorted(_in_frame(q, frame, [g for g in ry if g[1] in wires]), key=lambda g: g[1])
+        ry = [g for g in ry if g[1] not in wires]
+        crx = _in_frame(q, frame, piece)
+        width = 1 + max(max(bits) for _, bits, _ in crx)
+        blocks.append(_Block(frame, width, tuple(rys + crx)))
     return blocks
 
 
-def _ry_blocks(q: int, gates: list, frame: int) -> list[_Block]:
-    """An RY layer in the current frame as Kronecker chunks: bits {0, 1},
-    then 3 at a time."""
-    rel = sorted(_in_frame(q, frame, gates), key=lambda g: g[1])
-    cuts = sorted({0, min(2, q), *range(min(2, q) + 3, q, 3), q})
-    return [_block(q, "low" if lo == 0 else "real", frame, lo, hi - lo,
-                   tuple(g for g in rel if lo <= g[1] < hi))
-            for lo, hi in zip(cuts[:-1], cuts[1:])]
+def _part_matrices(gates, width: int) -> np.ndarray:
+    """The product of ``gates`` ((kind, bits) in application order, at most
+    three RY gates or two CRX gates) as sum_a w_a Q_a: the complex matrices
+    Q_a on the bits [0, width), stacked. Each gate contributes its
+    patterns (P0, Pc, Ps), RY's without P0; the first gate's index varies
+    slowest."""
+    terms = [np.eye(1 << width, dtype=_C)]
+    for kind, bits in gates:
+        p = _gate_patterns(kind, bits, width)
+        terms = [p[j] @ m for m in terms for j in range(1 if kind == "ry" else 0, 3)]
+    return np.stack(terms)
+
+
+def _part_rows(gates, one: int) -> list:
+    """The term table rows whose product is each weight w_a of
+    ``_part_matrices`` for ``gates`` ((kind, bits, angle index), ...):
+    angle t has rows 3t, 3t+1, 3t+2 = 1, cos, sin of theta/2, and row
+    ``one`` is 1."""
+    ranges = [range(3 * t + (1 if kind == "ry" else 0), 3 * t + 3) for kind, _, t in gates]
+    return [r + (one,) * (3 - len(r)) for r in itertools.product(*ranges)]
+
+
+def _readout(width: int, gates: tuple):
+    """Generator readout of a block, sparse: (entries, coefficients,
+    starts, at_input). Column c sums W.flat[entries] * coefficients over
+    [starts[c], starts[c+1]) to a gradient. The block's RY gates come
+    first, one column each, read at the block's input: their entries are
+    the first ``at_input``. The CRX columns follow, read at its output: for
+    a lone gate one column; for a pair, one for the second gate and nine
+    for the first: its generator carried to the pair's output, expanded
+    over the pair weights (1, cos, sin) x (1, cos, sin) of the second
+    angle. An all-zero column reads one entry with coefficient 0, so that
+    every column has one."""
+    pats = [_gate_patterns(kind, bits, width) for kind, bits in gates]
+    gens = [0.5 * p[2] for p in pats]
+    n_ry = sum(kind == "ry" for kind, _ in gates)
+    cols = gens[:n_ry + 1]
+    if len(pats) - n_ry == 2:
+        p2 = pats[-1]
+        cols = gens[:n_ry] + [gens[-1]] + [p2[i] @ gens[-2] @ p2[j].conj().T
+                                           for i in range(3) for j in range(3)]
+    r = _represent(np.stack(cols)).reshape(len(cols), -1)
+    keep = r != 0
+    keep[~keep.any(axis=1), 0] = True
+    col, entries = np.nonzero(keep)
+    starts = np.searchsorted(col, np.arange(len(cols)))
+    return entries, r[col, entries], starts, int(np.searchsorted(col, n_ry))
 
 
 @dataclass(frozen=True)
 class _Group:
-    """The blocks of one shape (form, width, gate wiring relative to the
-    block): one set of constant matrices and one generator readout."""
+    """The blocks of one shape (width and gate wiring) in a plan. The
+    fields from ``ry_gates`` on depend on the shape alone and are shared by
+    every plan (``_shared``): one set of constant matrices and one
+    generator readout."""
 
     ids: tuple              # block ids
     first: int              # first of the group's term weights
-    fwd: np.ndarray         # (T_b, d*d) Q_a as forward operands
+    angles: np.ndarray      # (nb, m) angle index of each gate
+    pair: np.ndarray | None  # (nb, 9) terms: pair weights of a CRX pair's last angle
+    ry_gates: int           # a block's first gates are RY gates, the rest CRX
+    crx_terms: int          # T_c: a block's weights are its CRX part's T_c,
+    ry_terms: int           # then its RY part's T_r (0 without RY gates)
+    fwd: np.ndarray         # (T_r * T_c or T_c, d*d) Q_a Q_b as forward operands
     entries: np.ndarray     # (E,) Gram entries the readout reads, column by column
     coef: np.ndarray        # (E,) their readout coefficients
     starts: np.ndarray      # (n,) each readout column's first entry
-    angles: np.ndarray      # (nb, m) angle index of each gate
-    pair: np.ndarray | None  # (nb, 9) terms: pair weights of a CRX pair's last angle
+    at_input: int           # entries [0, at_input) read the Gram at the block's input
+
+
+@functools.lru_cache(maxsize=None)
+def _shared(width: int, gates: tuple) -> tuple:
+    n_ry = sum(kind == "ry" for kind, _ in gates)
+    qc, qr = _part_matrices(gates[n_ry:], width), _part_matrices(gates[:n_ry], width)
+    # C R = sum_ba (w_b w_a) Q_a Q_b, b-major; without RY gates Q_b = 1
+    qab = np.matmul(qc[None], qr[:, None]).reshape((-1,) + qc.shape[1:])
+    fwd = _represent(qab).swapaxes(-1, -2).reshape(len(qab), -1)
+    return (n_ry, len(qc), len(qr) if n_ry else 0, fwd) + _readout(width, gates)
 
 
 @dataclass(frozen=True)
@@ -277,73 +322,32 @@ class _Plan:
     where: tuple            # per block: (group, position)
 
 
-def _block_terms(b: _Block, one: int):
-    """The block's matrix as sum_a w_a Q_a: each w_a a product of term table
-    rows (angle t has rows 3t, 3t+1, 3t+2 = 1, cos, sin of theta/2; row
-    ``one`` is 1), each Q_a a complex matrix on the block's bits."""
-    pats = [_gate_patterns(kind, bits, b.lo, b.width) for kind, bits, _ in b.gates]
-    terms = [((), np.eye(pats[0].shape[-1], dtype=_C))]
-    for (kind, _, t), p in zip(b.gates, pats):
-        first = 1 if kind == "ry" else 0
-        terms = [(rows + (3 * t + j,), p[j] @ m) for rows, m in terms
-                 for j in range(first, 3)]
-    rows = [r + (one,) * (3 - len(r)) for r, _ in terms]
-    return rows, np.stack([m for _, m in terms])
-
-
-def _readout(b: _Block):
-    """Generator readout of a block, sparse: (entries, coefficients,
-    starts). Column c sums W.flat[entries] * coefficients over
-    [starts[c], starts[c+1]) to a gradient. For a CRX pair, column 0
-    serves the second gate and columns 1-9 the first: its generator carried
-    to the pair's output, expanded over the pair weights (1, cos, sin) x
-    (1, cos, sin) of the second angle. An all-zero column reads one entry
-    with coefficient 0, so that every column has one."""
-    pats = [_gate_patterns(kind, bits, b.lo, b.width) for kind, bits, _ in b.gates]
-    gens = [0.5 * p[2] for p in pats]
-    if len(pats) == 1 or b.gates[0][0] == "ry":
-        cols = gens
-    else:
-        p2 = pats[1]
-        cols = [gens[1]] + [p2[i] @ gens[0] @ p2[j].conj().T
-                            for i in range(3) for j in range(3)]
-    r = _represent(b.form, np.stack(cols)).reshape(len(cols), -1)
-    keep = r != 0
-    keep[~keep.any(axis=1), 0] = True
-    col, entries = np.nonzero(keep)
-    return entries, r[col, entries], np.searchsorted(col, np.arange(len(cols)))
-
-
 @functools.lru_cache(maxsize=None)
 def _plan(q: int, layers: int) -> _Plan:
     seq = ansatz_sequence(q, layers)
     one = 3 * len(seq)
     blocks: list[_Block] = []
-    for start in range(0, len(seq), q):
-        seg = seq[start:start + q]
+    for start in range(0, len(seq), 2 * q):
         frame = blocks[-1].frame if blocks else 0
-        blocks += (_ry_blocks if seg[0][0] == "ry" else _ring_blocks)(q, seg, frame)
+        blocks += _ring_blocks(q, seq[start:start + q], seq[start + q:start + 2 * q], frame)
     shapes: dict = {}
     for i, b in enumerate(blocks):
-        rel = tuple((kind, np.subtract(bits, b.lo).tolist()) for kind, bits, _ in b.gates)
-        shapes.setdefault(repr((b.form, b.width, rel)), []).append(i)
+        shapes.setdefault((b.width, tuple(g[:2] for g in b.gates)), []).append(i)
     terms, groups, where = [], [], [None] * len(blocks)
-    for ids in shapes.values():
-        first = len(terms)
+    for key, ids in shapes.items():
+        shared, first = _shared(*key), len(terms)
+        n_ry = shared[0]
         for j, i in enumerate(ids):
-            rows, qa = _block_terms(blocks[i], one)
-            terms += rows
+            gates = blocks[i].gates
+            terms += _part_rows(gates[n_ry:], one) + (_part_rows(gates[:n_ry], one) if n_ry else [])
             where[i] = (len(groups), j)
-        fwd = _operand(blocks[ids[0]].form, qa)
-        entries, coef, starts = _readout(blocks[ids[0]])
         angles = np.array([[g[2] for g in blocks[i].gates] for i in ids])
         pair = None
-        if len(starts) == 10:
+        if len(key[1]) - n_ry == 2:
             pair = len(terms) + np.arange(9 * len(ids)).reshape(len(ids), 9)
-            for t in 3 * angles[:, 1]:
+            for t in 3 * angles[:, -1]:
                 terms += [(t + a, t + c, one) for a in range(3) for c in range(3)]
-        groups.append(_Group(tuple(ids), first, fwd.reshape(len(rows), -1),
-                             entries, coef, starts, angles, pair))
+        groups.append(_Group(tuple(ids), first, angles, pair, *shared))
     return _Plan(tuple(blocks), np.array(terms).T.copy(), tuple(groups), tuple(where))
 
 
@@ -372,13 +376,16 @@ def _term_weights(plan: _Plan, tab: np.ndarray) -> np.ndarray:
 
 def _block_operands(plan: _Plan, w: np.ndarray) -> tuple:
     """Per block, its forward operand (r, d, d) from the term weights ``w``
-    (T, r)."""
+    (T, r). A block's weights w_b w_a of C R are formed per call from its
+    T_r + T_c stored ones, so that they are not held."""
     built = []
     for grp in plan.groups:
-        nb, (tb, dd) = len(grp.ids), grp.fwd.shape
-        wg = w[grp.first:grp.first + nb * tb].reshape(nb, tb, -1).swapaxes(1, 2)
-        d = math.isqrt(dd)
-        built.append(np.matmul(wg, grp.fwd).reshape(nb, w.shape[1], d, d))
+        nb, r, tc, tr = len(grp.ids), w.shape[1], grp.crx_terms, grp.ry_terms
+        wg = w[grp.first:grp.first + nb * (tc + tr)].reshape(nb, tc + tr, r).swapaxes(1, 2)
+        if tr:
+            wg = (wg[..., tc:, None] * wg[..., None, :tc]).reshape(nb, r, tr * tc)
+        d = math.isqrt(grp.fwd.shape[1])
+        built.append(np.matmul(wg.reshape(nb * r, wg.shape[-1]), grp.fwd).reshape(nb, r, d, d))
     return tuple(built[g][j] for g, j in plan.where)
 
 
@@ -410,9 +417,9 @@ def template_operands(q: int, layers: int, angles) -> TemplateOperands:
 
 
 def _views(b: _Block, arr: np.ndarray) -> np.ndarray:
-    """The float64 view of ``arr`` (..., 2**q) that block ``b`` multiplies:
-    (..., hi, d) for "low", (..., hi, d, lo) for "real"."""
-    return arr.view(np.float64).reshape(arr.shape[:-1] + b.view)
+    """The float64 view (..., hi, d) of ``arr`` (..., 2**q) that block
+    ``b`` multiplies: d = 2**(width+1) floats, its bits and (re, im)."""
+    return arr.view(np.float64).reshape(arr.shape[:-1] + (arr.shape[-1] >> b.width, 2 << b.width))
 
 
 def _rotate(src: np.ndarray, dst: np.ndarray, shift: int) -> None:
@@ -436,44 +443,23 @@ def _rows(op: np.ndarray, index) -> np.ndarray:
     return op if index is None else op[index]
 
 
-def _inverse(form: str, op: np.ndarray, index=None) -> np.ndarray:
+def _inverse(op: np.ndarray, index=None) -> np.ndarray:
     """A block's inverse operand M^T, read off its forward operand, rows
-    picked by ``index`` as in ``_rows``: a transposed view of a "real"
-    operand; a "low" one gets a contiguous copy, made per adjoint step and
-    dropped after it (the batched products run up to twice as fast on it as
-    on a transposed view). With ``index``, the copy is made once per
-    operand row, then gathered."""
-    if form == "real":
-        return _rows(op, index).swapaxes(-1, -2)
+    picked by ``index`` as in ``_rows``: a contiguous copy, made per adjoint
+    step and dropped after it (the batched products run up to twice as fast
+    on it as on a transposed view). With ``index``, the copy is made once
+    per operand row, then gathered."""
     return _rows(np.ascontiguousarray(op.swapaxes(-1, -2)), index)
 
 
-def _apply(b: _Block, op: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
-    """Apply block ``b`` through the operand ``op`` (its forward operand,
-    or its inverse) to the batch ``src`` (..., 2**q), into ``dst``."""
-    x, y = _views(b, src), _views(b, dst)
-    if b.form == "low":
-        np.matmul(x, op, out=y)
-    else:
-        np.matmul(op[:, None], x, out=y)
-
-
-def _gram(b: _Block, s: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """W[r, i, j] = sum over the block's other bits of g_i psi_j, per row,
-    on the float views of the stacked pair s = (psi, g); ``scratch`` is a
-    free buffer of the same size."""
+def _gram(b: _Block, s: np.ndarray, entries: np.ndarray, shared: bool) -> np.ndarray:
+    """The entries ``entries`` of W[r, i, j] = sum over the block's other
+    bits of g_i psi_j, per row, on the float views of the stacked pair
+    s = (psi, g); summed over the rows for shared angles."""
     v = _views(b, s)
-    if b.form == "low":
-        return np.matmul(v[1].swapaxes(-1, -2), v[0])
-    lead, (hi, d, lo) = v.shape[:-3], v.shape[-3:]
-    if hi > 1:
-        # (2, k, hi, d, lo) -> (2, k, d, hi, lo) through scratch, so that one
-        # product per row sums over both hi and lo
-        moved = scratch.view(np.float64).reshape(lead + (d, hi, lo))
-        np.copyto(moved, v.swapaxes(-3, -2))
-        v = moved
-    v = v.reshape(lead + (d, hi * lo))
-    return np.matmul(v[1], v[0].swapaxes(-1, -2))
+    gram = np.matmul(v[1].swapaxes(-1, -2), v[0])
+    picked = np.take(gram.reshape(-1, (2 << b.width) ** 2), entries, axis=1)
+    return picked.sum(axis=0, keepdims=True) if shared else picked
 
 
 def ansatz_rows_forward(arr: np.ndarray, ops: TemplateOperands, index=None) -> np.ndarray:
@@ -498,7 +484,7 @@ def ansatz_rows_forward(arr: np.ndarray, ops: TemplateOperands, index=None) -> n
         if b.frame != frame:
             _rotate(x, y, (b.frame - frame) % q)
             x, y, frame = y, x, b.frame
-        _apply(b, _rows(op, index), x, y)
+        np.matmul(_views(b, x), _rows(op, index), out=_views(b, y))
         x, y = y, x
     if frame:
         _rotate(x, y, -frame % q)
@@ -512,12 +498,12 @@ def ansatz_rows_vjp(out_arr: np.ndarray, ops: TemplateOperands,
 
     Given the forward *output* batch, the operands ``ops`` the forward ran
     with and the output gradient, walks the forward's steps backwards. At
-    each block it reads the Gram entries the block's angle gradients need
-    off the pair (psi, g) at the block's output (see above), then
-    un-applies the block from psi and g at once through its forward
-    operand, read as its inverse: the gates are unitary, so the pre-block
-    state is recovered instead of stored. Between blocks of different
-    frames it rotates the pair back. For gate t,
+    each block it reads the Gram entries its CRX gradients need off the
+    pair (psi, g) at the block's output (see above), un-applies the block
+    from psi and g at once through its forward operand, read as its
+    inverse, and reads its RY gradients off the un-applied pair: the gates
+    are unitary, so the pre-block state is recovered instead of stored.
+    Between blocks of different frames it rotates the pair back. For gate t,
 
         dL/dtheta_t = Re( sum_i conj(g_i) * (dG_t/dtheta applied to the
                           pre-gate state)_i ).
@@ -540,11 +526,12 @@ def ansatz_rows_vjp(out_arr: np.ndarray, ops: TemplateOperands,
         if b.frame != frame:
             _rotate(s, t, (b.frame - frame) % q)
             s, t, frame = t, s, b.frame
-        gram = _gram(b, s, t)
-        picked = np.take(gram.reshape(-1, gram.shape[-2] * gram.shape[-1]), grp.entries, axis=1)
-        reads[i] = picked.sum(axis=0, keepdims=True) if shared else picked
-        _apply(b, _inverse(b.form, ops.ops[i], index), s, t)
+        reads[i] = _gram(b, s, grp.entries[grp.at_input:], shared)
+        np.matmul(_views(b, s), _inverse(ops.ops[i], index), out=_views(b, t))
         s, t = t, s
+        if grp.at_input:
+            ry = _gram(b, s, grp.entries[:grp.at_input], shared)
+            reads[i] = np.concatenate((ry, reads[i]), axis=1)
     # a fresh array for the input gradient alone, so that it does not keep
     # psi's half alive
     g_in = np.empty_like(s[1])
@@ -556,8 +543,9 @@ def ansatz_rows_vjp(out_arr: np.ndarray, ops: TemplateOperands,
         m = np.add.reduceat(m, grp.starts, axis=-1)         # (nb, r, n)
         if grp.pair is not None:
             pw = w[grp.pair] if index is None else w[grp.pair[..., None], index]
-            first = np.einsum("brj,bjr->br", m[..., 1:], pw)
-            m = np.stack((first, m[..., 0]), axis=-1)
+            n = grp.ry_gates
+            first = np.einsum("brj,bjr->br", m[..., n + 1:], pw)
+            m = np.concatenate((m[..., :n], first[..., None], m[..., n:n + 1]), axis=-1)
         g_ang[:, grp.angles.ravel()] = m.transpose(1, 0, 2).reshape(m.shape[1], grp.angles.size)
     return g_in, (g_ang[0] if shared else g_ang)
 

@@ -182,7 +182,8 @@ def _tokens(token_angles: Tensor, tokens, keep: np.ndarray, q: int, layers: int)
     angles; per-position (W, n, L) angles become the active positions'
     rows, indexed in order, so that every active position is its own token.
     """
-    if tokens is None:
+    per_position = tokens is None
+    if per_position:
         want = keep.shape + (kernels.angle_count(q, layers),)
         if token_angles.shape != want:
             raise ShapeError(f"per-position token angles must be {want} for q={q}, "
@@ -196,11 +197,14 @@ def _tokens(token_angles: Tensor, tokens, keep: np.ndarray, q: int, layers: int)
         _check_token_rows(token_angles, tokens, keep, q, layers)
     n_tok, (w, n) = token_angles.shape[0], keep.shape
     win, pos = np.nonzero(keep)
-    keys, inverse, sizes = np.unique(win * n_tok + tokens[win, pos], return_inverse=True,
-                                     return_counts=True)
+    keys, positions = win * n_tok + tokens[win, pos], win * n + pos
+    sizes = np.ones(keys.size, dtype=np.int64)
+    # per-position keys are already sorted and distinct: each is its own pair
+    if not per_position:
+        keys, inverse, sizes = np.unique(keys, return_inverse=True, return_counts=True)
+        positions = positions[np.argsort(inverse, kind="stable")]
     window, token = keys // n_tok, keys % n_tok
     slots = np.arange(n) < np.bincount(window, minlength=w)[:, None]
-    positions = (win * n + pos)[np.argsort(inverse, kind="stable")]
     # pair p runs token p: the first power needs no gather, no power an angle index
     if token.size == n_tok and np.array_equal(token, np.arange(n_tok)):
         token = None

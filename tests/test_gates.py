@@ -329,33 +329,45 @@ def test_rotation_relabels_bits_and_round_trips(q, lead):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 7, 8])
 def test_plan_runs_every_crx_gate_in_a_bottom_block(q):
+    # every block is a ring pair or a lone ring gate on the lowest bits of
+    # its frame, with the RY gates folded in ahead of its CRX gates
     plan = kernels._plan(q, 2)
     seq = kernels.ansatz_sequence(q, 2)
-    assert {b.form for b in plan.blocks} <= {"low", "real"}
-    # every block's gates, mapped back from its frame, are the sequence's
-    # gates in order (an RY layer's commuting gates in any order)
-    mapped = [(kind, (bits + b.frame) % q if kind == "ry"
-               else tuple((w + b.frame) % q for w in bits), t)
-              for b in plan.blocks for kind, bits, t in b.gates]
-    assert len(mapped) == len(seq)
-    for start in range(0, len(seq), q):
-        got, want = mapped[start:start + q], seq[start:start + q]
-        assert (got if want[0][0] == "crx" else sorted(got, key=lambda g: g[2])) == want
-    rings = {}
-    for i, b in enumerate(plan.blocks):
-        if b.gates[0][0] == "crx":
-            assert b.form == "low" and b.lo == 0
-            assert b.width == (3 if len(b.gates) == 2 and q > 2 else 2)
-            ring = b.gates[0][2] // q % 4        # 1: ring A, 3: ring B
-            rings.setdefault((ring, len(b.gates)), set()).add(plan.where[i][0])
+    crx_run, ry_run, sizes, seen = [], [], set(), {}
+    state = np.zeros((3, 1 << q), dtype=complex)
+    for b in plan.blocks:
+        # one product on bits [0, width) of the block's frame and (re, im)
+        assert kernels._views(b, state).shape == (3, 1 << (q - b.width), 2 << b.width)
+        kinds = [kind for kind, _, _ in b.gates]
+        n_ry = kinds.count("ry")
+        assert kinds == ["ry"] * n_ry + ["crx"] * (len(kinds) - n_ry)
+        assert all(0 <= bit < b.width for _, bits, _ in b.gates for bit in np.atleast_1d(bits))
+        # the gates mapped back from the block's frame to wires
+        mapped = [(kind, (bits + b.frame) % q if kind == "ry"
+                   else tuple((w + b.frame) % q for w in bits), t)
+                  for kind, bits, t in b.gates]
+        crx = mapped[n_ry:]
+        ring = crx[0][2] // q                   # angle block of the ring: 4 * layer + 1 or 3
+        assert all(t // q == ring for _, _, t in crx)
+        touched = {w for _, wires, _ in crx for w in wires}
+        before = seen.setdefault(ring, set())
+        for _, w, t in mapped[:n_ry]:
+            # an RY gate of the layer just before the ring, in the ring's
+            # first block that touches its wire
+            assert t // q == ring - 1 and w in touched - before
+        before |= touched
+        crx_run += crx
+        ry_run += mapped[:n_ry]
+        sizes.add(len(crx))
+        assert b.width == (3 if len(crx) == 2 and q > 2 else 2)
+    assert crx_run == [g for g in seq if g[0] == "crx"]
+    assert sorted(ry_run, key=lambda g: g[2]) == [g for g in seq if g[0] == "ry"]
     # pairs from q = 7 (and at q = 2), single gates from 3 to 6; with q odd a
     # ring's last gate is alone
-    sizes = {size for _, size in rings}
     if q == 2 or q >= 7:
         assert sizes == ({2} if q % 2 == 0 else {2, 1})
     else:
         assert sizes == {1}
-    assert all(len(groups) == 1 for groups in rings.values())
 
 
 def _index_inputs(rng, q, layers, k, u):
@@ -366,11 +378,12 @@ def _index_inputs(rng, q, layers, k, u):
     return states, rng.uniform(-np.pi, np.pi, size=(u, n)), index, rand_complex(rng, (k, 1 << q))
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 7, 8])
 @pytest.mark.parametrize("angles_kind", ["per_row", "shared", "index"])
 def test_frame_sweeps_match_gate_by_gate(q, angles_kind):
     # odd q leaves a ring gate alone; at q = 2 both gates of a ring run as
-    # one pair; q = 3..6 run single gates, q = 7 pairs
+    # one pair; q = 3..6 run single gates, q = 7 and 8 pairs, a ring's
+    # first pair with three RY gates folded in
     rng = np.random.default_rng(300 + q)
     layers, k = 2, 6
     states, angles, index, g = _index_inputs(rng, q, layers, k, 4)
