@@ -46,7 +46,7 @@ __all__ = [
     "matvec", "matmul", "transpose", "reshape",
     "real_part", "absval", "sumall", "sum_last", "square_norm",
     "spow", "weighted_sum", "collapse_rows", "segment_sum", "take_rows",
-    "slice_vec", "broadcast_rows", "relu", "tanh", "softmax",
+    "broadcast_rows", "relu", "tanh", "softmax",
     "cross_entropy",
 ]
 
@@ -627,21 +627,6 @@ def segment_sum(a: Tensor, counts) -> Tensor:
     padded[seg, pos] = av
     out = _padded_sum(padded)
     return _make(out, (a,), lambda g: (g[seg],))
-
-
-def slice_vec(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.values.ndim != 1:
-        raise ShapeError(f"slice_vec: operand must be 1-d, got {a.shape}")
-    n = a.shape[0]
-    if not (0 <= start <= stop <= n):
-        raise ShapeError(f"slice_vec: bad range [{start}:{stop}] for length {n}")
-
-    def vjp(g):
-        buf = np.zeros(n, dtype=_COMPLEX)
-        buf[start:stop] = g
-        return (buf,)
-
-    return _make(a.values[start:stop].copy(), (a,), vjp)
 
 
 def broadcast_rows(v: Tensor, k: int) -> Tensor:

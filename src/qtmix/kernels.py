@@ -40,7 +40,6 @@ Gate conventions (theta real):
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -128,14 +127,13 @@ def angle_count(q: int, layers: int) -> int:
 # the block's CRX gates, in the block's frame.
 #
 # Gate t of a block is G_t = P0 + cos(theta/2) Pc + sin(theta/2) Ps with
-# constant patterns (P0 = 0 for RY), so the block's CRX part C and its RY
-# part R are each a sum of constant matrices weighted by products of cos
-# and sin of their angles, and the block's matrix C R is the sum over both
-# parts' terms of the constant products, weighted by the products of the
-# two parts' weights. Blocks of one shape (width and gate wiring) form a
-# group that shares those constant matrices. All blocks' matrices are
-# built with one batched product per group, once per set of angles
-# (``TemplateOperands``), and shared by every sweep over them.
+# constant patterns (P0 = 0 for RY), so a block's matrix is a sum of the
+# products Q_a of its gates' patterns, each weighted by the product w_a of
+# those gates' own factors: (cos, sin) for RY, (1, cos, sin) for CRX.
+# Blocks of one shape (width and gate wiring) form a group that shares the
+# products Q_a. Every block's matrix is built with one batched product per
+# group, once per set of angles (``TemplateOperands``), and shared by every
+# sweep over them.
 #
 # The adjoint walks the same steps backwards. It un-rotates, and it
 # un-applies each block through its forward operand read as the inverse:
@@ -156,8 +154,8 @@ def angle_count(q: int, layers: int) -> int:
 # second angle. psi and g are then un-applied together as one stacked
 # (2, k, 2**q) batch, and the RY gates read W of the un-applied pair at the
 # block's input: RY_w commutes with its own generator and with the other
-# RY gates, so for the block C R, Re <C^H g_out, A_w R psi_in> equals
-# Re <g_in, A_w psi_in>.
+# RY gates, so for a block C R (its CRX gates C after its RY gates R),
+# Re <C^H g_out, A_w R psi_in> equals Re <g_in, A_w psi_in>.
 #
 # The readout matrices R are sparse: a CRX pair's read 28 of its 256 Gram
 # entries, a lone CRX gate's 4 of 64, an RY gate's 16 of 256 (8 of 64). Each
@@ -235,25 +233,16 @@ def _ring_blocks(q: int, ry: list, ring: list, frame: int) -> list[_Block]:
 
 
 def _part_matrices(gates, width: int) -> np.ndarray:
-    """The product of ``gates`` ((kind, bits) in application order, at most
-    three RY gates or two CRX gates) as sum_a w_a Q_a: the complex matrices
-    Q_a on the bits [0, width), stacked. Each gate contributes its
+    """The product of a block's ``gates`` ((kind, bits) in application
+    order: its RY gates, then its CRX gates) as sum_a w_a Q_a: the complex
+    matrices Q_a on the bits [0, width), stacked. Each gate contributes its
     patterns (P0, Pc, Ps), RY's without P0; the first gate's index varies
-    slowest."""
+    slowest, as in the weights of ``_block_operands``."""
     terms = [np.eye(1 << width, dtype=_C)]
     for kind, bits in gates:
         p = _gate_patterns(kind, bits, width)
         terms = [p[j] @ m for m in terms for j in range(1 if kind == "ry" else 0, 3)]
     return np.stack(terms)
-
-
-def _part_rows(gates, one: int) -> list:
-    """The term table rows whose product is each weight w_a of
-    ``_part_matrices`` for ``gates`` ((kind, bits, angle index), ...):
-    angle t has rows 3t, 3t+1, 3t+2 = 1, cos, sin of theta/2, and row
-    ``one`` is 1."""
-    ranges = [range(3 * t + (1 if kind == "ry" else 0), 3 * t + 3) for kind, _, t in gates]
-    return [r + (one,) * (3 - len(r)) for r in itertools.product(*ranges)]
 
 
 def _readout(width: int, gates: tuple):
@@ -286,18 +275,13 @@ def _readout(width: int, gates: tuple):
 @dataclass(frozen=True)
 class _Group:
     """The blocks of one shape (width and gate wiring) in a plan. The
-    fields from ``ry_gates`` on depend on the shape alone and are shared by
-    every plan (``_shared``): one set of constant matrices and one
-    generator readout."""
+    fields from ``fwd`` on depend on the shape alone and are shared by
+    every plan (``_shared``): one set of constant gate-pattern products and
+    one generator readout."""
 
     ids: tuple              # block ids
-    first: int              # first of the group's term weights
-    angles: np.ndarray      # (nb, m) angle index of each gate
-    pair: np.ndarray | None  # (nb, 9) terms: pair weights of a CRX pair's last angle
-    ry_gates: int           # a block's first gates are RY gates, the rest CRX
-    crx_terms: int          # T_c: a block's weights are its CRX part's T_c,
-    ry_terms: int           # then its RY part's T_r (0 without RY gates)
-    fwd: np.ndarray         # (T_r * T_c or T_c, d*d) Q_a Q_b as forward operands
+    angles: np.ndarray      # (nb, m) angle index of each gate, in block order
+    fwd: np.ndarray         # (T, d*d) the products Q_a as forward operands
     entries: np.ndarray     # (E,) Gram entries the readout reads, column by column
     coef: np.ndarray        # (E,) their readout coefficients
     starts: np.ndarray      # (n,) each readout column's first entry
@@ -306,18 +290,13 @@ class _Group:
 
 @functools.lru_cache(maxsize=None)
 def _shared(width: int, gates: tuple) -> tuple:
-    n_ry = sum(kind == "ry" for kind, _ in gates)
-    qc, qr = _part_matrices(gates[n_ry:], width), _part_matrices(gates[:n_ry], width)
-    # C R = sum_ba (w_b w_a) Q_a Q_b, b-major; without RY gates Q_b = 1
-    qab = np.matmul(qc[None], qr[:, None]).reshape((-1,) + qc.shape[1:])
-    fwd = _represent(qab).swapaxes(-1, -2).reshape(len(qab), -1)
-    return (n_ry, len(qc), len(qr) if n_ry else 0, fwd) + _readout(width, gates)
+    qa = _part_matrices(gates, width)
+    return (_represent(qa).swapaxes(-1, -2).reshape(len(qa), -1),) + _readout(width, gates)
 
 
 @dataclass(frozen=True)
 class _Plan:
     blocks: tuple
-    terms: np.ndarray       # (3, T): the term table rows multiplied per weight
     groups: tuple
     where: tuple            # per block: (group, position)
 
@@ -325,7 +304,6 @@ class _Plan:
 @functools.lru_cache(maxsize=None)
 def _plan(q: int, layers: int) -> _Plan:
     seq = ansatz_sequence(q, layers)
-    one = 3 * len(seq)
     blocks: list[_Block] = []
     for start in range(0, len(seq), 2 * q):
         frame = blocks[-1].frame if blocks else 0
@@ -333,73 +311,58 @@ def _plan(q: int, layers: int) -> _Plan:
     shapes: dict = {}
     for i, b in enumerate(blocks):
         shapes.setdefault((b.width, tuple(g[:2] for g in b.gates)), []).append(i)
-    terms, groups, where = [], [], [None] * len(blocks)
+    groups, where = [], [None] * len(blocks)
     for key, ids in shapes.items():
-        shared, first = _shared(*key), len(terms)
-        n_ry = shared[0]
         for j, i in enumerate(ids):
-            gates = blocks[i].gates
-            terms += _part_rows(gates[n_ry:], one) + (_part_rows(gates[:n_ry], one) if n_ry else [])
             where[i] = (len(groups), j)
         angles = np.array([[g[2] for g in blocks[i].gates] for i in ids])
-        pair = None
-        if len(key[1]) - n_ry == 2:
-            pair = len(terms) + np.arange(9 * len(ids)).reshape(len(ids), 9)
-            for t in 3 * angles[:, -1]:
-                terms += [(t + a, t + c, one) for a in range(3) for c in range(3)]
-        groups.append(_Group(tuple(ids), first, angles, pair, *shared))
-    return _Plan(tuple(blocks), np.array(terms).T.copy(), tuple(groups), tuple(where))
+        groups.append(_Group(tuple(ids), angles, *_shared(*key)))
+    return _Plan(tuple(blocks), tuple(groups), tuple(where))
 
 
-def _term_table(angles: np.ndarray) -> np.ndarray:
-    """(3L + 1, r) table: rows 3t, 3t+1, 3t+2 hold 1, cos and sin of
-    theta_t/2 per row, the last row 1; r = k for (k, L) per-row angles and
-    r = 1 for (L,) shared ones."""
+def _factor_table(angles: np.ndarray) -> np.ndarray:
+    """(L, 3, r) table of 1, cos and sin of theta_t/2 for angle t, per row:
+    r = k for (k, L) per-row angles and r = 1 for (L,) shared ones."""
     th = np.asarray(angles, dtype=np.float64)
     half = 0.5 * (th.T if th.ndim == 2 else th[:, None])
-    tab = np.empty((3 * half.shape[0] + 1, half.shape[1]))
-    view = tab[:-1].reshape(half.shape[0], 3, half.shape[1])
-    view[:, 0] = 1.0
-    np.cos(half, out=view[:, 1])
-    np.sin(half, out=view[:, 2])
-    tab[-1] = 1.0
+    tab = np.ones((half.shape[0], 3, half.shape[1]))
+    np.cos(half, out=tab[:, 1])
+    np.sin(half, out=tab[:, 2])
     return tab
 
 
-def _term_weights(plan: _Plan, tab: np.ndarray) -> np.ndarray:
-    """(T, r) weights: each term's three table rows multiplied."""
-    a, b, c = plan.terms
-    w = tab[a] * tab[b]
-    w *= tab[c]
-    return w
-
-
-def _block_operands(plan: _Plan, w: np.ndarray) -> tuple:
-    """Per block, its forward operand (r, d, d) from the term weights ``w``
-    (T, r). A block's weights w_b w_a of C R are formed per call from its
-    T_r + T_c stored ones, so that they are not held."""
+def _block_operands(plan: _Plan, tab: np.ndarray) -> tuple:
+    """Per block, its forward operand (r, d, d) from the factor table
+    ``tab``: sum_a w_a Q_a (``_part_matrices``), w_a the product of its
+    gates' own factors in application order ((cos, sin) for RY, (1, cos,
+    sin) for CRX, the first gate's slowest), each multiply along the rows."""
     built = []
     for grp in plan.groups:
-        nb, r, tc, tr = len(grp.ids), w.shape[1], grp.crx_terms, grp.ry_terms
-        wg = w[grp.first:grp.first + nb * (tc + tr)].reshape(nb, tc + tr, r).swapaxes(1, 2)
-        if tr:
-            wg = (wg[..., tc:, None] * wg[..., None, :tc]).reshape(nb, r, tr * tc)
+        f = tab[grp.angles]                                 # (nb, m, 3, r)
+        nb, _, _, r = f.shape
+        w = None
+        for g, (kind, _, _) in enumerate(plan.blocks[grp.ids[0]].gates):
+            fg = f[:, g, None, 1:] if kind == "ry" else f[:, g, None]    # (nb, 1, s, r)
+            w = fg.swapaxes(1, 2) if w is None else (w * fg).reshape(
+                nb, w.shape[1] * fg.shape[2], 1, r)                 # (nb, T, 1, r)
         d = math.isqrt(grp.fwd.shape[1])
-        built.append(np.matmul(wg.reshape(nb * r, wg.shape[-1]), grp.fwd).reshape(nb, r, d, d))
+        wt = w.swapaxes(1, 3).reshape(nb * r, w.shape[1])
+        built.append(np.matmul(wt, grp.fwd).reshape(nb, r, d, d))
     return tuple(built[g][j] for g, j in plan.where)
 
 
 @dataclass(frozen=True, eq=False)
 class TemplateOperands:
-    """What the template sweeps need for one set of angles: the term
-    weights and the forward operand of every block. Built once by
-    ``template_operands``, it serves every forward sweep that runs these
-    angles and the adjoint sweeps of their outputs."""
+    """What the template sweeps need for one set of angles: the factor
+    table (1, cos and sin of each half angle) and the forward operand of
+    every block. Built once by ``template_operands``, it serves every
+    forward sweep that runs these angles and the adjoint sweeps of their
+    outputs, which read a CRX pair's second-angle weights off the table."""
 
     q: int
     layers: int
     angles: np.ndarray      # the array built from, as given (callers check identity)
-    weights: np.ndarray     # (T, r) term weights, r = k or 1
+    factors: np.ndarray     # (L, 3, r) factor table, r = k or 1
     ops: tuple              # per block, its forward operand
 
     @property
@@ -410,10 +373,11 @@ class TemplateOperands:
 def template_operands(q: int, layers: int, angles) -> TemplateOperands:
     """Build the block operands of the template for ``angles``: (k, L) per
     row or (L,) shared, L = 4*layers*q; a complex array's real part is
-    used."""
-    plan = _plan(q, layers)
-    w = _term_weights(plan, _term_table(np.asarray(angles).real))
-    return TemplateOperands(q, layers, angles, w, _block_operands(plan, w))
+    used. Each block's operand is its gate-pattern products weighted by
+    products of its gates' cos and sin factors, one batched product per
+    group of blocks of one shape."""
+    tab = _factor_table(np.asarray(angles).real)
+    return TemplateOperands(q, layers, angles, tab, _block_operands(_plan(q, layers), tab))
 
 
 def _views(b: _Block, arr: np.ndarray) -> np.ndarray:
@@ -514,7 +478,7 @@ def ansatz_rows_vjp(out_arr: np.ndarray, ops: TemplateOperands,
     once into a stacked working buffer; neither argument is modified. Each
     row's results depend only on that row, its angles and its gradient.
     """
-    plan, w, q, shared = ops.plan, ops.weights, ops.q, np.ndim(ops.angles) == 1
+    plan, q, shared = ops.plan, ops.q, np.ndim(ops.angles) == 1
     s = np.empty((2,) + out_arr.shape, dtype=_C)
     s[0] = out_arr
     s[1] = g
@@ -541,11 +505,13 @@ def ansatz_rows_vjp(out_arr: np.ndarray, ops: TemplateOperands,
         m = np.stack([reads[i] for i in grp.ids])           # (nb, r, E)
         m *= grp.coef
         m = np.add.reduceat(m, grp.starts, axis=-1)         # (nb, r, n)
-        if grp.pair is not None:
-            pw = w[grp.pair] if index is None else w[grp.pair[..., None], index]
-            n = grp.ry_gates
-            first = np.einsum("brj,bjr->br", m[..., n + 1:], pw)
-            m = np.concatenate((m[..., :n], first[..., None], m[..., n:n + 1]), axis=-1)
+        if m.shape[-1] > grp.angles.shape[1]:
+            # a CRX pair: the first gate's nine columns, over the second angle's pair weights
+            f = ops.factors[grp.angles[:, -1]]              # (nb, 3, r)
+            f = f if index is None else f[..., index]
+            pw = (f[:, :, None] * f[:, None]).reshape(len(f), 9, f.shape[-1])
+            first = np.einsum("brj,bjr->br", m[..., -9:], pw)
+            m = np.concatenate((m[..., :-10], first[..., None], m[..., -10:-9]), axis=-1)
         g_ang[:, grp.angles.ravel()] = m.transpose(1, 0, 2).reshape(m.shape[1], grp.angles.size)
     return g_in, (g_ang[0] if shared else g_ang)
 

@@ -263,7 +263,7 @@ def loss_terms(result: ForwardResult, labels, loss_cfg: LossConfig,
     c = mixer.poly_coeffs
     if loss_cfg.lambda_smooth > 0.0:
         k = c.shape[0]
-        diffs = ad.sub(ad.slice_vec(c, 1, k), ad.slice_vec(c, 0, k - 1))
+        diffs = ad.sub(ad.take_rows(c, np.arange(1, k)), ad.take_rows(c, np.arange(k - 1)))
         pen = ad.mul_const(ad.square_norm(diffs), loss_cfg.lambda_smooth)
         shared["smooth"] = pen.real_item()
         total = ad.add(total, pen)

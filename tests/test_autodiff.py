@@ -152,7 +152,6 @@ def test_fd_structural_ops(seed):
     check_op_gradients(lambda ls: ad.take_rows(ls[0], idx), [ad.tensor(table)], rng)
     vec = rand_complex(rng, (8,))
     check_op_gradients(lambda ls: ad.take_rows(ls[0], idx), [ad.tensor(vec[:7])], rng)
-    check_op_gradients(lambda ls: ad.slice_vec(ls[0], 2, 6), [ad.tensor(vec)], rng)
     check_op_gradients(lambda ls: ad.broadcast_rows(ls[0], 4), [ad.tensor(vec)], rng)
 
 

@@ -258,6 +258,18 @@ def test_eval_malformed_checkpoint_exit_3(good_checkpoint, corrupt, named, tmp_p
     assert err.startswith("data error: ") and named in err
 
 
+def test_eval_label_outside_checkpoint_classes_exit_3(good_checkpoint, tmp_path, capsys):
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(good_checkpoint))
+    data = tmp_path / "labels.tsv"
+    data.write_text("0\talpha beta alpha\n5\tbeta alpha beta\n")
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 3
+    captured = capsys.readouterr()
+    assert "data error: label(s) [5] outside the checkpoint's 2 classes" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
 def _documented_exit(cls):
     codes = [(errors.ConfigError, cli.EXIT_CONFIG),
              ((errors.ParseError, errors.DataIOError, errors.InputError, errors.LabelError),

@@ -402,6 +402,38 @@ def test_frame_sweeps_match_gate_by_gate(q, angles_kind):
     assert np.max(np.abs(g_ang - want_ang)) <= 1e-12
 
 
+def _block_unitary(width, gates, angles):
+    """Dense ordered product of a block's gates on ``width`` qubits."""
+    u = np.eye(1 << width, dtype=complex)
+    for kind, bits, t in gates:
+        if kind == "ry":
+            gate = oracle.single_qubit_mat(width, bits, oracle.ry_mat(angles[t]))
+        else:
+            gate = oracle.crx_mat(width, bits[0], bits[1], angles[t])
+        u = gate @ u
+    return u
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 7, 8, 10])
+@pytest.mark.parametrize("rows", [0, 1, 5, None], ids=["k0", "k1", "k5", "shared"])
+def test_block_operands_match_dense_gate_products(q, rows):
+    # each block's operand, right-multiplying the float64 view of rows on
+    # the block's bits, applies the ordered product of the block's gates
+    rng = np.random.default_rng(700 + q)
+    size = kernels.angle_count(q, 2)
+    angles = rng.uniform(-np.pi, np.pi, size=(size,) if rows is None else (rows, size))
+    ops = kernels.template_operands(q, 2, angles)
+    per_row = np.atleast_2d(angles)
+    for b, op in zip(ops.plan.blocks, ops.ops):
+        d = 1 << b.width
+        assert op.shape == (len(per_row), 2 * d, 2 * d)
+        for r, theta in enumerate(per_row):
+            x = rand_complex(rng, (3, d))
+            want = x @ _block_unitary(b.width, b.gates, theta).T
+            got = (x.view(np.float64) @ op[r]).view(complex)
+            assert np.max(np.abs(got - want)) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # readout
 

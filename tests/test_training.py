@@ -445,3 +445,17 @@ def test_checkpoint_attention_variant_round_trip(tmp_path):
     _, params2, _, _, _ = load_checkpoint(out.checkpoint_path)
     assert params2.attn_vec is not None
     assert np.array_equal(out.params.attn_vec.values, params2.attn_vec.values)
+
+
+def test_bench_tracer_reaches_every_wrapped_function(tmp_path, monkeypatch):
+    # a traced bench run exits 1 when a function its tracer wraps is never
+    # called; one small training run must reach all of them
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+    import tracing
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        train(tiny_cfg(tmp_path / "run"))
+    finally:
+        tracer.uninstall()
+    assert tracer.never_called() == []
