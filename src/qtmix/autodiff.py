@@ -43,8 +43,8 @@ _ids = itertools.count()
 __all__ = [
     "Tensor", "Tape", "tensor", "parameter", "backward",
     "add", "sub", "mul", "mul_const", "add_const", "scalar_mul",
-    "matvec", "matmul", "transpose", "reshape",
-    "real_part", "absval", "sumall", "sum_last", "square_norm",
+    "matvec", "reshape",
+    "real_part", "absval", "sum_last", "square_norm",
     "spow", "weighted_sum", "collapse_rows", "segment_sum", "take_rows",
     "broadcast_rows", "relu", "tanh", "softmax",
     "cross_entropy",
@@ -97,9 +97,9 @@ class Tensor:
         return f"Tensor({tag}, shape={self.shape}, tracked={self.tracked})"
 
 
-def tensor(values, tracked: bool = False) -> Tensor:
-    """Wrap array-like data as a (by default untracked) leaf."""
-    return Tensor(values, tracked=tracked)
+def tensor(values) -> Tensor:
+    """Wrap array-like data as an untracked leaf."""
+    return Tensor(values)
 
 
 def parameter(values) -> Tensor:
@@ -361,24 +361,11 @@ def absval(a: Tensor) -> Tensor:
     return _make(mags.astype(_COMPLEX), (a,), vjp)
 
 
-def sumall(a: Tensor) -> Tensor:
-    """Sum of all entries, as a 0-d tensor.
-
-    The reduction is canonical (value-sorted), so the result is invariant
-    under any permutation of the entries, bit for bit.
-    """
-    shape = a.shape
-    flat = a.values.reshape(-1)
-    val = flat[0] if flat.size == 1 else np.add.reduce(np.sort(flat))
-    return _make(np.asarray(val, dtype=_COMPLEX), (a,),
-                 lambda g: (np.full(shape, complex(g), dtype=_COMPLEX),))
-
-
 def sum_last(a: Tensor) -> Tensor:
     """Sum over the last axis: (..., m) -> (...); a vector gives a 0-d sum.
 
-    Canonical like ``sumall``: each sum's addends are value-sorted first, so
-    permuting them leaves the result unchanged, bit for bit.
+    The reduction is canonical: each sum's addends are value-sorted first,
+    so permuting them leaves the result unchanged, bit for bit.
     """
     if a.values.ndim == 0:
         raise ShapeError("sum_last: operand must have at least one axis")
@@ -417,46 +404,19 @@ def spow(s: Tensor, p: float) -> Tensor:
 # linear algebra
 
 def matvec(m: Tensor, v: Tensor) -> Tensor:
-    """Matrix (r, c) times vector (c,), or times each row of a (W, c) batch
-    with one matrix-vector product per row: (W, r)."""
-    if m.values.ndim != 2 or v.values.ndim not in (1, 2):
-        raise ShapeError(f"matvec: need 2-d and 1- or 2-d operands, got {m.shape} and {v.shape}")
-    if m.shape[1] != v.shape[-1]:
+    """Matrix (r, c) times each row of a (W, c) batch, one matrix-vector
+    product per row: (W, r). The matrix's gradient sums over the rows in an
+    order fixed by the shapes (see ``_row_outer_sum``)."""
+    if m.values.ndim != 2 or v.values.ndim != 2:
+        raise ShapeError(f"matvec: need a 2-d matrix and (W, c) rows, got {m.shape} and {v.shape}")
+    if m.shape[1] != v.shape[1]:
         raise ShapeError(f"matvec: inner dimensions differ, {m.shape} vs {v.shape}")
     mv, vv = m.values, v.values
-    if vv.ndim == 1:
-        def vjp(g):
-            return (np.outer(g, np.conj(vv)), np.conj(mv).T @ g)
-
-        return _make(mv @ vv, (m, v), vjp)
-
-    def vjp_rows(g):
-        return (_row_outer_sum(g, np.conj(vv)), g @ np.conj(mv))
-
-    return _make(np.matmul(mv, vv[:, :, None])[:, :, 0], (m, v), vjp_rows)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(r, c) @ (c, p), or (..., r, c) @ (c, p) with one product per
-    leading index; ``b``'s gradient sums over all rows of ``a`` in an
-    order fixed by the shapes (see ``_row_outer_sum``)."""
-    if a.values.ndim < 2 or b.values.ndim != 2:
-        raise ShapeError(f"matmul: need (..., r, c) and 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} vs {b.shape}")
-    av, bv = a.values, b.values
 
     def vjp(g):
-        rows = av.reshape(-1, av.shape[-1])
-        return (g @ np.conj(bv).T, _row_outer_sum(np.conj(rows), g.reshape(rows.shape[0], -1)))
+        return (_row_outer_sum(g, np.conj(vv)), g @ np.conj(mv))
 
-    return _make(np.matmul(av, bv), (a, b), vjp)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.values.ndim != 2:
-        raise ShapeError(f"transpose: need a 2-d operand, got {a.shape}")
-    return _make(a.values.T.copy(), (a,), lambda g: (g.T.copy(),))
+    return _make(np.matmul(mv, vv[:, :, None])[:, :, 0], (m, v), vjp)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -654,13 +614,13 @@ def tanh(a: Tensor) -> Tensor:
     return _make(w, (a,), lambda g: (dconj * g,))
 
 
-def softmax(a: Tensor, counts=None) -> Tensor:
-    """Softmax over a real-valued vector, or over each consecutive run of
-    entries when run lengths ``counts`` are given."""
+def softmax(a: Tensor, counts) -> Tensor:
+    """Softmax over each consecutive run of a real-valued vector's entries,
+    for run lengths ``counts`` (``[n]`` for the whole vector)."""
     if a.values.ndim != 1:
         raise ShapeError(f"softmax: operand must be 1-d, got {a.shape}")
     x = a.values.real
-    seg, _ = _segment_ids([x.size] if counts is None else counts, x.size)
+    seg, _ = _segment_ids(counts, x.size)
     starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
     ex = np.exp(x - np.maximum.reduceat(x, starts)[seg])
     y = ex / np.add.reduceat(ex, starts)[seg]

@@ -108,6 +108,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_qubits < 2 or args.seeds < 1:
+        raise ConfigError(f"verify needs max_qubits >= 2 (the smallest template) and "
+                          f"seeds >= 1, got {args.max_qubits} and {args.seeds}")
     if args.max_qubits > VERIFY_MAX_QUBITS:
         raise BudgetError(
             f"verify builds dense matrices; max_qubits={args.max_qubits} "

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataIOError, ParseError
+from .errors import ConfigError, DataIOError, ParseError
 
 PAD_ID = 0
 UNK_ID = 1
@@ -173,6 +173,9 @@ def synth_majority(seed: int, size: int, window: int,
     the alternating 0,1,0,1,... targets give an exactly balanced corpus
     whose labels are always the true majority.
     """
+    if window < 1:
+        raise ConfigError(f"majority documents need window >= 1 (no draw of an empty "
+                          f"window holds a majority), got {window}")
     rng = np.random.default_rng(seed)
     markers = ("alpha", "beta")
     distractors = [f"filler{i}" for i in range(distractor_vocab)]

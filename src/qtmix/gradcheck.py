@@ -17,7 +17,8 @@ import numpy as np
 from .autodiff import Tape, backward
 from .config import LossConfig, ModelConfig
 from .data import Document, make_windows
-from .model import document_loss, init_params
+from .errors import ConfigError
+from .model import document_loss, init_params, param_shapes
 
 COMPLEX_GROUPS = frozenset({"lcu_coeffs", "poly_coeffs"})
 
@@ -45,6 +46,10 @@ def run_gradcheck(model_cfg: ModelConfig, loss_cfg: LossConfig, *,
                   vocab_size: int = 16, n_classes: int = 2, seed: int = 0,
                   h: float = 1e-5, rel_tol: float = 1e-4,
                   abs_tol: float = 1e-6, corrupt_group: str | None = None) -> dict:
+    names = param_shapes(model_cfg, vocab_size, n_classes)
+    if corrupt_group is not None and corrupt_group not in names:
+        raise ConfigError(f"no parameter group named {corrupt_group!r}; this model "
+                          f"has {', '.join(names)}")
     rng = np.random.default_rng(seed)
     doc = _probe_document(model_cfg, vocab_size, n_classes, rng)
     params = init_params(model_cfg, vocab_size, n_classes, seed)
@@ -53,17 +58,9 @@ def run_gradcheck(model_cfg: ModelConfig, loss_cfg: LossConfig, *,
     with Tape():
         loss, _ = document_loss(doc, params, model_cfg, loss_cfg, training=False)
         raw = backward(loss, populate_leaves=False)
-    analytic = {}
-    for name, tns in named.items():
-        g = None
-        for leaf, arr in raw.items():
-            if leaf is tns:
-                g = arr
-                break
-        analytic[name] = np.zeros(tns.shape, dtype=np.complex128) if g is None else g
+    analytic = {name: raw[tns] if tns in raw else np.zeros(tns.shape, dtype=np.complex128)
+                for name, tns in named.items()}
     if corrupt_group is not None:
-        if corrupt_group not in analytic:
-            raise KeyError(f"no parameter group named {corrupt_group!r}")
         analytic[corrupt_group] = analytic[corrupt_group] * 1.5
 
     def loss_value() -> float:

@@ -180,9 +180,7 @@ def _forward(docs: list, params: Params, cfg: ModelConfig, training: bool,
     distinct, inverse = np.unique(ids[masks], return_inverse=True)
     tokens = np.zeros(ids.shape, dtype=np.int64)
     tokens[masks] = inverse
-    emb = ad.take_rows(params.embed_table, distinct[:, None])
-    theta = ad.matmul(emb, ad.transpose(params.embed_proj))
-    theta = ad.reshape(theta, (distinct.size, theta.shape[-1]))
+    theta = ad.matvec(params.embed_proj, ad.take_rows(params.embed_table, distinct))
     out = mix_window(theta, params.mixer, masks, q=cfg.qubits,
                      embed_layers=cfg.embed_layers, tokens=tokens, window_id=labels,
                      normalize_lcu=cfg.normalize_lcu)
@@ -290,7 +288,7 @@ def document_loss(docs, params: Params, model_cfg: ModelConfig,
     result = _forward(batch, params, model_cfg, training, rngs, doc_ids)
     totals, parts = loss_terms(result, [doc.label for doc in batch], loss_cfg,
                                params.mixer)
-    loss = ad.mul_const(ad.sumall(totals), 1.0 / len(batch))
+    loss = ad.mul_const(ad.sum_last(totals), 1.0 / len(batch))
     return loss, (parts[0] if single else parts)
 
 

@@ -43,11 +43,9 @@ def cosine_lr(step: int, total_steps: int, lr_max: float, lr_min: float) -> floa
 
 
 class AdamW:
-    def __init__(self, named_params: dict[str, Tensor], cfg: OptimizerConfig,
-                 no_decay: tuple = DEFAULT_NO_DECAY):
+    def __init__(self, named_params: dict[str, Tensor], cfg: OptimizerConfig):
         self.params = dict(named_params)
         self.cfg = cfg
-        self.no_decay = frozenset(no_decay)
         self.t = 0
         self.m = {}
         self.v = {}
@@ -87,7 +85,7 @@ class AdamW:
             g = views.get(name)
             if g is None:
                 g = np.broadcast_to(0.0, m.shape)
-            wd = cfg.weight_decay if name not in self.no_decay else 0.0
+            wd = cfg.weight_decay if name not in DEFAULT_NO_DECAY else 0.0
             theta = tns.values.view(np.float64).reshape(-1)
             for start in range(0, m.size, CHUNK):
                 part = slice(start, start + CHUNK)

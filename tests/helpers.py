@@ -2,9 +2,9 @@
 reference single-gate kernels.
 
 The probe loss for an op with output T is L = Re(sum(w * T)) for a frozen
-random complex weight w. Its building blocks (mul, sumall, real_part) have
-closed-form gradient tests of their own in test_autodiff.py, so using them
-as the reducer here is not circular.
+random complex weight w. Its building blocks (mul, reshape, sum_last,
+real_part) have closed-form or finite-difference tests of their own in
+test_autodiff.py, so using them as the reducer here is not circular.
 
 The single-gate kernels (``ry_rows``, ``crx_rows`` and their derivatives)
 apply one gate to every row of a (k, 2**q) batch through strided views,
@@ -28,7 +28,7 @@ def rand_complex(rng, shape):
 def probe_loss(out, weight):
     """Real scalar probe: Re(sum(weight * out))."""
     w = ad.tensor(np.asarray(weight, dtype=np.complex128))
-    return ad.real_part(ad.sumall(ad.mul(out, w)))
+    return ad.real_part(ad.sum_last(ad.reshape(ad.mul(out, w), (-1,))))
 
 
 def fd_gradients(fn, leaves, weight, h=1e-6, complex_leaves=None):

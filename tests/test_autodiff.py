@@ -37,7 +37,7 @@ def test_mul_sum_real_gradient_closed_form():
     b = np.array([-1.2 + 0.9j])
     with ad.Tape():
         pa = ad.parameter(a)
-        loss = ad.real_part(ad.sumall(ad.mul(pa, ad.tensor(b * w))))
+        loss = ad.real_part(ad.sum_last(ad.mul(pa, ad.tensor(b * w))))
         ad.backward(loss)
     assert np.allclose(pa.grad, np.conj(w * b), atol=1e-14)
 
@@ -47,8 +47,8 @@ def test_mul_sum_real_gradient_closed_form():
 
 def test_matvec_identity():
     v = np.array([1 + 1j, 2 - 1j, 0.5j, -3.0])
-    out = ad.matvec(ad.tensor(np.eye(4)), ad.tensor(v))
-    assert np.array_equal(out.values, v)
+    out = ad.matvec(ad.tensor(np.eye(4)), ad.tensor(v[None]))
+    assert np.array_equal(out.values[0], v)
 
 
 def test_matvec_permutation():
@@ -57,8 +57,8 @@ def test_matvec_permutation():
     for i, j in enumerate(order):
         perm[i, j] = 1.0
     v = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
-    out = ad.matvec(ad.tensor(perm), ad.tensor(v))
-    assert np.array_equal(out.values, v[order])
+    out = ad.matvec(ad.tensor(perm), ad.tensor(v[None]))
+    assert np.array_equal(out.values[0], v[order])
 
 
 def test_matvec_against_bruteforce_oracle():
@@ -69,8 +69,8 @@ def test_matvec_against_bruteforce_oracle():
     for i in range(4):
         for j in range(4):
             expected[i] += m[i, j] * v[j]
-    out = ad.matvec(ad.tensor(m), ad.tensor(v))
-    assert np.max(np.abs(out.values - expected)) <= 1e-12
+    out = ad.matvec(ad.tensor(m), ad.tensor(v[None]))
+    assert np.max(np.abs(out.values[0] - expected)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +100,7 @@ def test_fd_scalar_ops(seed):
     s = rand_complex(rng, ())
     t = rand_complex(rng, (4,))
     check_op_gradients(lambda ls: ad.scalar_mul(ls[0], ls[1]), [ad.tensor(s), ad.tensor(t)], rng)
-    check_op_gradients(lambda ls: ad.sumall(ls[0]), [ad.tensor(t)], rng)
+    check_op_gradients(lambda ls: ad.sum_last(ls[0]), [ad.tensor(t)], rng)
     check_op_gradients(lambda ls: ad.square_norm(ls[0]), [ad.tensor(t)], rng)
     base = ad.tensor(np.asarray(1.3 + rng.random()))
     for p in (-1.0, -0.5, 0.5, 2.0):
@@ -121,12 +121,9 @@ def test_fd_absval(seed):
 def test_fd_linear_algebra(seed):
     rng = np.random.default_rng(600 + seed)
     m = rand_complex(rng, (3, 4))
-    v = rand_complex(rng, (4,))
+    v = rand_complex(rng, (1, 4))
     check_op_gradients(lambda ls: ad.matvec(ls[0], ls[1]), [ad.tensor(m), ad.tensor(v)], rng)
     a = rand_complex(rng, (3, 4))
-    b = rand_complex(rng, (4, 2))
-    check_op_gradients(lambda ls: ad.matmul(ls[0], ls[1]), [ad.tensor(a), ad.tensor(b)], rng)
-    check_op_gradients(lambda ls: ad.transpose(ls[0]), [ad.tensor(a)], rng)
     check_op_gradients(lambda ls: ad.reshape(ls[0], (2, 6)), [ad.tensor(a)], rng)
 
 
@@ -205,9 +202,6 @@ def test_fd_batched_ops(seed):
     x = rand_complex(rng, (3, 4))
     m = rand_complex(rng, (2, 4))
     check_op_gradients(lambda ls: ad.matvec(ls[0], ls[1]), [ad.tensor(m), ad.tensor(x)], rng)
-    a3 = rand_complex(rng, (3, 2, 4))
-    b = rand_complex(rng, (4, 5))
-    check_op_gradients(lambda ls: ad.matmul(ls[0], ls[1]), [ad.tensor(a3), ad.tensor(b)], rng)
     bias = rand_complex(rng, (4,))
     check_op_gradients(lambda ls: ad.add(ls[0], ls[1]), [ad.tensor(x), ad.tensor(bias)], rng)
     check_op_gradients(lambda ls: ad.add(ls[0], ls[1]),
@@ -254,8 +248,8 @@ def test_softmax_segments_match_separate_softmaxes():
     rng = np.random.default_rng(6)
     x = rng.standard_normal(7)
     seg = ad.softmax(ad.tensor(x), [3, 4])
-    assert np.allclose(seg.values[:3], ad.softmax(ad.tensor(x[:3])).values, atol=1e-15)
-    assert np.allclose(seg.values[3:], ad.softmax(ad.tensor(x[3:])).values, atol=1e-15)
+    assert np.allclose(seg.values[:3], ad.softmax(ad.tensor(x[:3]), [3]).values, atol=1e-15)
+    assert np.allclose(seg.values[3:], ad.softmax(ad.tensor(x[3:]), [4]).values, atol=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -269,7 +263,7 @@ def test_fd_nonlinearities(seed):
                        complex_leaves=set())
     z = 0.5 * rand_complex(rng, (6,))
     check_op_gradients(lambda ls: ad.tanh(ls[0]), [ad.tensor(z)], rng)
-    check_op_gradients(lambda ls: ad.softmax(ls[0]), [ad.tensor(x)], rng,
+    check_op_gradients(lambda ls: ad.softmax(ls[0], [6]), [ad.tensor(x)], rng,
                        complex_leaves=set())
 
 
@@ -482,7 +476,7 @@ def test_backward_linearity():
         with ad.Tape():
             p = ad.parameter(vals)
             f = ad.square_norm(p)
-            g = ad.real_part(ad.sumall(p))
+            g = ad.real_part(ad.sum_last(p))
             total = ad.add(ad.mul_const(f, scale_f), ad.mul_const(g, scale_g))
             ad.backward(total)
         return p.grad
@@ -504,7 +498,7 @@ def test_backward_rejects_nonscalar():
 def test_backward_rejects_complex_scalar():
     with ad.Tape():
         p = ad.parameter(np.array([1.0 + 1j]))
-        out = ad.sumall(p)
+        out = ad.sum_last(p)
         with pytest.raises(AutodiffError):
             ad.backward(out)
 
@@ -543,13 +537,13 @@ def test_ops_outside_tape_are_untracked():
 def test_forward_replay_bitwise_identical():
     rng = np.random.default_rng(33)
     m = rand_complex(rng, (6, 6))
-    v = rand_complex(rng, (6,))
+    v = rand_complex(rng, (1, 6))
 
     def run():
         with ad.Tape():
             p = ad.parameter(v)
             out = ad.matvec(ad.tensor(m), ad.tanh(p))
-            loss = ad.square_norm(out)
+            loss = ad.sum_last(ad.square_norm(out))
             ad.backward(loss)
         return loss.values.copy(), p.grad.copy()
 
@@ -565,7 +559,9 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         ad.add(a, b)
     with pytest.raises(ShapeError):
-        ad.matvec(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros(4)))
+        ad.matvec(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((1, 4))))
+    with pytest.raises(ShapeError):
+        ad.matvec(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros(3)))
     with pytest.raises(ArityError):
         ad.weighted_sum(ad.tensor(np.zeros(0)), [])
     with pytest.raises(ShapeError):
@@ -580,7 +576,7 @@ def test_gradients_flow_through_mixed_graph():
     # a small expression using many ops at once, FD-checked end to end
     rng = np.random.default_rng(55)
     m = rand_complex(rng, (4, 4))
-    v = rand_complex(rng, (4,))
+    v = rand_complex(rng, (1, 4))
 
     def build(ls):
         mm, vv = ls

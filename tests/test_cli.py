@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, exit codes, artifacts."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,11 +157,17 @@ def latin1_file(tmp_path, name, text):
     return p
 
 
-def assert_refused_without_traceback(argv, code, named, capsys):
+def refused_without_traceback(argv, code, capsys) -> str:
     capsys.readouterr()
     assert cli.main(argv) == code
-    err = capsys.readouterr().err
-    assert "is not UTF-8 text" in err and named in err and "Traceback" not in err
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return captured.out + captured.err
+
+
+def assert_refused_without_traceback(argv, code, named, capsys):
+    err = refused_without_traceback(argv, code, capsys)
+    assert "is not UTF-8 text" in err and named in err
 
 
 def test_tsv_not_utf8_exit_3(tmp_path, capsys):
@@ -291,3 +299,44 @@ def test_every_error_reaches_a_documented_exit_code(cls, monkeypatch, capsys):
     assert cli.main(["params"]) == _documented_exit(cls)
     err = capsys.readouterr().err
     assert "made to fail" in err and "Traceback" not in err
+
+
+def test_gradcheck_unknown_group_exit_2_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("gradcheck started before checking the group name")
+    monkeypatch.setattr("qtmix.gradcheck.init_params", no_work)
+    out = refused_without_traceback(["gradcheck", "--corrupt-group", "nope"], 2, capsys)
+    assert "no parameter group named 'nope'" in out
+    assert "embed_table" in out and "head_b2" in out and "attn_vec" not in out
+    cfg = write_cfg(tmp_path, model={"qubits": 3, "window": 4,
+                                     "aggregation": "attention_pool"})
+    out = refused_without_traceback(["gradcheck", "--config", str(cfg),
+                                     "--corrupt-group", "nope"], 2, capsys)
+    assert "attn_vec" in out
+
+
+@pytest.mark.parametrize("argv", [["--max-qubits", "1"], ["--max-qubits", "0"],
+                                  ["--max-qubits", "-2"], ["--seeds", "0"],
+                                  ["--seeds", "-1"]], ids=" ".join)
+def test_verify_rejects_empty_or_impossible_checks_exit_2(argv, capsys):
+    out = refused_without_traceback(["verify", *argv], 2, capsys)
+    assert "config error" in out and "PASS" not in out
+
+
+def _run_python(args, tmp_path):
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("window", [0, -3])
+def test_synth_majority_rejects_windows_without_slots(window, tmp_path):
+    # both calls used to redraw forever: no window of zero slots holds a majority
+    proc = _run_python(["-c", f"from qtmix import data; data.synth_majority(0, 4, {window})"],
+                       tmp_path)
+    assert proc.returncode == 1 and "ConfigError" in proc.stderr
+    proc = _run_python(["-m", "qtmix.cli", "synth", "--task", "majority", "--size", "4",
+                        "--window", str(window), "--out", str(tmp_path / "out")], tmp_path)
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr and "Traceback" not in proc.stderr

@@ -14,7 +14,7 @@ from qtmix.errors import (
     ShapeError,
 )
 
-from helpers import check_op_gradients, rand_complex
+from helpers import check_op_gradients, probe_loss, rand_complex
 
 
 def make_params(rng, n, degree, q, ff_layers=1, poly=None):
@@ -499,7 +499,7 @@ def test_mix_window_builds_each_templates_operands_once(monkeypatch, taped):
         with ad.Tape():
             token_angles = ad.parameter(angles)
             out = mixer.mix_window(token_angles, params, masks, q=q, embed_layers=layers)
-            ad.backward(ad.real_part(ad.sumall(out.features)))
+            ad.backward(ad.real_part(ad.sum_last(ad.reshape(out.features, (-1,)))))
         assert token_angles.grad is not None and np.any(token_angles.grad)
     else:
         mixer.mix_window(ad.tensor(angles), params, masks, q=q, embed_layers=layers)
@@ -525,8 +525,7 @@ def test_reused_operands_bitwise_same_as_fresh(q, shared):
             out = s
             for _ in range(d):
                 out = circuits.ansatz_rows(out, a, q, layers, operands=ops)
-            w = ad.tensor(weight)
-            ad.backward(ad.real_part(ad.sumall(ad.mul(out, w))))
+            ad.backward(probe_loss(out, weight))
         runs.append((out.values, s.grad, a.grad))
     for reused, fresh in zip(*runs):
         assert np.array_equal(reused, fresh)

@@ -365,9 +365,9 @@ def test_adamw_complex_update_is_pairwise_real():
     re = parameter(np.array([1.0, -0.5]))
     im = parameter(np.array([2.0, 0.25]))
     g = np.array([0.3 - 0.7j, -0.2 + 0.9j])
-    oz = AdamW({"z": z}, cfg, no_decay=())
-    ore = AdamW({"re": re}, cfg, no_decay=())
-    oim = AdamW({"im": im}, cfg, no_decay=())
+    oz = AdamW({"z": z}, cfg)
+    ore = AdamW({"re": re}, cfg)
+    oim = AdamW({"im": im}, cfg)
     for _ in range(3):
         oz.step({"z": g}, lr=0.05)
         ore.step({"re": g.real.astype(complex)}, lr=0.05)

@@ -20,7 +20,7 @@ from qtmix.data import Document, make_windows
 from qtmix.model import document_loss, forward_document, init_params
 from qtmix.training import batch_gradients
 
-from helpers import rand_complex
+from helpers import probe_loss, rand_complex
 
 
 def mixer_params(rng, n, degree, q, ff_layers=1):
@@ -206,7 +206,7 @@ def test_token_index_gradients_match_per_position():
             p = mixer.MixerParams(coeffs, params.poly_coeffs, params.ff_angles)
             out = mixer.mix_window(leaf, p, masks, q=q, embed_layers=layers,
                                    tokens=tokens if by_token else None)
-            ad.backward(ad.real_part(ad.sumall(ad.mul(out.features, ad.tensor(weight)))))
+            ad.backward(probe_loss(out.features, weight))
         g = leaf.grad
         if not by_token:
             summed = np.zeros(angles.shape, dtype=complex)
