@@ -272,18 +272,6 @@ def _row_outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add.reduce(sums, axis=0)
 
 
-def _padded_sum(padded: np.ndarray) -> np.ndarray:
-    """Sum a zero-padded (G, P, ...) layout over axis 1: the P addends of
-    each output entry are value-sorted, then added strictly left to right.
-    Adding an exact zero changes no partial sum, so the result does not
-    depend on how much padding a group carries."""
-    ordered = np.sort(padded, axis=1)
-    out = ordered[:, 0].copy()
-    for j in range(1, ordered.shape[1]):
-        out += ordered[:, j]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # elementwise and scalar ops
 
@@ -364,8 +352,9 @@ def absval(a: Tensor) -> Tensor:
 def sum_last(a: Tensor) -> Tensor:
     """Sum over the last axis: (..., m) -> (...); a vector gives a 0-d sum.
 
-    The reduction is canonical: each sum's addends are value-sorted first,
-    so permuting them leaves the result unchanged, bit for bit.
+    Each sum's addends are value-sorted first, so permuting them leaves the
+    result unchanged, bit for bit: ``mixer.l1_normalize`` takes its l1
+    total this way over a window's positions, in position order.
     """
     if a.values.ndim == 0:
         raise ShapeError("sum_last: operand must have at least one axis")
@@ -431,8 +420,8 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 def weighted_sum(coeffs: Tensor, terms: Sequence[Tensor]) -> Tensor:
     """sum_j coeffs[j] * terms[j] over a list of same-shape tensors.
 
-    The reduction over j is canonical (value-sorted), so jointly permuting
-    coefficients and terms leaves the output bit-for-bit unchanged.
+    The terms are added in list order, one ``np.add.reduce`` over the term
+    axis, so the bits depend on the order the caller gives.
     """
     terms = list(terms)
     if not terms:
@@ -446,7 +435,7 @@ def weighted_sum(coeffs: Tensor, terms: Sequence[Tensor]) -> Tensor:
         _check_same_shape(terms[0], t, "weighted_sum")
     cv = coeffs.values
     stack = np.stack([t.values.reshape(-1) for t in terms])  # (k, flat)
-    out = _padded_sum((cv[:, None] * stack)[None])[0].reshape(shape)
+    out = np.add.reduce(cv[:, None] * stack, axis=0).reshape(shape)
 
     def vjp(g):
         gf = g.reshape(-1)
@@ -458,83 +447,25 @@ def weighted_sum(coeffs: Tensor, terms: Sequence[Tensor]) -> Tensor:
     return _make(out, (coeffs, *terms), vjp)
 
 
-def _window_order(mask: np.ndarray, win: np.ndarray, coeffs: np.ndarray,
-                  rows: np.ndarray) -> np.ndarray:
-    """An order of the k entries under a (W, n) ``mask`` (``win``: the
-    window of each, in row-major order) that keeps each window's entries
-    together and orders them by coefficient, real part then imaginary
-    part. Entries of one window whose whole coefficients tie are ordered by
-    their rows' values, compared lexicographically (the real, then the
-    imaginary part of each amplitude in turn); entries that tie on all of
-    that carry identical terms."""
-    w, n = mask.shape
-    key = np.zeros(mask.shape)
-    key[mask] = coeffs.real
-    flat = mask.reshape(-1)
-    # each window's slots by real part, masked-out ones dropped; a slot's
-    # rank among the masked-in slots is its entry
-    slots = (np.argsort(key, axis=1) + n * np.arange(w)[:, None]).reshape(-1)
-    order = (np.cumsum(flat) - 1)[slots[flat[slots]]]
-    re = coeffs.real[order]
-    tie = (win[1:] == win[:-1]) & (re[1:] == re[:-1])
-    if not tie.any():
-        return order
-    # rare: refine each run of tied real parts by the imaginary part, then by
-    # the row's values, one key at a time until no two entries tie
-    tied = np.r_[tie, False] | np.r_[False, tie]
-    sub, cls = order[tied], np.cumsum(np.r_[True, ~tie])[tied]
-    keys = np.column_stack([coeffs.imag[sub], rows[sub].view(np.float64)])
-    for j in range(keys.shape[1]):
-        p = np.lexsort((keys[:, j], cls))
-        sub, cls, keys = sub[p], cls[p], keys[p]
-        step = (cls[1:] != cls[:-1]) | (keys[1:, j] != keys[:-1, j])
-        if step.all():
-            break
-        cls = np.cumsum(np.r_[True, step])
-    order[tied] = sub
-    return order
+def collapse_rows(coeffs: Tensor, rows: Tensor, counts) -> Tensor:
+    """sum_j coeffs[j] * rows[j, :] over each consecutive run of (k,)
+    coefficients and (k, m) rows, for run lengths ``counts``: (D, m).
 
-
-def collapse_rows(coeffs: Tensor, rows: Tensor, mask=None) -> Tensor:
-    """sum_j coeffs[j] * rows[j, :] for (k,) coefficients and (k, m) rows.
-
-    With a (W, n) boolean ``mask``, which has k True entries, row j and
-    coefficient j belong to the j-th True entry in row-major order. The
-    output is (W, m): window w sums the terms of its masked-in slots, and a
-    window with none gives an exact zero row.
-
-    The sum is canonical per window: its terms are ordered by coefficient
-    (real part, then imaginary part), and only terms whose whole
-    coefficients tie are ordered by their rows' values, compared
-    lexicographically. Then one ``np.add.reduceat`` over the ordered (k, m)
-    terms reduces each window's run, so a window's bits depend only on its
-    own ordered terms: jointly permuting a window's coefficients and rows
-    leaves them unchanged (terms that tie on the whole key are identical),
-    and so does whatever else the batch holds.
+    Each run's terms are added in the order given, one ``np.add.reduceat``
+    over the (k, m) products, so a run's bits depend only on its own terms
+    and their order; ``mixer._tokens`` fixes that order for an LCU sum.
     """
     if coeffs.values.ndim != 1:
         raise ShapeError(f"collapse_rows: need (k,) coefficients, got {coeffs.shape}")
     k = coeffs.shape[0]
-    m2 = np.ones((1, k), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    if m2.ndim != 2 or int(m2.sum()) != k:
-        raise ShapeError(f"collapse_rows: need one coefficient per masked-in entry of a "
-                         f"(W, n) mask, got {coeffs.shape} and {m2.shape}")
     if rows.values.ndim != 2 or rows.shape[0] != k:
-        raise ShapeError(f"collapse_rows: need ({k}, m) rows for the mask, got {rows.shape}")
+        raise ShapeError(f"collapse_rows: need ({k}, m) rows, got {rows.shape}")
+    seg, starts = _segments(counts, k)
     cv, rv = coeffs.values, rows.values
-    win = np.nonzero(m2)[0]
-    counts = np.bincount(win, minlength=m2.shape[0])
-    order = _window_order(m2, win, cv, rv)
-    terms = np.take(rv, order, axis=0)
-    np.multiply(cv[order, None], terms, out=terms)
-    out = np.zeros((m2.shape[0], rv.shape[1]), dtype=_COMPLEX)
-    filled = counts > 0             # reduceat would hand an empty run the next run's row
-    out[filled] = np.add.reduceat(terms, (np.cumsum(counts) - counts)[filled], axis=0)
-    if mask is None:
-        out = out[0]
+    out = np.add.reduceat(cv[:, None] * rv, starts, axis=0)
 
     def vjp(g):
-        gw = g.reshape(m2.shape[0], -1)[win]
+        gw = g[seg]
         ga = np.matmul(np.conj(rv)[:, None, :], gw[:, :, None])[:, 0, 0]
         return (ga, np.conj(cv)[:, None] * gw)
 
@@ -561,32 +492,22 @@ def take_rows(a: Tensor, indices) -> Tensor:
     return _make(av[idx], (a,), vjp)
 
 
-def _segment_ids(counts, total: int) -> tuple[np.ndarray, np.ndarray]:
-    """(segment of each row, position of each row within its segment)."""
+def _segments(counts, total: int) -> tuple[np.ndarray, np.ndarray]:
+    """(run of each row, first row of each run) for positive run lengths."""
     c = np.asarray(counts, dtype=np.int64)
     if c.ndim != 1 or c.size == 0 or np.any(c < 1) or int(c.sum()) != total:
         raise ShapeError(f"segments: counts {c.tolist()} must be positive and sum to {total}")
-    seg = np.repeat(np.arange(c.size), c)
-    starts = np.cumsum(c) - c
-    return seg, np.arange(total) - starts[seg]
+    return np.repeat(np.arange(c.size), c), np.cumsum(c) - c
 
 
 def segment_sum(a: Tensor, counts) -> Tensor:
     """Sum consecutive runs of rows: (W, ...) -> (D, ...) for D run lengths
-    ``counts``. Canonical like ``weighted_sum``: each run's rows are
-    value-sorted per entry in a zero-padded (D, max run, ...) layout; when
-    every run is one row, each row is its own sum."""
-    av = a.values
-    if av.ndim == 0:
+    ``counts``. Each run's rows are added in the order given, one
+    ``np.add.reduceat``, so a run's sum depends only on its own rows."""
+    if a.values.ndim == 0:
         raise ShapeError("segment_sum: operand must have at least one axis")
-    c = np.asarray(counts)
-    if c.ndim == 1 and 0 < c.size == av.shape[0] and np.all(c == 1):
-        return _make(av.astype(_COMPLEX), (a,), lambda g: (g,))
-    seg, pos = _segment_ids(c, av.shape[0])
-    padded = np.zeros((int(seg[-1]) + 1, int(pos.max()) + 1) + av.shape[1:], dtype=_COMPLEX)
-    padded[seg, pos] = av
-    out = _padded_sum(padded)
-    return _make(out, (a,), lambda g: (g[seg],))
+    seg, starts = _segments(counts, a.shape[0])
+    return _make(np.add.reduceat(a.values, starts, axis=0), (a,), lambda g: (g[seg],))
 
 
 def broadcast_rows(v: Tensor, k: int) -> Tensor:
@@ -620,8 +541,7 @@ def softmax(a: Tensor, counts) -> Tensor:
     if a.values.ndim != 1:
         raise ShapeError(f"softmax: operand must be 1-d, got {a.shape}")
     x = a.values.real
-    seg, _ = _segment_ids(counts, x.size)
-    starts = np.flatnonzero(np.r_[True, seg[1:] != seg[:-1]])
+    seg, starts = _segments(counts, x.size)
     ex = np.exp(x - np.maximum.reduceat(x, starts)[seg])
     y = ex / np.add.reduceat(ex, starts)[seg]
 

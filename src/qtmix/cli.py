@@ -72,6 +72,8 @@ def cmd_eval(args) -> int:
     if bad:
         raise LabelError(f"label(s) {bad} outside the checkpoint's "
                          f"{n_classes} classes")
+    if not rows:
+        raise InputError("no documents to evaluate")
     docs = datamod.build_documents(rows, vocab, mc.window, mc.effective_stride)
     empty = [i for i, d in enumerate(docs) if not d.windows]
     if empty:
@@ -213,6 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:   # numpy refuses it
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .circuits import MAX_QUBITS
+from .data import MIN_SYNTH_SIZE
 from .errors import ConfigError
 
 ACTIVATIONS = ("relu", "tanh")
@@ -142,10 +143,12 @@ class DataConfig:
         else:
             if self.task not in SYNTH_TASKS:
                 raise ConfigError(f"data.task must be one of {SYNTH_TASKS}")
-            if self.size < 10:
-                raise ConfigError("data.size must be >= 10")
+            if self.size < MIN_SYNTH_SIZE:
+                raise ConfigError(f"data.size must be >= {MIN_SYNTH_SIZE}")
             if self.distractor_vocab < 1:
                 raise ConfigError("data.distractor_vocab must be >= 1")
+        if self.data_seed < 0:
+            raise ConfigError(f"data.data_seed must be >= 0, got {self.data_seed}")
         if self.min_freq < 1:
             raise ConfigError("data.min_freq must be >= 1")
         if self.max_vocab < 2:
@@ -167,6 +170,8 @@ class RunConfig:
                 # JSON's NaN and Infinity parse as floats; no field takes them
                 if isinstance(value, float) and not math.isfinite(value):
                     raise ConfigError(f"{name}.{key} must be finite, got {value}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         self.model.validate()
         self.loss.validate()
         self.optimizer.validate()

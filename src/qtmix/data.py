@@ -19,6 +19,7 @@ from .errors import ConfigError, DataIOError, ParseError
 
 PAD_ID = 0
 UNK_ID = 1
+MIN_SYNTH_SIZE = 10     # the smallest synthetic corpus: every split holds a row
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
 
@@ -176,6 +177,8 @@ def synth_majority(seed: int, size: int, window: int,
     if window < 1:
         raise ConfigError(f"majority documents need window >= 1 (no draw of an empty "
                           f"window holds a majority), got {window}")
+    if size < MIN_SYNTH_SIZE:
+        raise ConfigError(f"a synthetic corpus needs size >= {MIN_SYNTH_SIZE}, got {size}")
     rng = np.random.default_rng(seed)
     markers = ("alpha", "beta")
     distractors = [f"filler{i}" for i in range(distractor_vocab)]
@@ -217,6 +220,8 @@ def synth_sentiment(seed: int, size: int) -> tuple[list, list, list]:
     Lengths vary from 6 to 28 tokens so multi-window documents occur at
     small window sizes.
     """
+    if size < MIN_SYNTH_SIZE:
+        raise ConfigError(f"a synthetic corpus needs size >= {MIN_SYNTH_SIZE}, got {size}")
     rng = np.random.default_rng(seed)
     rows = []
     for i in range(size):

@@ -23,17 +23,14 @@ call with one row per distinct token, whose results each window gathers;
 every later application is one call with one row per distinct
 (window, token) pair, run from that window's state. When the pairs are
 the tokens in order (per-position input, say), nothing is gathered. A
-window's repeated tokens share one coefficient: the canonical
-(value-sorted) sum of its weights at the positions holding the token. The
-feed-forward template is one call over the W states. Each template row
-depends only on that row, and each power's LCU sum orders a window's
-terms by their coefficients (real part, then imaginary part; only a whole
-tie is broken by the rows' values, compared lexicographically) and
-reduces that window's terms alone.
-So a window's outputs are bitwise the same whatever else is in the batch,
-and under any joint permutation of its positions. One window (angles
-(n, L) or (U, L), mask (n,)) is the batch W = 1, returned without the
-batch axis.
+window's repeated tokens share one coefficient: the sum of its weights at
+the positions holding the token. The feed-forward template is one call
+over the W states. Each template row depends only on that row, and every
+sum over a window's positions adds that window's terms alone, in one
+order that ``_tokens`` fixes from what the window holds. So a window's
+outputs are bitwise the same whatever else is in the batch, and under any
+joint permutation of its positions. One window (angles (n, L) or (U, L),
+mask (n,)) is the batch W = 1, returned without the batch axis.
 """
 
 from __future__ import annotations
@@ -170,45 +167,56 @@ class _Tokens:
     angles: Tensor                  # (U, L) the distinct tokens' angles
     window: np.ndarray              # (P,) window of each pair
     token: np.ndarray | None        # (P,) token row of each pair; None: pair p is token p
-    slots: np.ndarray               # (W, n) one True per pair, in pair order
+    counts: np.ndarray              # (W,) pairs per window
     positions: np.ndarray           # flat (W * n) positions, grouped by pair
     sizes: np.ndarray               # (P,) positions per pair
 
 
-def _tokens(token_angles: Tensor, tokens, keep: np.ndarray, q: int, layers: int) -> _Tokens:
-    """The pairs of a (W, n) batch whose ``keep`` positions run: one per
-    distinct token of each window, in (window, token) order, each window's
-    pairs in its first slots. Tokens are named by a (W, n) index into (U, L)
-    angles; per-position (W, n, L) angles become the active positions'
-    rows, indexed in order, so that every active position is its own token.
+def _tokens(token_angles: Tensor, tokens, keep: np.ndarray, weights: np.ndarray,
+            q: int, layers: int) -> _Tokens:
+    """The pairs of a (W, n) batch whose ``keep`` positions run, grouped
+    by window, in the order that each window's sums add them; ``weights``
+    are the (W, n) mixing weights. The order depends only on what a window
+    holds. With a (W, n) index into (U, L) token angles, a pair's positions
+    are ordered by weight (real part, then imaginary part), so their sum,
+    the pair's coefficient, is canonical; a window's pairs are ordered by
+    that coefficient, then by token row. Per-position (W, n, L) angles
+    make every active position its own token: a window's positions are
+    ordered by weight, then by the bytes of their angle rows (rows whose
+    bytes tie give the same term), and the rows are taken in that order,
+    so pair p is token p.
     """
-    per_position = tokens is None
-    if per_position:
-        want = keep.shape + (kernels.angle_count(q, layers),)
-        if token_angles.shape != want:
-            raise ShapeError(f"per-position token angles must be {want} for q={q}, "
-                             f"layers={layers}, got {token_angles.shape}")
-        flat = ad.reshape(token_angles, (keep.size, want[-1]))
-        token_angles = flat if keep.all() else ad.take_rows(flat, np.flatnonzero(keep))
-        tokens = np.zeros(keep.shape, dtype=np.int64)
-        tokens[keep] = np.arange(token_angles.shape[0])
-    else:
-        tokens = np.asarray(tokens, dtype=np.int64)
-        _check_token_rows(token_angles, tokens, keep, q, layers)
-    n_tok, (w, n) = token_angles.shape[0], keep.shape
+    (w, n), width = keep.shape, kernels.angle_count(q, layers)
     win, pos = np.nonzero(keep)
-    keys, positions = win * n_tok + tokens[win, pos], win * n + pos
-    sizes = np.ones(keys.size, dtype=np.int64)
-    # per-position keys are already sorted and distinct: each is its own pair
-    if not per_position:
-        keys, inverse, sizes = np.unique(keys, return_inverse=True, return_counts=True)
-        positions = positions[np.argsort(inverse, kind="stable")]
-    window, token = keys // n_tok, keys % n_tok
-    slots = np.arange(n) < np.bincount(window, minlength=w)[:, None]
+    flat = win * n + pos
+    b = weights.reshape(-1)[flat]
+    if tokens is None:
+        if token_angles.shape != keep.shape + (width,):
+            raise ShapeError(f"per-position token angles must be {keep.shape + (width,)} "
+                             f"for q={q}, layers={layers}, got {token_angles.shape}")
+        rows = token_angles.values.reshape(-1, width)[flat]
+        _, tie = np.unique(rows.view(np.dtype((np.void, rows.itemsize * width)))[:, 0],
+                           return_inverse=True)
+        order = np.lexsort((tie, b.imag, b.real, win))
+        angles = ad.take_rows(ad.reshape(token_angles, (keep.size, width)), flat[order])
+        return _Tokens(angles, win[order], None, np.bincount(win, minlength=w),
+                       flat[order], np.ones(win.size, dtype=np.int64))
+    tokens = np.asarray(tokens, dtype=np.int64)
+    _check_token_rows(token_angles, tokens, keep, q, layers)
+    n_tok = token_angles.shape[0]
+    keys, inverse, sizes = np.unique(win * n_tok + tokens[win, pos], return_inverse=True,
+                                     return_counts=True)
+    order = np.lexsort((b.imag, b.real, inverse))
+    merged = np.add.reduceat(b[order], np.cumsum(sizes) - sizes)
+    pairs = np.lexsort((keys, merged.imag, merged.real, keys // n_tok))
+    # stable: each pair's positions keep their weight order
+    order = order[np.argsort(np.argsort(pairs)[inverse[order]], kind="stable")]
+    window, token = keys[pairs] // n_tok, keys[pairs] % n_tok
     # pair p runs token p: the first power needs no gather, no power an angle index
     if token.size == n_tok and np.array_equal(token, np.arange(n_tok)):
         token = None
-    return _Tokens(token_angles, window, token, slots, positions, sizes)
+    return _Tokens(token_angles, window, token, np.bincount(window, minlength=w),
+                   flat[order], sizes[pairs])
 
 
 def _ground(k: int, q: int) -> Tensor:
@@ -231,11 +239,11 @@ def apply_polynomial(b_norm: Tensor, token_angles: Tensor, poly_coeffs: Tensor,
 
     Every window starts from |0...0>, so the first power runs each
     distinct token once and gathers the results per pair; each later power
-    runs each pair once and sums each window's pairs. A pair's coefficient
-    is the canonical (value-sorted) sum of its window's weights at the
-    positions holding its token. The token template's block operands are
-    built once, on the distinct tokens' angles, and serve every power,
-    forward and adjoint."""
+    runs each pair once and sums each window's pairs, in the order
+    ``_tokens`` fixes. A pair's coefficient is the sum of its window's
+    weights at the positions holding its token. The token template's block
+    operands are built once, on the distinct tokens' angles, and serve
+    every power, forward and adjoint."""
     if poly_coeffs.values.ndim != 1 or poly_coeffs.shape[0] < 1:
         raise ShapeError(f"polynomial coefficients must be a non-empty vector, got {poly_coeffs.shape}")
     if b_norm.values.ndim != 2:
@@ -245,7 +253,7 @@ def apply_polynomial(b_norm: Tensor, token_angles: Tensor, poly_coeffs: Tensor,
         raise ShapeError(f"active mask must have shape {b_norm.shape}, got {keep.shape}")
     if not keep.any(axis=1).all():
         raise EmptyWindowError("no active tokens to mix")
-    tok = _tokens(token_angles, tokens, keep, q, layers)
+    tok = _tokens(token_angles, tokens, keep, b_norm.values, q, layers)
     flat = ad.reshape(b_norm, (b_norm.shape[0] * b_norm.shape[1],))
     coeffs = ad.segment_sum(ad.take_rows(flat, tok.positions), tok.sizes)
     powers = [_ground(b_norm.shape[0], q)]
@@ -255,11 +263,11 @@ def apply_polynomial(b_norm: Tensor, token_angles: Tensor, poly_coeffs: Tensor,
                               operands=ops)
         if tok.token is not None:
             evolved = ad.take_rows(evolved, tok.token)
-        powers.append(ad.collapse_rows(coeffs, evolved, tok.slots))
+        powers.append(ad.collapse_rows(coeffs, evolved, tok.counts))
         for _ in range(poly_coeffs.shape[0] - 2):
             evolved = ansatz_rows(powers[-1], tok.angles, q, layers, index=tok.window,
                                   angle_index=tok.token, operands=ops)
-            powers.append(ad.collapse_rows(coeffs, evolved, tok.slots))
+            powers.append(ad.collapse_rows(coeffs, evolved, tok.counts))
     return ad.weighted_sum(poly_coeffs, powers)
 
 

@@ -137,7 +137,7 @@ def test_fd_weighted_sum_and_collapse(seed):
         lambda ls: ad.weighted_sum(ls[0], ls[1:]),
         [ad.tensor(coeffs)] + [ad.tensor(t) for t in terms], rng)
     rows = rand_complex(rng, (k, 6))
-    check_op_gradients(lambda ls: ad.collapse_rows(ls[0], ls[1]),
+    check_op_gradients(lambda ls: ad.collapse_rows(ls[0], ls[1], [k]),
                        [ad.tensor(coeffs), ad.tensor(rows)], rng)
 
 
@@ -224,10 +224,9 @@ def test_fd_batched_ops(seed):
     table = rand_complex(rng, (7, 3))
     idx = rng.integers(0, 7, size=(2, 4))
     check_op_gradients(lambda ls: ad.take_rows(ls[0], idx), [ad.tensor(table)], rng)
-    mask = np.array([[True, False, True], [False, False, True]])
-    coeffs = rand_complex(rng, (2, 3))[mask]
+    coeffs = rand_complex(rng, (3,))
     kept = rand_complex(rng, (3, 4))
-    check_op_gradients(lambda ls: ad.collapse_rows(ls[0], ls[1], mask),
+    check_op_gradients(lambda ls: ad.collapse_rows(ls[0], ls[1], [2, 1]),
                        [ad.tensor(coeffs), ad.tensor(kept)], rng)
 
 
@@ -235,7 +234,7 @@ def test_fd_batched_ops(seed):
 def test_segment_sum_independent_of_padding_bitwise(shape):
     # a run's sum must not depend on how long the other runs of its batch are
     rng = np.random.default_rng(5)
-    for length in range(2, 8):
+    for length in range(1, 8):
         run = rng.random((length,) + shape) + 1j * rng.random((length,) + shape)
         alone = ad.segment_sum(ad.tensor(run), [length]).values[0]
         for longest in (8, 9, 12, 20):
@@ -293,168 +292,30 @@ def test_weighted_sum_picks_single_term():
     assert np.array_equal(out.values, t0)
 
 
-def test_weighted_sum_joint_permutation_bitwise():
-    rng = np.random.default_rng(11)
-    k = 6
-    coeffs = rand_complex(rng, (k,))
-    terms = [rand_complex(rng, (8,)) for _ in range(k)]
-    perm = rng.permutation(k)
-    a = ad.weighted_sum(ad.tensor(coeffs), [ad.tensor(t) for t in terms])
-    b = ad.weighted_sum(ad.tensor(coeffs[perm]), [ad.tensor(terms[p]) for p in perm])
-    assert np.array_equal(a.values, b.values)
-
-
-def test_collapse_rows_joint_permutation_bitwise():
-    rng = np.random.default_rng(12)
-    coeffs = rand_complex(rng, (5,))
-    rows = rand_complex(rng, (5, 8))
-    perm = rng.permutation(5)
-    a = ad.collapse_rows(ad.tensor(coeffs), ad.tensor(rows))
-    b = ad.collapse_rows(ad.tensor(coeffs[perm]), ad.tensor(rows[perm]))
-    assert np.array_equal(a.values, b.values)
-
-
-def spread_rows(rng, shape):
-    """Complex rows whose entries span twelve decades, so that the order of
-    their sum shows in its bits."""
-    return rand_complex(rng, shape) * 10.0 ** rng.integers(-6, 6, size=shape)
-
-
-def assert_collapse_permutation_bitwise(coeffs, rows, trials=30, seed=0):
-    rng = np.random.default_rng(seed)
-    base = ad.collapse_rows(ad.tensor(coeffs), ad.tensor(rows)).values
-    for _ in range(trials):
-        perm = rng.permutation(len(coeffs))
-        out = ad.collapse_rows(ad.tensor(coeffs[perm]), ad.tensor(rows[perm])).values
-        assert np.array_equal(base, out), perm
-
-
-def test_collapse_rows_shared_coefficient_joint_permutation_bitwise():
-    # every row carries one coefficient, so only the rows' values order the sum
-    rng = np.random.default_rng(40)
-    rows = spread_rows(rng, (9, 12))
-    assert_collapse_permutation_bitwise(np.full(9, 0.3 - 0.2j), rows)
-
-
-def test_collapse_rows_real_part_tie_joint_permutation_bitwise():
-    # two coefficients share a real part only; the imaginary part orders them
-    rng = np.random.default_rng(41)
-    coeffs = -1.0 - rng.random(9) + 1j * rng.standard_normal(9)   # real parts below -1
-    coeffs[5], coeffs[7] = 0.25 + 1.5j, 0.25 - 0.5j
-    coeffs[2], coeffs[3] = 0.75 + 0.5j, 0.75 + 0.125j
-    assert_collapse_permutation_bitwise(coeffs, spread_rows(rng, (9, 12)))
-
-
-def test_collapse_rows_tie_free_window_beside_tied_window_bitwise():
-    # window 0 ties on every coefficient, window 1 on none: in one batch,
-    # each gives its own bits alone, whatever the order of window 0's rows
-    rng = np.random.default_rng(42)
-    n, m = 7, 12
-    tied_c, tied_rows = np.full(n, 0.5 + 0.25j), spread_rows(rng, (n, m))
-    free_c, free_rows = rand_complex(rng, (n,)), spread_rows(rng, (n, m))
-    free_alone = ad.collapse_rows(ad.tensor(free_c), ad.tensor(free_rows)).values
-    tied_alone = ad.collapse_rows(ad.tensor(tied_c), ad.tensor(tied_rows)).values
-    mask = np.ones((2, n), dtype=bool)
-    for _ in range(20):
-        perm = rng.permutation(n)
-        coeffs = np.concatenate([tied_c[perm], free_c])
-        rows = np.concatenate([tied_rows[perm], free_rows])
-        out = ad.collapse_rows(ad.tensor(coeffs), ad.tensor(rows), mask).values
-        assert np.array_equal(out[1], free_alone)
-        assert np.array_equal(out[0], tied_alone), perm
-
-
-def test_collapse_rows_masked_out_window_is_exact_zero():
-    # an empty window first, in the middle and last: a segment reduction
-    # would hand it the next window's first row, or run past the end
-    rng = np.random.default_rng(43)
-    mask = np.array([[False, False, False], [True, False, True],
-                     [False, False, False], [False, True, True],
-                     [False, False, False]])
-    coeffs = rand_complex(rng, mask.shape)
-    rows = rand_complex(rng, (int(mask.sum()), 4))
-    out = ad.collapse_rows(ad.tensor(coeffs[mask]), ad.tensor(rows), mask).values
-    for w in (0, 2, 4):
-        assert np.all(out[w] == 0)
-        assert not np.any(np.signbit(out[w].real)) and not np.any(np.signbit(out[w].imag))
-    for w, (lo, hi) in ((1, (0, 2)), (3, (2, 4))):
-        alone = ad.collapse_rows(ad.tensor(coeffs[w][mask[w]]), ad.tensor(rows[lo:hi])).values
-        assert np.array_equal(out[w], alone)
-    none = ad.collapse_rows(ad.tensor(coeffs[:0, 0]), ad.tensor(np.zeros((0, 4))),
-                            mask & False).values
-    assert none.shape == (5, 4) and np.all(none == 0) and not np.any(np.signbit(none.real))
-
-
 def test_collapse_rows_one_row_window_is_its_term():
     rng = np.random.default_rng(44)
     coeffs, rows = rand_complex(rng, (3,)), rand_complex(rng, (3, 8))
     terms = coeffs[:, None] * rows
-    alone = ad.collapse_rows(ad.tensor(coeffs[:1]), ad.tensor(rows[:1])).values
-    assert np.array_equal(alone, terms[0])
-    mask = np.array([[False, True, False], [True, False, True]])
-    out = ad.collapse_rows(ad.tensor(coeffs), ad.tensor(rows), mask).values
+    alone = ad.collapse_rows(ad.tensor(coeffs[:1]), ad.tensor(rows[:1]), [1]).values
+    assert alone.shape == (1, 8) and np.array_equal(alone[0], terms[0])
+    out = ad.collapse_rows(ad.tensor(coeffs), ad.tensor(rows), [1, 2]).values
     assert np.array_equal(out[0], terms[0])
 
 
 def test_collapse_rows_matches_per_window_sum():
     rng = np.random.default_rng(47)
-    mask = rng.random((6, 9)) < 0.7
-    coeffs = rand_complex(rng, mask.shape)
-    coeffs[2, :] = 0.5                      # one window ties on every coefficient
-    rows = rand_complex(rng, (int(mask.sum()), 16))
-    out = ad.collapse_rows(ad.tensor(coeffs[mask]), ad.tensor(rows), mask).values
-    win = np.nonzero(mask)[0]
-    for w in range(mask.shape[0]):
-        want = (coeffs[w][mask[w]][:, None] * rows[win == w]).sum(axis=0)
+    counts = np.array([3, 1, 9, 5, 2, 7])
+    coeffs = rand_complex(rng, (counts.sum(),))
+    rows = rand_complex(rng, (counts.sum(), 16))
+    out = ad.collapse_rows(ad.tensor(coeffs), ad.tensor(rows), counts).values
+    win = np.repeat(np.arange(counts.size), counts)
+    for w in range(counts.size):
+        want = (coeffs[win == w][:, None] * rows[win == w]).sum(axis=0)
         assert np.allclose(out[w], want, rtol=0, atol=1e-13), w
-
-
-def test_collapse_rows_mask_forms_agree_bitwise():
-    rng = np.random.default_rng(45)
-    coeffs, rows = rand_complex(rng, (6,)), spread_rows(rng, (6, 8))
-    plain = ad.collapse_rows(ad.tensor(coeffs), ad.tensor(rows)).values
-    one = ad.collapse_rows(ad.tensor(coeffs), ad.tensor(rows), np.ones((1, 6), bool)).values
-    assert one.shape == (1, 8) and np.array_equal(plain, one[0])
-    mask = rng.random((4, 5)) < 0.6
-    mask[2] = False
-    full = rand_complex(rng, mask.shape)
-    kept = spread_rows(rng, (int(mask.sum()), 8))
-    batch = ad.collapse_rows(ad.tensor(full[mask]), ad.tensor(kept), mask).values
-    win = np.nonzero(mask)[0]
-    for w in range(mask.shape[0]):
-        if not mask[w].any():
-            assert np.all(batch[w] == 0)
-            continue
-        alone = ad.collapse_rows(ad.tensor(full[w][mask[w]]), ad.tensor(kept[win == w])).values
-        assert np.array_equal(batch[w], alone), w
-
-
-def test_collapse_rows_rejects_grid_coefficients():
-    # one coefficient per masked-in entry is the only form under a mask
-    rng = np.random.default_rng(48)
-    mask = np.array([[True, False, True], [False, True, True]])
-    rows = ad.tensor(rand_complex(rng, (4, 3)))
-    with pytest.raises(ShapeError):
-        ad.collapse_rows(ad.tensor(rand_complex(rng, mask.shape)), rows, mask)
-    with pytest.raises(ShapeError):
-        ad.collapse_rows(ad.tensor(rand_complex(rng, (3,))), rows, mask)
-
-
-def test_collapse_rows_does_not_value_sort_amplitudes(monkeypatch):
-    # the collapse orders rows by coefficient; the padded amplitude sort
-    # stays with weighted_sum and segment_sum
-    def refuse(padded):
-        raise AssertionError("padded sort reached")
-
-    monkeypatch.setattr(ad, "_padded_sum", refuse)
-    rng = np.random.default_rng(46)
-    mask = np.array([[True, True, False], [True, True, True]])
-    ad.collapse_rows(ad.tensor(rand_complex(rng, (5,))),
-                     ad.tensor(rand_complex(rng, (5, 4))), mask)
-    with pytest.raises(AssertionError, match="padded sort"):
-        ad.weighted_sum(ad.tensor([1.0, 2.0]), [ad.tensor([1.0]), ad.tensor([3.0])])
-    with pytest.raises(AssertionError, match="padded sort"):
-        ad.segment_sum(ad.tensor(rand_complex(rng, (3, 2))), [2, 1])
+        # a run's bits do not depend on the runs beside it
+        alone = ad.collapse_rows(ad.tensor(coeffs[win == w]), ad.tensor(rows[win == w]),
+                                 [counts[w]]).values
+        assert np.array_equal(out[w], alone[0]), w
 
 
 def test_backward_accumulates_on_second_call():
@@ -570,6 +431,10 @@ def test_shape_errors():
         ad.cross_entropy(ad.tensor(np.zeros(3)), 3)
     with pytest.raises(ShapeError):
         ad.scalar_mul(a, b)
+    rows = ad.tensor(np.zeros((4, 3)))
+    for counts in ([0, 4], [2, 1], [3, 2], []):     # runs must be nonempty and cover the rows
+        with pytest.raises(ShapeError):
+            ad.collapse_rows(ad.tensor(np.zeros(4)), rows, counts)
 
 
 def test_gradients_flow_through_mixed_graph():

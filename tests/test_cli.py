@@ -333,10 +333,55 @@ def _run_python(args, tmp_path):
 @pytest.mark.parametrize("window", [0, -3])
 def test_synth_majority_rejects_windows_without_slots(window, tmp_path):
     # both calls used to redraw forever: no window of zero slots holds a majority
-    proc = _run_python(["-c", f"from qtmix import data; data.synth_majority(0, 4, {window})"],
+    proc = _run_python(["-c", f"from qtmix import data; data.synth_majority(0, 10, {window})"],
                        tmp_path)
     assert proc.returncode == 1 and "ConfigError" in proc.stderr
-    proc = _run_python(["-m", "qtmix.cli", "synth", "--task", "majority", "--size", "4",
+    proc = _run_python(["-m", "qtmix.cli", "synth", "--task", "majority", "--size", "10",
                         "--window", str(window), "--out", str(tmp_path / "out")], tmp_path)
     assert proc.returncode == 2
     assert "config error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["train", "--seed", "-1"], ["gradcheck", "--seed", "-1"],
+                                  ["verify", "--seed", "-1"],
+                                  ["synth", "--task", "sentiment", "--seed", "-1"]],
+                         ids=" ".join)
+def test_negative_seed_flag_exit_2(argv, tmp_path, capsys):
+    # numpy refuses a negative seed with a ValueError, which used to end in
+    # a traceback and exit 1
+    if argv[0] == "train":
+        argv = argv + ["--config", str(write_cfg(tmp_path))]
+    if argv[0] == "synth":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    out = refused_without_traceback(argv, 2, capsys)
+    assert "config error" in out and "seed must be >= 0, got -1" in out
+    assert not (tmp_path / "run").exists() and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("extra", [{"seed": -1}, {"data": {"kind": "synthetic",
+                                                           "data_seed": -2}}],
+                         ids=["seed", "data_seed"])
+def test_negative_config_seed_exit_2(extra, tmp_path, capsys):
+    out = refused_without_traceback(["train", "--config", str(write_cfg(tmp_path, **extra))],
+                                    2, capsys)
+    assert "config error" in out and "seed must be >= 0" in out
+
+
+@pytest.mark.parametrize("task", ["majority", "sentiment"])
+@pytest.mark.parametrize("size", [-5, 0, 2, 9])
+def test_synth_below_the_size_floor_exit_2(task, size, tmp_path, capsys):
+    # --size -5 used to write three empty TSVs, --size 2 an empty train split
+    out = refused_without_traceback(["synth", "--task", task, "--size", str(size),
+                                     "--out", str(tmp_path / "out")], 2, capsys)
+    assert f"needs size >= 10, got {size}" in out
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_on_empty_tsv_exit_3(good_checkpoint, tmp_path, capsys):
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(good_checkpoint))
+    data = tmp_path / "empty.tsv"
+    data.write_text("\n")
+    out = refused_without_traceback(["eval", "--checkpoint", str(ckpt), "--data", str(data)],
+                                    3, capsys)
+    assert "data error: no documents to evaluate" in out and "accuracy" not in out

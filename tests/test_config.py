@@ -108,6 +108,14 @@ def test_measurement_mask_all_false_rejected():
         from_dict({"model": {"qubits": 2, "measurement_mask": [False] * 6}})
 
 
+@pytest.mark.parametrize("payload,named", [({"seed": -1}, "seed must be >= 0, got -1"),
+                                           ({"data": {"data_seed": -2}}, "data.data_seed"),
+                                           ({"data": {"size": 9}}, "data.size must be >= 10")])
+def test_negative_seeds_and_small_corpora_rejected(payload, named):
+    with pytest.raises(ConfigError, match=named):
+        from_dict(payload)
+
+
 def test_scalar_type_checked():
     with pytest.raises(ConfigError, match="seed"):
         from_dict({"seed": "zero"})

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from qtmix.data import (PAD_ID, UNK_ID, Document, Vocab, build_documents,
-                        load_tsv, make_windows, synth_majority,
+from qtmix.data import (MIN_SYNTH_SIZE, PAD_ID, UNK_ID, Document, Vocab,
+                        build_documents, load_tsv, make_windows, synth_majority,
                         synth_sentiment, tokenize, write_tsv,
                         _NEGATIVE, _POSITIVE)
-from qtmix.errors import DataIOError, ParseError
+from qtmix.errors import ConfigError, DataIOError, ParseError
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +188,16 @@ def test_majority_label_is_true_majority():
 def test_majority_determinism():
     assert synth_majority(3, 40, 6) == synth_majority(3, 40, 6)
     assert synth_majority(3, 40, 6) != synth_majority(4, 40, 6)
+
+
+@pytest.mark.parametrize("size", [-5, 0, 2, 9])
+def test_synth_corpora_refuse_sizes_below_the_floor(size):
+    with pytest.raises(ConfigError, match=f"size >= {MIN_SYNTH_SIZE}, got {size}"):
+        synth_majority(0, size, 8)
+    with pytest.raises(ConfigError, match=f"size >= {MIN_SYNTH_SIZE}, got {size}"):
+        synth_sentiment(0, size)
+    train, val, test = synth_sentiment(0, MIN_SYNTH_SIZE)
+    assert (len(train), len(val), len(test)) == (8, 1, 1)
 
 
 def test_sentiment_split_sizes_balance_lengths():

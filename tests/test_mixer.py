@@ -289,6 +289,40 @@ def test_mix_window_equal_raw_coefficients_joint_permutation_bitwise():
         assert np.array_equal(a.state.values, b.state.values), perm
 
 
+@pytest.mark.parametrize("tied", [False, True], ids=["distinct_weights", "equal_weights"])
+def test_mix_window_byte_identical_rows_joint_permutation_and_batch_bitwise(tied):
+    # three positions hold byte-identical angle rows, with distinct weights
+    # or with one weight; four more share one weight, so only their rows'
+    # bytes order them in each LCU sum
+    rng = np.random.default_rng(19)
+    q, n, degree, layers = 3, 8, 3, 1
+    params = make_params(rng, n, degree, q)
+    b = params.lcu_coeffs.values
+    b[3:7] = 0.3 - 0.1j
+    if tied:
+        b[:3] = b[3]
+    angle_vals = token_angle_block(rng, n, q, layers)
+    angle_vals[1] = angle_vals[2] = angle_vals[0]
+    mask = np.array([True] * 7 + [False])
+    base = mixer.mix_window(ad.tensor(angle_vals), params, mask, q=q, embed_layers=layers)
+    batch = mixer.mix_window(ad.tensor(np.stack([token_angle_block(rng, n, q, layers),
+                                                 angle_vals])),
+                             params, np.stack([np.ones(n, dtype=bool), mask]), q=q,
+                             embed_layers=layers)
+    assert np.array_equal(batch.features.values[1], base.features.values)
+    assert np.array_equal(batch.state.values[1], base.state.values)
+    for seed in range(10):
+        perm = np.random.default_rng(seed).permutation(n)
+        params_p = mixer.MixerParams(lcu_coeffs=ad.tensor(b[perm]),
+                                     poly_coeffs=params.poly_coeffs,
+                                     ff_angles=params.ff_angles)
+        out = mixer.mix_window(ad.tensor(angle_vals[perm]), params_p, mask[perm], q=q,
+                               embed_layers=layers)
+        assert np.array_equal(out.features.values, base.features.values), perm
+        assert np.array_equal(out.pre_norm.values, base.pre_norm.values), perm
+        assert np.array_equal(out.state.values, base.state.values), perm
+
+
 def test_mix_window_masked_tokens_have_no_influence():
     # changing the angles of a masked token must not move any output
     rng = np.random.default_rng(17)

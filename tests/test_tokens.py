@@ -113,8 +113,9 @@ def record_token_template(monkeypatch):
 
 
 def test_identity_index_runs_no_gather(monkeypatch):
-    # per-position angles, and a token index whose pairs are its tokens in
-    # order, run every power without an angle index or a gathered first power
+    # per-position angles, and a token index whose pairs, in their canonical
+    # order, are its tokens in order, run every power without an angle index
+    # or a gathered first power
     rng = np.random.default_rng(75)
     q, n, degree, layers = 3, 4, 3, 1
     params = mixer_params(rng, n, degree, q)
@@ -122,8 +123,13 @@ def test_identity_index_runs_no_gather(monkeypatch):
     masks = np.array([[True, False, True, True], [True, True, True, True]])
     per_position = rng.uniform(-np.pi, np.pi, size=(2, n, width))
     rows = rng.uniform(-np.pi, np.pi, size=(8, width))
-    identity = np.array([[2, 0, 3, 1], [6, 5, 4, 7]])        # each window its own block
-    repeated = np.array([[2, 0, 3, 2], [6, 5, 4, 7]])
+    # each window its own block of tokens, numbered in weight order
+    b = params.lcu_coeffs.values
+    by_weight = np.empty(n, dtype=np.int64)
+    by_weight[np.lexsort((b.imag, b.real))] = np.arange(n)
+    identity = np.stack([by_weight, by_weight + n])
+    repeated = identity.copy()
+    repeated[0, 3] = repeated[0, 0]
     calls = [(ad.tensor(per_position), masks, None),
              (ad.tensor(per_position[0]), masks[0], None),
              (ad.tensor(rows), np.ones_like(masks), identity),
@@ -188,6 +194,40 @@ def test_batch_joint_permutation_with_repeated_tokens_bitwise():
                                embed_layers=layers, tokens=tokens[:, perm])
         for a, b in zip(outputs(base)[:3], outputs(out)[:3]):
             assert np.array_equal(a, b), seed
+
+
+def test_merged_coefficient_tie_joint_permutation_and_batch_bitwise():
+    # token 2's two positions merge to 0.5 + 0.25j exactly, the weight of
+    # tokens 0 and 3; only the token rows order those three pairs
+    rng = np.random.default_rng(83)
+    q, n, degree, layers = 3, 7, 3, 1
+    params = mixer_params(rng, n, degree, q)
+    params.lcu_coeffs.values[:] = [0.25 + 0.125j, 0.5 + 0.25j, 0.5 + 0.25j,
+                                   0.25 + 0.125j, 0.5 + 0.25j, -0.3 + 0.1j, 0.2 - 0.7j]
+    tokens = np.array([2, 3, 0, 2, 0, 1, 4])
+    mask = np.array([True, True, True, True, False, True, True])
+    angles = rng.uniform(-np.pi, np.pi, size=(5, kernels.angle_count(q, layers)))
+    base = mixer.mix_window(ad.tensor(angles), params, mask, q=q, embed_layers=layers,
+                            tokens=tokens, normalize_lcu=False)
+    # in a batch, this window's tokens are rows 1, 2, 4, 5, 7 of a larger table
+    table = np.concatenate([angles, rng.uniform(-np.pi, np.pi, size=(3, angles.shape[1]))])
+    rows = np.array([1, 2, 4, 5, 7])
+    table[rows] = table[:5].copy()
+    other = rng.integers(0, 8, size=n)
+    batch = mixer.mix_window(ad.tensor(table), params, np.stack([np.ones(n, bool), mask]), q=q,
+                             embed_layers=layers, tokens=np.stack([other, rows[tokens]]),
+                             normalize_lcu=False)
+    assert np.array_equal(batch.features.values[1], base.features.values)
+    assert np.array_equal(batch.state.values[1], base.state.values)
+    for seed in range(10):
+        perm = np.random.default_rng(seed).permutation(n)
+        permuted = mixer.MixerParams(lcu_coeffs=ad.tensor(params.lcu_coeffs.values[perm]),
+                                     poly_coeffs=params.poly_coeffs,
+                                     ff_angles=params.ff_angles)
+        out = mixer.mix_window(ad.tensor(angles), permuted, mask[perm], q=q,
+                               embed_layers=layers, tokens=tokens[perm], normalize_lcu=False)
+        for a, b in zip(outputs(base)[:3], outputs(out)[:3]):
+            assert np.array_equal(a, b), perm
 
 
 def test_token_index_gradients_match_per_position():
