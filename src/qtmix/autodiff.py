@@ -194,30 +194,23 @@ def backward(scalar: Tensor, populate_leaves: bool = True) -> dict[Tensor, np.nd
         raise AutodiffError("backward called after its tape closed; call it "
                             "inside the `with Tape():` block")
     grads: dict[int, np.ndarray] = {scalar.node_id: np.ones((), dtype=_COMPLEX)}
-    leaf_sums: dict[int, tuple[Tensor, np.ndarray]] = {}
-
+    leaves: dict[int, Tensor] = {}
     for out, parents, vjp in reversed(tape._records[: scalar._index + 1]):
         g = grads.pop(out.node_id, None)
         if g is None:
             continue
-        contribs = vjp(g)
-        for p, c in zip(parents, contribs):
+        for p, c in zip(parents, vjp(g)):
             if c is None or not p.tracked:
                 continue
             if p.is_leaf:
-                if p.node_id in leaf_sums:
-                    leaf_sums[p.node_id] = (p, leaf_sums[p.node_id][1] + c)
-                else:
-                    # no copy: nothing here or downstream writes into a
-                    # gradient in place, so an alias is safe to keep
-                    leaf_sums[p.node_id] = (p, np.asarray(c, dtype=_COMPLEX))
-            else:
-                prev = grads.get(p.node_id)
-                # never mutate a stored buffer in place: other edges may alias it
-                grads[p.node_id] = c if prev is None else prev + c
+                leaves.setdefault(p.node_id, p)
+            prev = grads.get(p.node_id)
+            # never mutate a stored buffer in place: other edges may alias it
+            grads[p.node_id] = c if prev is None else prev + c
 
     result: dict[Tensor, np.ndarray] = {}
-    for p, total in leaf_sums.values():
+    for i, p in leaves.items():
+        total = np.asarray(grads[i], dtype=_COMPLEX)
         if populate_leaves:
             if p.grad is None:
                 p.grad = np.zeros(p.shape, dtype=_COMPLEX)

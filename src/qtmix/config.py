@@ -51,8 +51,9 @@ class ModelConfig:
             raise ConfigError(f"model.qubits must be in 2..{MAX_QUBITS}, got {self.qubits}")
         if self.window < 1:
             raise ConfigError(f"model.window must be >= 1, got {self.window}")
-        if self.stride is not None and self.stride < 1:
-            raise ConfigError(f"model.stride must be >= 1, got {self.stride}")
+        if self.stride is not None and not 1 <= self.stride <= self.window:
+            raise ConfigError(f"model.stride must be in 1..window ({self.window}), "
+                              f"got {self.stride}")
         if self.degree < 1:
             raise ConfigError(f"model.degree must be >= 1, got {self.degree}")
         for name in ("embed_dim", "embed_layers", "ff_layers", "hidden"):

@@ -135,10 +135,13 @@ def load_tsv(path: str | Path) -> list[tuple[str, int]]:
 
 def write_tsv(path: str | Path, rows: list[tuple[str, int]]) -> None:
     p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w", encoding="utf-8") as fh:
-        for text, label in rows:
-            fh.write(f"{label}\t{text}\n")
+    try:
+        p.parent.mkdir(parents=True, exist_ok=True)
+        with open(p, "w", encoding="utf-8") as fh:
+            for text, label in rows:
+                fh.write(f"{label}\t{text}\n")
+    except OSError as e:
+        raise DataIOError(f"cannot write {p}: {e}") from e
 
 
 def build_documents(rows: list[tuple[str, int]], vocab: Vocab, window: int,

@@ -21,10 +21,10 @@ become the active positions' rows, each position its own token. Every
 window starts from |0...0>, so the first application of M is one template
 call with one row per distinct token, whose results each window gathers;
 every later application is one call with one row per distinct
-(window, token) pair, run from that window's state. When the pairs are
-the tokens in order (per-position input, say), nothing is gathered. A
-window's repeated tokens share one coefficient: the sum of its weights at
-the positions holding the token. The feed-forward template is one call
+(window, token) pair, run from that window's state. Per-position input
+takes its rows in pair order, so nothing is gathered. A window's
+repeated tokens share one coefficient: the sum of its weights at the
+positions holding the token. The feed-forward template is one call
 over the W states. Each template row depends only on that row, and every
 sum over a window's positions adds that window's terms alone, in one
 order that ``_tokens`` fixes from what the window holds. So a window's
@@ -161,7 +161,8 @@ class _Tokens:
     template. The first power runs each distinct token once, from
     |0...0>; every later power runs each distinct (window, token) pair
     once, from its window's state. A pair's term carries the sum of its
-    window's weights at the positions holding that token.
+    window's weights at the positions holding that token. A window's pairs
+    run in token-row order.
     """
 
     angles: Tensor                  # (U, L) the distinct tokens' angles
@@ -177,46 +178,39 @@ def _tokens(token_angles: Tensor, tokens, keep: np.ndarray, weights: np.ndarray,
     """The pairs of a (W, n) batch whose ``keep`` positions run, grouped
     by window, in the order that each window's sums add them; ``weights``
     are the (W, n) mixing weights. The order depends only on what a window
-    holds. With a (W, n) index into (U, L) token angles, a pair's positions
-    are ordered by weight (real part, then imaginary part), so their sum,
-    the pair's coefficient, is canonical; a window's pairs are ordered by
-    that coefficient, then by token row. Per-position (W, n, L) angles
-    make every active position its own token: a window's positions are
-    ordered by weight, then by the bytes of their angle rows (rows whose
-    bytes tie give the same term), and the rows are taken in that order,
-    so pair p is token p.
+    holds. With a (W, n) index into (U, L) token angles, a window's pairs
+    are ordered by token row, and a pair's positions by weight (real part,
+    then imaginary part), so their sum, the pair's coefficient, is
+    canonical. Per-position (W, n, L) angles make every active position its
+    own token, whose row is its angles' bytes: a window's positions are
+    ordered by those bytes, then by weight (rows whose bytes and weights
+    tie give the same term), and the rows are taken in that order, so pair
+    p is token p.
     """
     (w, n), width = keep.shape, kernels.angle_count(q, layers)
     win, pos = np.nonzero(keep)
     flat = win * n + pos
-    b = weights.reshape(-1)[flat]
+    b = weights.reshape(-1)[flat]       # complex keys sort by real part, then imaginary
     if tokens is None:
         if token_angles.shape != keep.shape + (width,):
             raise ShapeError(f"per-position token angles must be {keep.shape + (width,)} "
                              f"for q={q}, layers={layers}, got {token_angles.shape}")
         rows = token_angles.values.reshape(-1, width)[flat]
-        _, tie = np.unique(rows.view(np.dtype((np.void, rows.itemsize * width)))[:, 0],
+        _, row = np.unique(rows.view(np.dtype((np.void, rows.itemsize * width)))[:, 0],
                            return_inverse=True)
-        order = np.lexsort((tie, b.imag, b.real, win))
+        order = np.lexsort((b, row, win))
         angles = ad.take_rows(ad.reshape(token_angles, (keep.size, width)), flat[order])
         return _Tokens(angles, win[order], None, np.bincount(win, minlength=w),
                        flat[order], np.ones(win.size, dtype=np.int64))
     tokens = np.asarray(tokens, dtype=np.int64)
     _check_token_rows(token_angles, tokens, keep, q, layers)
     n_tok = token_angles.shape[0]
-    keys, inverse, sizes = np.unique(win * n_tok + tokens[win, pos], return_inverse=True,
-                                     return_counts=True)
-    order = np.lexsort((b.imag, b.real, inverse))
-    merged = np.add.reduceat(b[order], np.cumsum(sizes) - sizes)
-    pairs = np.lexsort((keys, merged.imag, merged.real, keys // n_tok))
-    # stable: each pair's positions keep their weight order
-    order = order[np.argsort(np.argsort(pairs)[inverse[order]], kind="stable")]
-    window, token = keys[pairs] // n_tok, keys[pairs] % n_tok
-    # pair p runs token p: the first power needs no gather, no power an angle index
-    if token.size == n_tok and np.array_equal(token, np.arange(n_tok)):
-        token = None
-    return _Tokens(token_angles, window, token, np.bincount(window, minlength=w),
-                   flat[order], sizes[pairs])
+    # sorted keys: the pairs come by window, then by token row
+    keys, pair, sizes = np.unique(win * n_tok + tokens[win, pos], return_inverse=True,
+                                  return_counts=True)
+    window = keys // n_tok
+    return _Tokens(token_angles, window, keys % n_tok, np.bincount(window, minlength=w),
+                   flat[np.lexsort((b, pair))], sizes)
 
 
 def _ground(k: int, q: int) -> Tensor:

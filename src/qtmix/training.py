@@ -233,6 +233,8 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, Params, Vocab, int, di
         if arr.shape != shape:
             raise ParseError(f"checkpoint {p}: parameter array '{name}' has shape "
                              f"{arr.shape}, its config needs {shape}")
+        if name == "ff_angles" and np.any(arr.imag != 0):
+            raise ParseError(f"checkpoint {p}: parameter array '{name}' must be real")
         t[name] = parameter(arr.real if name == "ff_angles" else arr)
     mc = cfg.model
     mixer = MixerParams(t.pop("lcu_coeffs"), t.pop("poly_coeffs"),

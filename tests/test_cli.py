@@ -377,6 +377,25 @@ def test_synth_below_the_size_floor_exit_2(task, size, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_synth_out_under_a_file_exit_3(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    out = refused_without_traceback(["synth", "--task", "sentiment", "--size", "20",
+                                     "--out", str(blocker / "sub")], 3, capsys)
+    assert "data error: cannot write" in out and str(blocker / "sub") in out
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_stride_past_the_window_exit_2(tmp_path, capsys):
+    # stride 9 over window 4 would never show the tokens between windows
+    cfg = write_cfg(tmp_path, model={"qubits": 2, "window": 4, "stride": 9, "degree": 1,
+                                     "embed_dim": 4, "embed_layers": 1, "ff_layers": 1,
+                                     "hidden": 4})
+    out = refused_without_traceback(["train", "--config", str(cfg)], 2, capsys)
+    assert "config error" in out and "model.stride must be in 1..window (4), got 9" in out
+    assert not (tmp_path / "run").exists()
+
+
 def test_eval_on_empty_tsv_exit_3(good_checkpoint, tmp_path, capsys):
     ckpt = tmp_path / "ckpt.json"
     ckpt.write_text(json.dumps(good_checkpoint))

@@ -90,6 +90,8 @@ def test_unknown_key_lists_all():
     ({"optimizer": {"weight_decay": float("inf")}}, "weight_decay must be finite"),
     ({"loss": {"lambda_ps": float("nan")}}, "loss.lambda_ps must be finite"),
     ({"model": {"init_angle_scale": float("inf")}}, "model.init_angle_scale must be finite"),
+    # a stride past the window never shows the tokens between windows
+    ({"model": {"window": 4, "stride": 9}}, r"model.stride must be in 1..window \(4\), got 9"),
 ])
 def test_validation_rejects(payload, fragment):
     with pytest.raises(ConfigError, match=fragment):

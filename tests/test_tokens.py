@@ -80,6 +80,8 @@ def test_token_index_bitwise_per_position_without_repeats_in_a_window(q):
     n, degree, layers, u, w = 5, 3, 2, 7, 6
     params = mixer_params(rng, n, degree, q, ff_layers=2)
     angles = rng.uniform(-np.pi, np.pi, size=(u, kernels.angle_count(q, layers)))
+    # token rows numbered in angle-byte order, the order per-position rows take
+    angles = angles[np.argsort(angles.view(np.dtype((np.void, angles[0].nbytes)))[:, 0])]
     tokens = np.stack([rng.permutation(u)[:n] for _ in range(w)])
     masks = rng.random((w, n)) < 0.8
     masks[:, 0] = True
@@ -93,13 +95,13 @@ def test_token_index_bitwise_per_position_without_repeats_in_a_window(q):
 
 def record_token_template(monkeypatch):
     """Patch the token template and ``take_rows``: the returned lists get
-    each template call's ``angle_index`` and, per gather, whether it
-    gathered a template call's output."""
+    each template call's (``index``, ``angle_index``) and, per gather,
+    whether it gathered a template call's output."""
     indices, outs, gathers = [], [], []
     run, take = mixer.ansatz_rows, ad.take_rows
 
     def running(*args, **kwargs):
-        indices.append(kwargs.get("angle_index"))
+        indices.append((kwargs.get("index"), kwargs.get("angle_index")))
         outs.append(run(*args, **kwargs))
         return outs[-1]
 
@@ -112,42 +114,52 @@ def record_token_template(monkeypatch):
     return indices, gathers
 
 
-def test_identity_index_runs_no_gather(monkeypatch):
-    # per-position angles, and a token index whose pairs, in their canonical
-    # order, are its tokens in order, run every power without an angle index
-    # or a gathered first power
+def test_per_position_input_runs_no_gather(monkeypatch):
+    # per-position angles take their rows in pair order: every power runs
+    # without an angle index or a gathered first power
     rng = np.random.default_rng(75)
     q, n, degree, layers = 3, 4, 3, 1
     params = mixer_params(rng, n, degree, q)
-    width = kernels.angle_count(q, layers)
     masks = np.array([[True, False, True, True], [True, True, True, True]])
-    per_position = rng.uniform(-np.pi, np.pi, size=(2, n, width))
-    rows = rng.uniform(-np.pi, np.pi, size=(8, width))
-    # each window its own block of tokens, numbered in weight order
-    b = params.lcu_coeffs.values
-    by_weight = np.empty(n, dtype=np.int64)
-    by_weight[np.lexsort((b.imag, b.real))] = np.arange(n)
-    identity = np.stack([by_weight, by_weight + n])
-    repeated = identity.copy()
-    repeated[0, 3] = repeated[0, 0]
-    calls = [(ad.tensor(per_position), masks, None),
-             (ad.tensor(per_position[0]), masks[0], None),
-             (ad.tensor(rows), np.ones_like(masks), identity),
-             (ad.tensor(rows[:4]), np.ones(n, dtype=bool), identity[0])]
+    per_position = rng.uniform(-np.pi, np.pi, size=(2, n, kernels.angle_count(q, layers)))
     indices, gathers = record_token_template(monkeypatch)
-    for angles, mask, tokens in calls:
+    for angles, mask in [(per_position, masks), (per_position[0], masks[0])]:
         indices.clear()
         gathers.clear()
-        mixer.mix_window(angles, params, mask, q=q, embed_layers=layers, tokens=tokens)
-        assert [i is None for i in indices] == [True] * degree
+        mixer.mix_window(ad.tensor(angles), params, mask, q=q, embed_layers=layers)
+        assert [i is None for _, i in indices] == [True] * degree
         assert not any(gathers)
-    # the probe sees a map that is not the identity
-    indices.clear()
-    gathers.clear()
-    mixer.mix_window(ad.tensor(rows), params, np.ones_like(masks), q=q, embed_layers=layers,
-                     tokens=repeated)
-    assert len(indices) == degree and all(i is not None for i in indices[1:])
-    assert gathers[-1]
+
+
+def test_pairs_run_in_token_row_order_and_renumbering_keeps_every_bit(monkeypatch):
+    # each later power runs a window's pairs in ascending token row, so any
+    # renumbering of the token rows that keeps their order changes no output
+    rng = np.random.default_rng(76)
+    q, n, degree, layers, w = 3, 6, 3, 1, 4
+    params = mixer_params(rng, n, degree, q)
+    angles, tokens, masks = token_batch(rng, w, n, 5, q, layers)
+    assert repeats_in_a_window(tokens, masks)
+    indices, gathers = record_token_template(monkeypatch)
+    base = mixer.mix_window(ad.tensor(angles), params, masks, q=q, embed_layers=layers,
+                            tokens=tokens)
+    assert len(indices) == degree and any(gathers)
+    for window, token in indices[1:]:
+        assert np.all(np.diff(window) >= 0)
+        for v in range(w):
+            assert np.array_equal(token[window == v], np.unique(tokens[v][masks[v]])), v
+    # the same tokens at rows 1, 3, 4, 7, 8 of a larger table
+    rows = np.array([1, 3, 4, 7, 8])
+    table = rng.uniform(-np.pi, np.pi, size=(9, angles.shape[1]))
+    table[rows] = angles
+    batch = mixer.mix_window(ad.tensor(table), params, masks, q=q, embed_layers=layers,
+                             tokens=rows[tokens])
+    for a, b in zip(outputs(base), outputs(batch)):
+        assert np.array_equal(a, b)
+    for v in range(w):
+        alone = mixer.mix_window(ad.tensor(table), params, masks[v], q=q,
+                                 embed_layers=layers, tokens=rows[tokens[v]])
+        for a, b in zip(outputs(base), outputs(alone)):
+            assert np.array_equal(a[v], b), v
 
 
 def test_joint_permutation_with_repeated_tokens_bitwise():

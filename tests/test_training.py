@@ -432,6 +432,19 @@ def test_checkpoint_rejects_unknown_format(tmp_path):
         load_checkpoint(p)
 
 
+def test_checkpoint_rejects_complex_ff_angles(tmp_path):
+    # the feed-forward angles are real; an imaginary part would be dropped,
+    # loading a different model
+    out = train(tiny_cfg(tmp_path / "run", optimizer=OptimizerConfig(epochs=1)))
+    payload = json.loads(open(out.checkpoint_path).read())
+    angles = training._decode_array(payload["params"]["ff_angles"])
+    payload["params"]["ff_angles"] = training._encode_array(angles + 0.5j)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    with pytest.raises(ParseError, match="parameter array 'ff_angles' must be real"):
+        load_checkpoint(bad)
+
+
 def test_checkpoint_attention_variant_round_trip(tmp_path):
     cfg = tiny_cfg(tmp_path / "run",
                    model=ModelConfig(qubits=3, window=4, degree=2, embed_dim=8,
