@@ -13,11 +13,13 @@ Re(sum(conj(grad) * dz)); every adjoint rule below is derived from that
 pairing.
 
 The graph is dynamic: ops executed inside a ``with Tape():`` block append
-records to that tape, and ``backward`` replays the records in reverse. Ops
-executed with no active tape run eagerly and produce untracked outputs,
-which is the intended fast path for evaluation loops. Leaving the ``with``
-block drops the tape's records, so a finished graph is freed by reference
-counting alone; ``backward`` must run inside the block.
+records to that tape, and ``backward`` replays the records in reverse. A
+record holds its output's node id, not the output, and its parents' ids
+(tracked leaves as themselves), so an op's output stays alive only while
+the caller or a vjp that needs its values holds it. Ops executed with no
+active tape run eagerly and produce untracked outputs, which is the
+intended fast path for evaluation loops. Leaving the ``with`` block drops
+the tape's records; ``backward`` must run inside the block.
 
 Ops that take a batch treat the leading axis (or axes) as independent
 windows: each window's forward arithmetic has the same shapes whatever
@@ -113,15 +115,17 @@ _tapes: list["Tape"] = []      # active tapes, innermost last
 class Tape:
     """Ordered record of ops for one forward pass.
 
-    Leaving the ``with`` block closes the tape and drops its records; the
-    records are the only references from a tape to its outputs, so this
-    breaks the output -> tape -> output cycle.
+    Each record keeps ids and a vjp, never an op's output: the values a
+    backward sweep needs are the ones its vjps capture. Leaving the
+    ``with`` block closes the tape and drops its records.
     """
 
     def __init__(self):
-        # each record: (out, parents, vjp) where vjp(g_out) returns one
-        # gradient contribution per parent (None for skip)
-        self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        # each record: (output id, parents, vjp), one parent entry per
+        # operand: a tracked leaf itself, an interior node's id, or None
+        # when untracked; vjp(g_out) returns one gradient contribution per
+        # parent (None for skip)
+        self._records: list[tuple[int, tuple, Callable]] = []
         self.closed = False
 
     def __enter__(self) -> "Tape":
@@ -141,7 +145,8 @@ class Tape:
     def _record(self, out: Tensor, parents: tuple[Tensor, ...], vjp: Callable) -> None:
         out._tape = self
         out._index = len(self._records)
-        self._records.append((out, parents, vjp))
+        ids = tuple(None if not p.tracked else p if p.is_leaf else p.node_id for p in parents)
+        self._records.append((out.node_id, ids, vjp))
 
 
 def _active_tape() -> Tape | None:
@@ -179,14 +184,6 @@ def backward(scalar: Tensor, populate_leaves: bool = True) -> dict[Tensor, np.nd
             f"backward needs a real scalar; imaginary part is {scalar.values.imag:.3e}"
         )
     if scalar._tape is None:
-        if scalar.tracked:
-            # Gradient of a bare leaf with respect to itself.
-            g = np.ones((), dtype=_COMPLEX)
-            if populate_leaves:
-                if scalar.grad is None:
-                    scalar.grad = np.zeros((), dtype=_COMPLEX)
-                scalar.grad = scalar.grad + g
-            return {scalar: g}
         raise AutodiffError("backward target was not produced on an active tape")
 
     tape = scalar._tape
@@ -196,17 +193,18 @@ def backward(scalar: Tensor, populate_leaves: bool = True) -> dict[Tensor, np.nd
     grads: dict[int, np.ndarray] = {scalar.node_id: np.ones((), dtype=_COMPLEX)}
     leaves: dict[int, Tensor] = {}
     for out, parents, vjp in reversed(tape._records[: scalar._index + 1]):
-        g = grads.pop(out.node_id, None)
+        g = grads.pop(out, None)
         if g is None:
             continue
         for p, c in zip(parents, vjp(g)):
-            if c is None or not p.tracked:
+            if c is None or p is None:
                 continue
-            if p.is_leaf:
+            if isinstance(p, Tensor):
                 leaves.setdefault(p.node_id, p)
-            prev = grads.get(p.node_id)
+                p = p.node_id
+            prev = grads.get(p)
             # never mutate a stored buffer in place: other edges may alias it
-            grads[p.node_id] = c if prev is None else prev + c
+            grads[p] = c if prev is None else prev + c
 
     result: dict[Tensor, np.ndarray] = {}
     for i, p in leaves.items():

@@ -44,22 +44,20 @@ class AnsatzAngles:
             raise ShapeError("ansatz angles must be real (zero imaginary parts)")
 
 
-def ansatz_rows(states: Tensor, angles: Tensor, q: int, layers: int,
-                index=None, *, angle_index=None,
+def ansatz_rows(states: Tensor, angles: Tensor, q: int, layers: int, *,
+                angle_index=None,
                 operands: kernels.TemplateOperands | None = None) -> Tensor:
     """Fused template application over a batch.
 
     ``states``: (k, 2**q) tensor of statevector rows; ``angles``: (k, L)
     per-row angle matrix, or (L,) angles shared by every row, with
-    L = 4 * layers * q. ``index`` optionally picks the rows to run: row j of
-    the (len(index), 2**q) output evolves ``states[index[j]]``, so a state
-    shared by many rows is stored once. ``angle_index`` likewise picks each
-    row's angles from a (U, L) matrix: row j runs ``angles[angle_index[j]]``,
-    so rows that share angles (one token in many windows) share one angle
-    row and one operand holder, and their angle gradients are summed into
-    it. One tape node covers the whole gate sequence; the backward pass
-    re-derives intermediate states by un-applying gates (adjoint sweep)
-    instead of storing them.
+    L = 4 * layers * q. ``angle_index`` optionally picks each row's angles
+    from a (U, L) matrix: row j runs ``angles[angle_index[j]]``, so rows
+    that share angles (one token in many windows) share one angle row and
+    one operand holder, and their angle gradients are summed into it. One
+    tape node covers the whole gate sequence; the backward pass re-derives
+    intermediate states by un-applying gates (adjoint sweep) instead of
+    storing them.
 
     ``operands`` optionally passes the template's block operands, built by
     ``kernels.template_operands(q, layers, angles.values)``, so that calls
@@ -74,9 +72,7 @@ def ansatz_rows(states: Tensor, angles: Tensor, q: int, layers: int,
         raise CapacityError(f"q={q} exceeds the simulation cap of {MAX_QUBITS} qubits")
     if states.values.ndim != 2 or states.shape[1] != (1 << q):
         raise ShapeError(f"ansatz_rows: states must be (k, {1 << q}), got {states.shape}")
-    idx = None if index is None else np.asarray(index, dtype=np.int64)
-    src = states.values if idx is None else states.values[idx]
-    k, want = src.shape[0], kernels.angle_count(q, layers)
+    k, want = states.shape[0], kernels.angle_count(q, layers)
     rows = None if angle_index is None else np.asarray(angle_index, dtype=np.int64)
     if rows is None:
         if angles.shape not in ((k, want), (want,)):
@@ -92,22 +88,15 @@ def ansatz_rows(states: Tensor, angles: Tensor, q: int, layers: int,
     elif operands.angles is not angles.values or (operands.q, operands.layers) != (q, layers):
         raise ShapeError("ansatz_rows: the operands were not built from these angles "
                          f"for q={q} with {layers} layer(s)")
-    out = kernels.ansatz_rows_forward(src, operands, rows)
-    shape, angle_shape, tracked = states.shape, angles.shape, states.tracked
+    out = kernels.ansatz_rows_forward(states.values, operands, rows)
+    angle_shape = angles.shape
 
     def vjp(g):
         g_rows, g_ang = kernels.ansatz_rows_vjp(out, operands, g, rows)
         if rows is not None:
             per_row, g_ang = g_ang, np.zeros(angle_shape)
             ad._scatter_rows(g_ang, rows, per_row)
-        if not tracked:
-            g_state = None          # a constant input, such as the |0...0> rows
-        elif idx is None:
-            g_state = g_rows
-        else:
-            g_state = np.zeros(shape, dtype=np.complex128)
-            ad._scatter_rows(g_state, idx, g_rows)
-        return (g_state, g_ang.astype(np.complex128))
+        return (g_rows, g_ang.astype(np.complex128))
 
     return ad._make(out, (states, angles), vjp)
 
@@ -131,16 +120,11 @@ def pauli_expectations(amps: Tensor, q: int) -> Tensor:
     feats = kernels.pauli_expectations_raw(rows, q)
 
     def vjp(g):
+        # d<P>/dpsi* = (P psi - <P> psi) / <psi|psi>, summed over the 3q
+        # Paulis with the output gradient as weights
         gr = g.real.reshape(rows.shape[0], 3 * q)
-        acc = np.zeros_like(rows)
-        for k in range(q):
-            for col, axis in ((k, "x"), (q + k, "y"), (2 * q + k, "z")):
-                w = gr[:, col]
-                if not w.any():
-                    continue
-                pv = kernels.pauli_apply(rows, q, axis, k)
-                acc += (w * (2.0 / norm_sq))[:, None] * (pv - feats[:, col, None] * rows)
-        return (acc.reshape(psi.shape),)
+        acc = kernels.pauli_apply(rows, q, gr) - np.add.reduce(gr * feats, axis=1)[:, None] * rows
+        return (((2.0 / norm_sq)[:, None] * acc).reshape(psi.shape),)
 
     return ad._make(feats.reshape(psi.shape[:-1] + (3 * q,)).astype(np.complex128),
                     (amps,), vjp)

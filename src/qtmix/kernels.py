@@ -24,8 +24,9 @@ may share operand rows through an index (one token's operands serving
 every window that holds it); each block gathers the rows it needs for its
 step and drops them after it. Each row's results depend only on that
 row's inputs, so permuting the rows permutes the results exactly. The
-Pauli kernels (``pauli_apply``, ``pauli_expectations_raw``) serve the
-readout.
+readout's forward reads all 3q Pauli expectations in one call
+(``pauli_expectations_raw``), its backward applies their per-row
+weighted sum in one call (``pauli_apply``).
 
 Gate conventions (theta real):
 
@@ -519,25 +520,19 @@ def ansatz_rows_vjp(out_arr: np.ndarray, ops: TemplateOperands,
 # ---------------------------------------------------------------------------
 # Pauli action and expectations
 
-def pauli_apply(vec: np.ndarray, q: int, axis: str, qubit: int) -> np.ndarray:
-    """Apply a single-qubit Pauli to a (2**q,) vector or to each row of a
-    (k, 2**q) batch."""
-    arr = vec.reshape(-1, 1 << q)
-    a0, a1 = _bit_views(arr, q, qubit)
-    out = np.empty_like(arr)
-    o0, o1 = _bit_views(out, q, qubit)
-    if axis == "x":
-        o0[...] = a1
-        o1[...] = a0
-    elif axis == "y":
-        o0[...] = -1j * a1
-        o1[...] = 1j * a0
-    elif axis == "z":
-        o0[...] = a0
-        o1[...] = -a1
-    else:
-        raise ValueError(f"unknown Pauli axis {axis!r}")
-    return out.reshape(vec.shape)
+def pauli_apply(rows: np.ndarray, q: int, weights: np.ndarray) -> np.ndarray:
+    """sum_j (x_j X_j + y_j Y_j + z_j Z_j) applied to each row of a
+    (k, 2**q) batch, row r with its own real weights[r] = [x_0..x_{q-1},
+    y_0.., z_0..], the layout of ``pauli_expectations_raw``: (k, 2**q)."""
+    out = np.zeros_like(rows)
+    w = weights[:, :, None, None]
+    for j in range(q):
+        x, y, z = w[:, j], w[:, q + j], w[:, 2 * q + j]
+        a0, a1 = _bit_views(rows, q, j)
+        o0, o1 = _bit_views(out, q, j)
+        o0 += (x - 1j * y) * a1 + z * a0
+        o1 += (x + 1j * y) * a0 - z * a1
+    return out
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:

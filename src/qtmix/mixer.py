@@ -18,19 +18,20 @@ A batch of W windows runs at once, through one token path. Its token
 angles come as (U, L), one row per distinct token, with a (W, n) index
 saying which token sits where; angles given per position, (W, n, L),
 become the active positions' rows, each position its own token. Every
-window starts from |0...0>, so the first application of M is one template
-call with one row per distinct token, whose results each window gathers;
-every later application is one call with one row per distinct
-(window, token) pair, run from that window's state. Per-position input
-takes its rows in pair order, so nothing is gathered. A window's
-repeated tokens share one coefficient: the sum of its weights at the
-positions holding the token. The feed-forward template is one call
-over the W states. Each template row depends only on that row, and every
-sum over a window's positions adds that window's terms alone, in one
-order that ``_tokens`` fixes from what the window holds. So a window's
-outputs are bitwise the same whatever else is in the batch, and under any
-joint permutation of its positions. One window (angles (n, L) or (U, L),
-mask (n,)) is the batch W = 1, returned without the batch axis.
+window starts from |0...0>, so the first application of M is one
+template call with one row per distinct token, whose results each window
+gathers; every later application is one call with one row per distinct
+(window, token) pair, run from that window's state, which ``take_rows``
+gathers per pair. Per-position input takes its angle rows in pair order,
+so its first power gathers nothing. A window's repeated tokens share one
+coefficient: the sum of its weights at the positions holding the token.
+The feed-forward template is one call over the W states. Each template
+row depends only on that row, and every sum over a window's positions
+adds that window's terms alone, in one order that ``_tokens`` fixes from
+what the window holds. So a window's outputs are bitwise the same
+whatever else is in the batch, and under any joint permutation of its
+positions. One window (angles (n, L) or (U, L), mask (n,)) is the batch
+W = 1, returned without the batch axis.
 """
 
 from __future__ import annotations
@@ -259,7 +260,7 @@ def apply_polynomial(b_norm: Tensor, token_angles: Tensor, poly_coeffs: Tensor,
             evolved = ad.take_rows(evolved, tok.token)
         powers.append(ad.collapse_rows(coeffs, evolved, tok.counts))
         for _ in range(poly_coeffs.shape[0] - 2):
-            evolved = ansatz_rows(powers[-1], tok.angles, q, layers, index=tok.window,
+            evolved = ansatz_rows(ad.take_rows(powers[-1], tok.window), tok.angles, q, layers,
                                   angle_index=tok.token, operands=ops)
             powers.append(ad.collapse_rows(coeffs, evolved, tok.counts))
     return ad.weighted_sum(poly_coeffs, powers)

@@ -184,9 +184,7 @@ def save_checkpoint(path: str | Path, params: Params, cfg: RunConfig,
         "params": {name: _encode_array(t.values)
                    for name, t in params.named().items()},
     }
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    _write_atomic(p, json.dumps(payload))
+    _write_atomic(Path(path), json.dumps(payload))
 
 
 def load_checkpoint(path: str | Path) -> tuple[RunConfig, Params, Vocab, int, dict]:
@@ -235,6 +233,8 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, Params, Vocab, int, di
                              f"{arr.shape}, its config needs {shape}")
         if name == "ff_angles" and np.any(arr.imag != 0):
             raise ParseError(f"checkpoint {p}: parameter array '{name}' must be real")
+        if not np.isfinite(arr.view(np.float64)).all():
+            raise ParseError(f"checkpoint {p}: parameter array '{name}' is not finite")
         t[name] = parameter(arr.real if name == "ff_angles" else arr)
     mc = cfg.model
     mixer = MixerParams(t.pop("lcu_coeffs"), t.pop("poly_coeffs"),
@@ -243,17 +243,22 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, Params, Vocab, int, di
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temp file in the same
-    directory and ``os.replace``, so a process that stops mid-write never
-    leaves a partial ``path``. The file is not synced to disk: after a
-    power loss or an OS crash it may still be lost or truncated."""
+    """Write ``text`` to ``path``, creating its directory, through a temp
+    file in that directory and ``os.replace``, so a process that stops
+    mid-write never leaves a partial ``path``; a path that cannot be
+    written is a ``DataIOError`` naming it. The file is not synced to disk:
+    after a power loss or an OS crash it may still be lost or truncated."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as e:
+        raise DataIOError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 def _write_metrics(path: Path, records: list) -> None:

@@ -7,6 +7,8 @@ seeds, then tape semantics and error handling.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -387,6 +389,34 @@ def test_backward_without_tape_raises():
     assert not out.tracked
     with pytest.raises(AutodiffError):
         ad.backward(out)
+
+
+def test_backward_of_a_tracked_leaf_raises():
+    # a parameter is on no tape: there is no sweep to run from it
+    p = ad.parameter(np.array(2.0))
+    with ad.Tape():
+        with pytest.raises(AutodiffError, match="not produced on an active tape"):
+            ad.backward(p)
+
+
+def test_tape_frees_an_output_that_no_vjp_captures():
+    # take_rows' and add_const's vjps keep no values, so the gathered rows
+    # live only while their name does; the gradients do not change
+    vals = rand_complex(np.random.default_rng(23), (4,))
+
+    def grad(drop):
+        with ad.Tape():
+            p = ad.parameter(vals)
+            rows = ad.take_rows(p, [2, 0, 2])
+            alive = weakref.ref(rows.values)
+            shifted = ad.add_const(rows, 1.0)
+            if drop:
+                del rows
+                assert alive() is None
+            ad.backward(ad.square_norm(shifted))
+        return p.grad
+
+    assert np.array_equal(grad(True), grad(False))
 
 
 def test_ops_outside_tape_are_untracked():

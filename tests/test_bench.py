@@ -25,3 +25,15 @@ def test_bench_run_is_correct(workload):
     assert result["failed"] == 0
     assert {name: m["unit"] for name, m in result["metrics"].items()} == \
         {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
+
+
+def test_traced_bench_run_reports_every_layer_metric():
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "train-q4-majority",
+                           "--seed", "1", "--seconds", "0.1", "--trace", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stderr
+    units = {name: m["unit"] for name, m in result["metrics"].items()}
+    assert {m["name"]: units.get(m["name"]) for m in SPEC["per_layer"]} == \
+        {m["name"]: m["unit"] for m in SPEC["per_layer"]}

@@ -386,6 +386,18 @@ def test_synth_out_under_a_file_exit_3(tmp_path, capsys):
     assert blocker.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("artifact", ["metrics.jsonl", "checkpoint.json"])
+def test_unwritable_artifact_path_exit_3(tmp_path, capsys, artifact):
+    # an artifact path held by a directory cannot be replaced by a file
+    out = tmp_path / "run"
+    (out / artifact).mkdir(parents=True)
+    cfg = write_cfg(tmp_path, optimizer={"epochs": 1, "batch_size": 8, "lr_max": 0.003})
+    msg = refused_without_traceback(["train", "--config", str(cfg), "--out", str(out)], 3,
+                                    capsys)
+    assert "data error: cannot write" in msg and str(out / artifact) in msg
+    assert (out / artifact).is_dir()
+
+
 def test_stride_past_the_window_exit_2(tmp_path, capsys):
     # stride 9 over window 4 would never show the tokens between windows
     cfg = write_cfg(tmp_path, model={"qubits": 2, "window": 4, "stride": 9, "degree": 1,

@@ -447,6 +447,18 @@ def test_pauli_expectations_match_dense(q):
     assert np.max(np.abs(got.values.imag)) == 0.0
 
 
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_pauli_apply_matches_dense_weighted_sum(q):
+    rng = np.random.default_rng(40 + q)
+    rows = rand_complex(rng, (5, 1 << q))
+    weights = rng.normal(size=(5, 3 * q))
+    weights[:, ::3] = 0.0           # some all-zero weight columns
+    paulis = [oracle.single_qubit_mat(q, j, oracle.PAULI[axis])
+              for axis in "xyz" for j in range(q)]
+    want = np.stack([np.einsum("c,cij,j->i", w, paulis, r) for w, r in zip(weights, rows)])
+    assert np.max(np.abs(kernels.pauli_apply(rows, q, weights) - want)) <= 1e-12
+
+
 def test_pauli_expectations_zero_state():
     feats = circuits.pauli_expectations(ad.tensor(basis_state(3)), 3)
     want = np.array([[0, 0, 0, 0, 0, 0, 1, 1, 1]], dtype=float)

@@ -95,19 +95,23 @@ def test_token_index_bitwise_per_position_without_repeats_in_a_window(q):
 
 def record_token_template(monkeypatch):
     """Patch the token template and ``take_rows``: the returned lists get
-    each template call's (``index``, ``angle_index``) and, per gather,
-    whether it gathered a template call's output."""
-    indices, outs, gathers = [], [], []
+    each template call's (window index, ``angle_index``), the window index
+    read off the ``take_rows`` call that gathered its states (None when no
+    gather made them), and, per gather, whether it gathered a template
+    call's output."""
+    indices, outs, gathers, taken = [], [], [], []
     run, take = mixer.ansatz_rows, ad.take_rows
 
-    def running(*args, **kwargs):
-        indices.append((kwargs.get("index"), kwargs.get("angle_index")))
-        outs.append(run(*args, **kwargs))
+    def running(states, *args, **kwargs):
+        window = next((idx for out, idx in taken if out is states), None)
+        indices.append((window, kwargs.get("angle_index")))
+        outs.append(run(states, *args, **kwargs))
         return outs[-1]
 
     def taking(a, idx):
         gathers.append(any(a is out for out in outs))
-        return take(a, idx)
+        taken.append((take(a, idx), idx))
+        return taken[-1][0]
 
     monkeypatch.setattr(mixer, "ansatz_rows", running)
     monkeypatch.setattr(ad, "take_rows", taking)

@@ -15,7 +15,7 @@ from qtmix import kernels
 from qtmix.config import (DataConfig, ModelConfig, OptimizerConfig, RunConfig,
                           from_dict)
 from qtmix.data import write_tsv
-from qtmix.errors import InputError, LabelError, ParseError, TrainingDiverged
+from qtmix.errors import DataIOError, InputError, LabelError, ParseError, TrainingDiverged
 from qtmix.model import init_params
 from qtmix.training import (batch_gradients, evaluate, load_bundle,
                             load_checkpoint, save_checkpoint, train)
@@ -391,7 +391,7 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(training.os, "replace", refuse)
-    with pytest.raises(OSError):
+    with pytest.raises(DataIOError, match="metrics.jsonl: disk full"):
         train(tiny_cfg(tmp_path / "run"))
     assert list((tmp_path / "run").iterdir()) == []
 
@@ -442,6 +442,20 @@ def test_checkpoint_rejects_complex_ff_angles(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
     with pytest.raises(ParseError, match="parameter array 'ff_angles' must be real"):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("name, value", [("head_w2", np.nan), ("lcu_coeffs", np.inf)])
+def test_checkpoint_rejects_non_finite_parameters(tmp_path, name, value):
+    # train refuses a non-finite parameter; so does a checkpoint load
+    out = train(tiny_cfg(tmp_path / "run", optimizer=OptimizerConfig(epochs=1)))
+    payload = json.loads(open(out.checkpoint_path).read())
+    arr = training._decode_array(payload["params"][name])
+    arr.flat[1] = value
+    payload["params"][name] = training._encode_array(arr)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    with pytest.raises(ParseError, match=f"parameter array '{name}' is not finite"):
         load_checkpoint(bad)
 
 
