@@ -47,8 +47,8 @@ __all__ = [
     "add", "sub", "mul", "mul_const", "add_const", "scalar_mul",
     "matvec", "reshape",
     "real_part", "absval", "sum_last", "square_norm",
-    "spow", "weighted_sum", "collapse_rows", "segment_sum", "take_rows",
-    "broadcast_rows", "relu", "tanh", "softmax",
+    "spow", "weighted_sum", "segment_sum", "take_rows",
+    "relu", "tanh", "softmax",
     "cross_entropy",
 ]
 
@@ -282,10 +282,14 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of same-shape tensors."""
-    _check_same_shape(a, b, "mul")
-    av, bv = a.values, b.values
-    return _make(av * bv, (a, b), lambda g: (np.conj(bv) * g, np.conj(av) * g))
+    """Elementwise product. As in ``add``, ``b`` may have the shape of
+    ``a``'s trailing axes; it then multiplies at every leading index."""
+    lead = a.values.ndim - b.values.ndim
+    if lead < 0 or a.shape[lead:] != b.shape:
+        raise ShapeError(f"mul: shape mismatch {a.shape} vs {b.shape}")
+    av, bv, shape = a.values, b.values, b.shape
+    return _make(av * bv, (a, b),
+                 lambda g: (np.conj(bv) * g, _sum_leading(np.conj(av) * g, shape)))
 
 
 def mul_const(a: Tensor, c) -> Tensor:
@@ -438,31 +442,6 @@ def weighted_sum(coeffs: Tensor, terms: Sequence[Tensor]) -> Tensor:
     return _make(out, (coeffs, *terms), vjp)
 
 
-def collapse_rows(coeffs: Tensor, rows: Tensor, counts) -> Tensor:
-    """sum_j coeffs[j] * rows[j, :] over each consecutive run of (k,)
-    coefficients and (k, m) rows, for run lengths ``counts``: (D, m).
-
-    Each run's terms are added in the order given, one ``np.add.reduceat``
-    over the (k, m) products, so a run's bits depend only on its own terms
-    and their order; ``mixer._tokens`` fixes that order for an LCU sum.
-    """
-    if coeffs.values.ndim != 1:
-        raise ShapeError(f"collapse_rows: need (k,) coefficients, got {coeffs.shape}")
-    k = coeffs.shape[0]
-    if rows.values.ndim != 2 or rows.shape[0] != k:
-        raise ShapeError(f"collapse_rows: need ({k}, m) rows, got {rows.shape}")
-    seg, starts = _segments(counts, k)
-    cv, rv = coeffs.values, rows.values
-    out = np.add.reduceat(cv[:, None] * rv, starts, axis=0)
-
-    def vjp(g):
-        gw = g[seg]
-        ga = np.matmul(np.conj(rv)[:, None, :], gw[:, :, None])[:, 0, 0]
-        return (ga, np.conj(cv)[:, None] * gw)
-
-    return _make(out, (coeffs, rows), vjp)
-
-
 def take_rows(a: Tensor, indices) -> Tensor:
     """Gather rows (2-d) or entries (1-d) by integer index, with repeats.
     ``indices`` of any shape S gives an output of shape S + a.shape[1:]."""
@@ -499,16 +478,6 @@ def segment_sum(a: Tensor, counts) -> Tensor:
         raise ShapeError("segment_sum: operand must have at least one axis")
     seg, starts = _segments(counts, a.shape[0])
     return _make(np.add.reduceat(a.values, starts, axis=0), (a,), lambda g: (g[seg],))
-
-
-def broadcast_rows(v: Tensor, k: int) -> Tensor:
-    """Tile a vector (m,) into k identical rows (k, m)."""
-    if v.values.ndim != 1:
-        raise ShapeError(f"broadcast_rows: operand must be 1-d, got {v.shape}")
-    if k < 1:
-        raise ArityError("broadcast_rows: need k >= 1")
-    out = np.tile(v.values, (k, 1))
-    return _make(out, (v,), lambda g: (g.sum(axis=0),))
 
 
 # ---------------------------------------------------------------------------

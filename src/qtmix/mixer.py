@@ -17,14 +17,14 @@ and read out as per-qubit X/Y/Z expectations.
 A batch of W windows runs at once, through one token path. Its token
 angles come as (U, L), one row per distinct token, with a (W, n) index
 saying which token sits where; angles given per position, (W, n, L),
-become the active positions' rows, each position its own token. Every
+become tokens too, one per distinct active row by the row's bytes. Every
 window starts from |0...0>, so the first application of M is one
 template call with one row per distinct token, whose results each window
 gathers; every later application is one call with one row per distinct
 (window, token) pair, run from that window's state, which ``take_rows``
-gathers per pair. Per-position input takes its angle rows in pair order,
-so its first power gathers nothing. A window's repeated tokens share one
-coefficient: the sum of its weights at the positions holding the token.
+gathers per pair. A window's repeated tokens share one coefficient: the
+sum of its weights at the positions holding the token, and each power's
+LCU sum is a ``segment_sum`` of the pairs' weighted states.
 The feed-forward template is one call over the W states. Each template
 row depends only on that row, and every sum over a window's positions
 adds that window's terms alone, in one order that ``_tokens`` fixes from
@@ -131,8 +131,7 @@ def l1_normalize(coeffs: Tensor, mask, window_id=None) -> Tensor:
     m, single = _batch_mask(mask, coeffs.shape[0])
     labels = _labels(window_id, m.shape[0], single)
     _check_nonempty(m, labels)
-    rows = coeffs if single else ad.broadcast_rows(coeffs, m.shape[0])
-    masked = ad.mul_const(rows, m.astype(np.float64).reshape(rows.shape))
+    masked = ad.mul(ad.tensor(m[0] if single else m), coeffs)
     total = ad.sum_last(ad.absval(masked))
     small = np.flatnonzero(total.values.real.reshape(-1) <= 1e-12)
     if small.size:
@@ -163,12 +162,12 @@ class _Tokens:
     |0...0>; every later power runs each distinct (window, token) pair
     once, from its window's state. A pair's term carries the sum of its
     window's weights at the positions holding that token. A window's pairs
-    run in token-row order.
+    run in token-row order; per-position input is numbered into tokens first.
     """
 
     angles: Tensor                  # (U, L) the distinct tokens' angles
     window: np.ndarray              # (P,) window of each pair
-    token: np.ndarray | None        # (P,) token row of each pair; None: pair p is token p
+    token: np.ndarray               # (P,) token row of each pair
     counts: np.ndarray              # (W,) pairs per window
     positions: np.ndarray           # flat (W * n) positions, grouped by pair
     sizes: np.ndarray               # (P,) positions per pair
@@ -179,14 +178,13 @@ def _tokens(token_angles: Tensor, tokens, keep: np.ndarray, weights: np.ndarray,
     """The pairs of a (W, n) batch whose ``keep`` positions run, grouped
     by window, in the order that each window's sums add them; ``weights``
     are the (W, n) mixing weights. The order depends only on what a window
-    holds. With a (W, n) index into (U, L) token angles, a window's pairs
-    are ordered by token row, and a pair's positions by weight (real part,
-    then imaginary part), so their sum, the pair's coefficient, is
-    canonical. Per-position (W, n, L) angles make every active position its
-    own token, whose row is its angles' bytes: a window's positions are
-    ordered by those bytes, then by weight (rows whose bytes and weights
-    tie give the same term), and the rows are taken in that order, so pair
-    p is token p.
+    holds: a window's pairs run by token row, and a pair's positions by
+    weight (real part, then imaginary part), so their sum, the pair's
+    coefficient, is canonical. Per-position (W, n, L) angles first become
+    (U, L) token angles with a (W, n) index: their distinct active rows,
+    keyed and numbered by the rows' bytes, so byte-identical rows are one
+    token. A tracked tensor's rows are keyed by their weight and position
+    too, so each row keeps its own gradient.
     """
     (w, n), width = keep.shape, kernels.angle_count(q, layers)
     win, pos = np.nonzero(keep)
@@ -197,12 +195,12 @@ def _tokens(token_angles: Tensor, tokens, keep: np.ndarray, weights: np.ndarray,
             raise ShapeError(f"per-position token angles must be {keep.shape + (width,)} "
                              f"for q={q}, layers={layers}, got {token_angles.shape}")
         rows = token_angles.values.reshape(-1, width)[flat]
-        _, row = np.unique(rows.view(np.dtype((np.void, rows.itemsize * width)))[:, 0],
-                           return_inverse=True)
-        order = np.lexsort((b, row, win))
-        angles = ad.take_rows(ad.reshape(token_angles, (keep.size, width)), flat[order])
-        return _Tokens(angles, win[order], None, np.bincount(win, minlength=w),
-                       flat[order], np.ones(win.size, dtype=np.int64))
+        key = np.column_stack((rows, b, flat)) if token_angles.tracked else rows
+        _, first, row = np.unique(key.view(np.dtype((np.void, key[0].nbytes)))[:, 0],
+                                  return_index=True, return_inverse=True)
+        token_angles = ad.take_rows(ad.reshape(token_angles, (keep.size, width)), flat[first])
+        tokens = np.zeros(keep.shape, dtype=np.int64)
+        tokens[win, pos] = row
     tokens = np.asarray(tokens, dtype=np.int64)
     _check_token_rows(token_angles, tokens, keep, q, layers)
     n_tok = token_angles.shape[0]
@@ -226,19 +224,18 @@ def apply_polynomial(b_norm: Tensor, token_angles: Tensor, poly_coeffs: Tensor,
     """Evaluate sum_k c_k M^k |0...0> for each window of a batch, with
     exactly ``degree`` applications of its M = sum_j b_norm[w, j] U_j,
     accumulating the running powers: (W, 2**q) states for (W, n) weights.
-    The angles come per position, (W, n, L); or, with ``tokens``, a (W, n)
-    index, as (U, L), one row per distinct token. ``active`` optionally
-    masks, in ``b_norm``'s shape, the positions to run; dropped positions
-    must carry exactly zero weight (the caller masks them), so skipping
-    them changes nothing but cost.
+    The angles come per position, (W, n, L), made tokens by their rows'
+    bytes; or, with ``tokens``, a (W, n) index, as (U, L). ``active``
+    optionally masks, in ``b_norm``'s shape, the positions to run; dropped
+    positions must carry exactly zero weight (the caller masks them), so
+    skipping them changes nothing but cost.
 
     Every window starts from |0...0>, so the first power runs each
     distinct token once and gathers the results per pair; each later power
-    runs each pair once and sums each window's pairs, in the order
-    ``_tokens`` fixes. A pair's coefficient is the sum of its window's
-    weights at the positions holding its token. The token template's block
-    operands are built once, on the distinct tokens' angles, and serve
-    every power, forward and adjoint."""
+    runs each pair once. Every power sums each window's weighted pairs in
+    the order ``_tokens`` fixes; a pair's weight is the sum of its window's
+    weights at its token's positions. The token template's block operands
+    are built once, on the distinct tokens' angles, for every power."""
     if poly_coeffs.values.ndim != 1 or poly_coeffs.shape[0] < 1:
         raise ShapeError(f"polynomial coefficients must be a non-empty vector, got {poly_coeffs.shape}")
     if b_norm.values.ndim != 2:
@@ -254,15 +251,13 @@ def apply_polynomial(b_norm: Tensor, token_angles: Tensor, poly_coeffs: Tensor,
     powers = [_ground(b_norm.shape[0], q)]
     if poly_coeffs.shape[0] > 1:
         ops = kernels.template_operands(q, layers, tok.angles.values)
-        evolved = ansatz_rows(_ground(tok.angles.shape[0], q), tok.angles, q, layers,
-                              operands=ops)
-        if tok.token is not None:
-            evolved = ad.take_rows(evolved, tok.token)
-        powers.append(ad.collapse_rows(coeffs, evolved, tok.counts))
-        for _ in range(poly_coeffs.shape[0] - 2):
-            evolved = ansatz_rows(ad.take_rows(powers[-1], tok.window), tok.angles, q, layers,
-                                  angle_index=tok.token, operands=ops)
-            powers.append(ad.collapse_rows(coeffs, evolved, tok.counts))
+        evolved = ad.take_rows(ansatz_rows(_ground(tok.angles.shape[0], q), tok.angles, q,
+                                           layers, operands=ops), tok.token)
+        for k in range(1, poly_coeffs.shape[0]):
+            if k > 1:
+                evolved = ansatz_rows(ad.take_rows(powers[-1], tok.window), tok.angles, q,
+                                      layers, angle_index=tok.token, operands=ops)
+            powers.append(ad.segment_sum(ad.scalar_mul(coeffs, evolved), tok.counts))
     return ad.weighted_sum(poly_coeffs, powers)
 
 
@@ -277,8 +272,8 @@ def mix_window(token_angles: Tensor, params: MixerParams, mask, *, q: int,
     batch in the first power and once per window holding it after that,
     and a window's repeated tokens share one merged weight. Without
     ``tokens``, the angles are per position, (W, n, 4*embed_layers*q) or
-    (n, 4*embed_layers*q) for one window, and each active position is its
-    own token, run through the same path.
+    (n, 4*embed_layers*q) for one window; their distinct active rows,
+    keyed by bytes, become the tokens, so byte-identical rows merge.
     mask: (W, n) booleans, or (n,), True where a real token sits.
     window_id: names windows in errors; one id for one window, a sequence
     of W ids for a batch (default: the window's position).
@@ -298,8 +293,7 @@ def mix_window(token_angles: Tensor, params: MixerParams, mask, *, q: int,
     if normalize_lcu:
         weights = l1_normalize(params.lcu_coeffs, m, window_id=labels)
     else:
-        weights = ad.mul_const(ad.broadcast_rows(params.lcu_coeffs, m.shape[0]),
-                               m.astype(np.float64))
+        weights = ad.mul(ad.tensor(m), params.lcu_coeffs)
 
     poly_state = apply_polynomial(weights, angles, params.poly_coeffs,
                                   q, embed_layers, active=m, tokens=index)

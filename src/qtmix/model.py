@@ -198,8 +198,7 @@ def _forward(docs: list, params: Params, cfg: ModelConfig, training: bool,
     window_logits = ad.add(ad.matvec(params.head_w2, h), params.head_b2)
 
     if cfg.aggregation == "attention_pool":
-        n_w = counts.sum()
-        scores = ad.sum_last(ad.mul(ad.broadcast_rows(params.attn_vec, n_w), feats))
+        scores = ad.sum_last(ad.mul(feats, params.attn_vec))
         attn = ad.softmax(scores, counts)
         agg = ad.segment_sum(ad.scalar_mul(attn, window_logits), counts)
     else:

@@ -14,6 +14,7 @@ files.
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
 import math
 import os
@@ -28,7 +29,8 @@ from .autodiff import Tape, backward, parameter
 from .circuits import AnsatzAngles
 from .config import RunConfig, from_dict as config_from_dict
 from .data import Vocab
-from .errors import DataIOError, InputError, LabelError, ParseError, TrainingDiverged
+from .errors import (ConfigError, DataIOError, InputError, LabelError, ParseError,
+                     TrainingDiverged)
 from .mixer import MixerParams
 from .model import Params, document_loss, forward_document, init_params, param_shapes
 from .optim import AdamW, cosine_lr
@@ -210,7 +212,10 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, Params, Vocab, int, di
     saved = dict(payload["config"])
     # checkpoints written before the worker pool was removed carry its count
     saved.pop("workers", None)
-    cfg = config_from_dict(saved)
+    try:
+        cfg = config_from_dict(saved)
+    except ConfigError as e:
+        raise ParseError(f"checkpoint {p}: key 'config' is invalid: {e}") from e
     table = payload["vocab"].get("token_to_id")
     ids = sorted(i for i in table.values() if type(i) is int) if isinstance(table, dict) else None
     if ids is None or ids != list(range(2, len(table) + 2)):
@@ -386,7 +391,9 @@ def train(cfg: RunConfig, log=None) -> TrainOutcome:
                 f"pre_norm {means['mean_pre_norm']:.4f} "
                 f"({time.perf_counter() - t_start:.1f}s)")
     except BaseException:
-        _write_metrics(metrics_path, records)
+        # a failed rewrite must not hide the error that stopped the run
+        with contextlib.suppress(DataIOError):
+            _write_metrics(metrics_path, records)
         raise
 
     if best_arrays is not None:

@@ -139,7 +139,7 @@ def test_fd_weighted_sum_and_collapse(seed):
         lambda ls: ad.weighted_sum(ls[0], ls[1:]),
         [ad.tensor(coeffs)] + [ad.tensor(t) for t in terms], rng)
     rows = rand_complex(rng, (k, 6))
-    check_op_gradients(lambda ls: ad.collapse_rows(ls[0], ls[1], [k]),
+    check_op_gradients(lambda ls: ad.segment_sum(ad.scalar_mul(ls[0], ls[1]), [k]),
                        [ad.tensor(coeffs), ad.tensor(rows)], rng)
 
 
@@ -151,7 +151,8 @@ def test_fd_structural_ops(seed):
     check_op_gradients(lambda ls: ad.take_rows(ls[0], idx), [ad.tensor(table)], rng)
     vec = rand_complex(rng, (8,))
     check_op_gradients(lambda ls: ad.take_rows(ls[0], idx), [ad.tensor(vec[:7])], rng)
-    check_op_gradients(lambda ls: ad.broadcast_rows(ls[0], 4), [ad.tensor(vec)], rng)
+    rows = rand_complex(rng, (2, 4, 8))
+    check_op_gradients(lambda ls: ad.mul(ls[0], ls[1]), [ad.tensor(rows), ad.tensor(vec)], rng)
 
 
 def _scatter_both_ways(buf_shape, idx, rng):
@@ -228,7 +229,7 @@ def test_fd_batched_ops(seed):
     check_op_gradients(lambda ls: ad.take_rows(ls[0], idx), [ad.tensor(table)], rng)
     coeffs = rand_complex(rng, (3,))
     kept = rand_complex(rng, (3, 4))
-    check_op_gradients(lambda ls: ad.collapse_rows(ls[0], ls[1], [2, 1]),
+    check_op_gradients(lambda ls: ad.segment_sum(ad.scalar_mul(ls[0], ls[1]), [2, 1]),
                        [ad.tensor(coeffs), ad.tensor(kept)], rng)
 
 
@@ -292,32 +293,6 @@ def test_weighted_sum_picks_single_term():
     t0, t1 = rand_complex(rng, (5,)), rand_complex(rng, (5,))
     out = ad.weighted_sum(ad.tensor([1.0, 0.0]), [ad.tensor(t0), ad.tensor(t1)])
     assert np.array_equal(out.values, t0)
-
-
-def test_collapse_rows_one_row_window_is_its_term():
-    rng = np.random.default_rng(44)
-    coeffs, rows = rand_complex(rng, (3,)), rand_complex(rng, (3, 8))
-    terms = coeffs[:, None] * rows
-    alone = ad.collapse_rows(ad.tensor(coeffs[:1]), ad.tensor(rows[:1]), [1]).values
-    assert alone.shape == (1, 8) and np.array_equal(alone[0], terms[0])
-    out = ad.collapse_rows(ad.tensor(coeffs), ad.tensor(rows), [1, 2]).values
-    assert np.array_equal(out[0], terms[0])
-
-
-def test_collapse_rows_matches_per_window_sum():
-    rng = np.random.default_rng(47)
-    counts = np.array([3, 1, 9, 5, 2, 7])
-    coeffs = rand_complex(rng, (counts.sum(),))
-    rows = rand_complex(rng, (counts.sum(), 16))
-    out = ad.collapse_rows(ad.tensor(coeffs), ad.tensor(rows), counts).values
-    win = np.repeat(np.arange(counts.size), counts)
-    for w in range(counts.size):
-        want = (coeffs[win == w][:, None] * rows[win == w]).sum(axis=0)
-        assert np.allclose(out[w], want, rtol=0, atol=1e-13), w
-        # a run's bits do not depend on the runs beside it
-        alone = ad.collapse_rows(ad.tensor(coeffs[win == w]), ad.tensor(rows[win == w]),
-                                 [counts[w]]).values
-        assert np.array_equal(out[w], alone[0]), w
 
 
 def test_backward_accumulates_on_second_call():
@@ -449,6 +424,9 @@ def test_shape_errors():
     b = ad.tensor(np.zeros(4))
     with pytest.raises(ShapeError):
         ad.add(a, b)
+    for x, y in ((a, b), (a, ad.tensor(np.zeros((2, 3))))):   # b must be a's trailing axes
+        with pytest.raises(ShapeError):
+            ad.mul(x, y)
     with pytest.raises(ShapeError):
         ad.matvec(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((1, 4))))
     with pytest.raises(ShapeError):
@@ -464,7 +442,7 @@ def test_shape_errors():
     rows = ad.tensor(np.zeros((4, 3)))
     for counts in ([0, 4], [2, 1], [3, 2], []):     # runs must be nonempty and cover the rows
         with pytest.raises(ShapeError):
-            ad.collapse_rows(ad.tensor(np.zeros(4)), rows, counts)
+            ad.segment_sum(rows, counts)
 
 
 def test_gradients_flow_through_mixed_graph():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qtmix.cli as cli
-from qtmix import errors
+from qtmix import errors, training
 from qtmix.errors import TrainingDiverged
 from qtmix.training import _encode_array
 
@@ -239,6 +239,13 @@ def _drop_head_w1(payload):
     return payload
 
 
+def _model_key(key, value):
+    def corrupt(payload):
+        payload["config"]["model"][key] = value
+        return payload
+    return corrupt
+
+
 def _vocab_id_out_of_range(payload):
     table = payload["vocab"]["token_to_id"]
     table[next(iter(table))] = 99999
@@ -256,14 +263,17 @@ def _short_ff_angles(payload):
     (_drop_head_w1, "'head_w1' is missing"),
     (_short_ff_angles, "'ff_angles' has shape (12,), its config needs (24,)"),
     (_vocab_id_out_of_range, "'vocab.token_to_id'"),
-], ids=["root-list", "format-only", "head_w1-dropped", "ff_angles-12-of-24", "vocab-id"])
+    (_model_key("qubits", "8"), "key 'config' is invalid: 'model.qubits' must be int"),
+    (_model_key("stride", 99), "key 'config' is invalid: model.stride"),
+], ids=["root-list", "format-only", "head_w1-dropped", "ff_angles-12-of-24", "vocab-id",
+        "qubits-string", "stride-99"])
 def test_eval_malformed_checkpoint_exit_3(good_checkpoint, corrupt, named, tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(corrupt(json.loads(json.dumps(good_checkpoint)))))
     capsys.readouterr()
     assert cli.main(["eval", "--checkpoint", str(p)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("data error: ") and named in err
+    assert err.startswith(f"data error: checkpoint {p}") and named in err
 
 
 def test_eval_label_outside_checkpoint_classes_exit_3(good_checkpoint, tmp_path, capsys):
@@ -396,6 +406,21 @@ def test_unwritable_artifact_path_exit_3(tmp_path, capsys, artifact):
                                     capsys)
     assert "data error: cannot write" in msg and str(out / artifact) in msg
     assert (out / artifact).is_dir()
+
+
+def test_divergence_with_unwritable_metrics_exit_4(tmp_path, capsys, monkeypatch):
+    # the failed metrics rewrite must not hide the divergence that stopped the run
+    def explode(*args, **kwargs):
+        raise TrainingDiverged("non-finite loss at epoch 0 batch 0",
+                               diagnostics={"mean_pre_norm": 123.4, "step": 0})
+    monkeypatch.setattr(training, "batch_gradients", explode)
+    out = tmp_path / "run"
+    (out / "metrics.jsonl").mkdir(parents=True)
+    cfg = write_cfg(tmp_path)
+    msg = refused_without_traceback(["train", "--config", str(cfg), "--out", str(out)], 4,
+                                    capsys)
+    assert "training diverged: non-finite loss at epoch 0 batch 0" in msg
+    assert "mean_pre_norm: 123.4" in msg and "step: 0" in msg
 
 
 def test_stride_past_the_window_exit_2(tmp_path, capsys):

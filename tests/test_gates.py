@@ -533,7 +533,7 @@ def test_fd_ansatz_rows(seed):
 @pytest.mark.parametrize("shared", [False, True], ids=["per_row", "shared"])
 def test_fd_ansatz_rows_fusion_boundaries(q, shared):
     # per-row angles on one row (k=1); shared angles reach two rows
-    # through broadcast_rows. Every q from 2 to 8: ring pairs and single
+    # through a broadcast product. Every q from 2 to 8: ring pairs and single
     # gates, frame rotations between blocks, RY chunks in rotated frames
     rng = np.random.default_rng(1200 + q)
     layers = 2 if q < 8 else 1
@@ -543,7 +543,7 @@ def test_fd_ansatz_rows_fusion_boundaries(q, shared):
     angles = rng.uniform(-np.pi, np.pi, size=n if shared else (k, n))
 
     def build(ls):
-        rows = ad.broadcast_rows(ls[1], k) if shared else ls[1]
+        rows = ad.mul(ad.tensor(np.ones((k, n))), ls[1]) if shared else ls[1]
         return circuits.ansatz_rows(ls[0], rows, q, layers)
 
     check_op_gradients(build, [ad.tensor(states), ad.tensor(angles)], rng,

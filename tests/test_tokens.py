@@ -2,10 +2,11 @@
 
 Each distinct token's template runs once per batch in the first
 polynomial power, each distinct (window, token) pair once in every later
-power, and a window's repeated tokens share one merged coefficient. These
-tests hold that path to the per-position one, to central differences and
-to the bitwise contracts, on ids that repeat within windows and across
-documents.
+power, and a window's repeated tokens share one merged coefficient.
+Per-position angles run the same path: their distinct rows, by bytes,
+become the tokens. These tests hold token-index calls to per-position
+calls, to central differences and to the bitwise contracts, on ids and
+rows that repeat within windows and across documents.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from qtmix.data import Document, make_windows
 from qtmix.model import document_loss, forward_document, init_params
 from qtmix.training import batch_gradients
 
-from helpers import probe_loss, rand_complex
+from helpers import check_op_gradients, probe_loss, rand_complex
 
 
 def mixer_params(rng, n, degree, q, ff_layers=1):
@@ -95,16 +96,16 @@ def test_token_index_bitwise_per_position_without_repeats_in_a_window(q):
 
 def record_token_template(monkeypatch):
     """Patch the token template and ``take_rows``: the returned lists get
-    each template call's (window index, ``angle_index``), the window index
-    read off the ``take_rows`` call that gathered its states (None when no
-    gather made them), and, per gather, whether it gathered a template
-    call's output."""
+    each template call's (window index, ``angle_index``, state rows), the
+    window index read off the ``take_rows`` call that gathered its states
+    (None when no gather made them), and, per gather, whether it gathered
+    a template call's output."""
     indices, outs, gathers, taken = [], [], [], []
     run, take = mixer.ansatz_rows, ad.take_rows
 
     def running(states, *args, **kwargs):
         window = next((idx for out, idx in taken if out is states), None)
-        indices.append((window, kwargs.get("angle_index")))
+        indices.append((window, kwargs.get("angle_index"), states.shape[0]))
         outs.append(run(states, *args, **kwargs))
         return outs[-1]
 
@@ -118,21 +119,46 @@ def record_token_template(monkeypatch):
     return indices, gathers
 
 
-def test_per_position_input_runs_no_gather(monkeypatch):
-    # per-position angles take their rows in pair order: every power runs
-    # without an angle index or a gathered first power
+def test_per_position_rows_run_once_per_distinct_bytes(monkeypatch):
+    # per-position angles are tokens keyed by their rows' bytes: the first
+    # power runs one row per distinct row of the batch, each later power
+    # one row per distinct (window, row), with every bit of the token call
     rng = np.random.default_rng(75)
     q, n, degree, layers = 3, 4, 3, 1
     params = mixer_params(rng, n, degree, q)
     masks = np.array([[True, False, True, True], [True, True, True, True]])
-    per_position = rng.uniform(-np.pi, np.pi, size=(2, n, kernels.angle_count(q, layers)))
-    indices, gathers = record_token_template(monkeypatch)
-    for angles, mask in [(per_position, masks), (per_position[0], masks[0])]:
-        indices.clear()
+    rows = rng.uniform(-np.pi, np.pi, size=(3, kernels.angle_count(q, layers)))
+    rows = rows[np.argsort(rows.view(np.dtype((np.void, rows[0].nbytes)))[:, 0])]
+    # window 0 holds rows 0, 1, 0 (its row 2 is masked), window 1 rows 1, 2, 1, 1
+    held = np.array([[0, 2, 1, 0], [1, 2, 1, 1]])
+    calls, gathers = record_token_template(monkeypatch)
+    for tokens, mask, distinct, window in [(held, masks, 3, [0, 0, 1, 1]),
+                                           (held[0], masks[0], 2, [0, 0])]:
+        calls.clear()
         gathers.clear()
-        mixer.mix_window(ad.tensor(angles), params, mask, q=q, embed_layers=layers)
-        assert [i is None for _, i in indices] == [True] * degree
-        assert not any(gathers)
+        out = mixer.mix_window(ad.tensor(rows[tokens]), params, mask, q=q, embed_layers=layers)
+        assert [c[2] for c in calls] == [distinct] + [len(window)] * (degree - 1)
+        for win, token, _ in calls[1:]:
+            assert win.tolist() == window and token.tolist() == [0, 1, 1, 2][:len(window)]
+        assert gathers.count(True) == 1     # the first power's results, per pair
+        by_token = mixer.mix_window(ad.tensor(rows), params, mask, q=q, embed_layers=layers,
+                                    tokens=tokens)
+        for a, b in zip(outputs(out), outputs(by_token)):
+            assert np.array_equal(a, b)
+
+
+def test_tracked_per_position_repeated_rows_keep_their_own_gradients():
+    # a tracked tensor's byte-identical rows stay apart, so each row gets
+    # its own position's gradient, not the sum of all of them at one
+    rng = np.random.default_rng(77)
+    q, n, degree, layers = 2, 4, 2, 1
+    params = mixer_params(rng, n, degree, q)
+    rows = rng.uniform(-np.pi, np.pi, size=(2, kernels.angle_count(q, layers)))
+    held = np.array([[0, 1, 0, 0], [1, 1, 0, 1]])
+    masks = np.array([[True, True, True, False], [True, True, True, True]])
+    check_op_gradients(
+        lambda ls: mixer.mix_window(ls[0], params, masks, q=q, embed_layers=layers).features,
+        [ad.tensor(rows[held])], rng, complex_leaves=set(), atol=5e-6)
 
 
 def test_pairs_run_in_token_row_order_and_renumbering_keeps_every_bit(monkeypatch):
@@ -147,7 +173,7 @@ def test_pairs_run_in_token_row_order_and_renumbering_keeps_every_bit(monkeypatc
     base = mixer.mix_window(ad.tensor(angles), params, masks, q=q, embed_layers=layers,
                             tokens=tokens)
     assert len(indices) == degree and any(gathers)
-    for window, token in indices[1:]:
+    for window, token, _ in indices[1:]:
         assert np.all(np.diff(window) >= 0)
         for v in range(w):
             assert np.array_equal(token[window == v], np.unique(tokens[v][masks[v]])), v
