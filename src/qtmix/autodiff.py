@@ -58,10 +58,11 @@ class Tensor:
 
     Leaves are created with ``tensor``/``parameter``; everything else comes
     out of ops. ``grad`` is populated on tracked leaves by ``backward`` and
-    accumulates across calls.
+    accumulates across calls. ``is_real`` marks a parameter built from a
+    real array, whose imaginary half code outside the tape leaves alone.
     """
 
-    __slots__ = ("values", "grad", "tracked", "node_id", "_tape", "_index")
+    __slots__ = ("values", "grad", "tracked", "is_real", "node_id", "_tape", "_index")
 
     def __init__(self, values, tracked: bool = False):
         arr = np.asarray(values, dtype=_COMPLEX)
@@ -70,6 +71,7 @@ class Tensor:
         self.values = arr
         self.grad: np.ndarray | None = None
         self.tracked = tracked
+        self.is_real = False
         self.node_id = next(_ids)
         self._tape: "Tape | None" = None   # tape holding the op that made this node
         self._index = -1                    # record index within that tape
@@ -105,8 +107,12 @@ def tensor(values) -> Tensor:
 
 
 def parameter(values) -> Tensor:
-    """Create a trainable leaf: tracked, with persistent ``grad``."""
-    return Tensor(values, tracked=True)
+    """Create a trainable leaf: tracked, with persistent ``grad``, and
+    ``is_real`` when ``values`` is not complex. Its values are complex128
+    all the same; a real leaf's gradient has a zero imaginary part."""
+    out = Tensor(values, tracked=True)
+    out.is_real = not np.iscomplexobj(values)
+    return out
 
 
 _tapes: list["Tape"] = []      # active tapes, innermost last

@@ -208,8 +208,14 @@ def _tokens(token_angles: Tensor, tokens, keep: np.ndarray, weights: np.ndarray,
     keys, pair, sizes = np.unique(win * n_tok + tokens[win, pos], return_inverse=True,
                                   return_counts=True)
     window = keys // n_tok
+    # positions by pair, then by weight; only pairs of two or more positions
+    # need the weight sort, so only their positions go through lexsort
+    order = np.argsort(pair, kind="stable")
+    several = np.repeat(sizes > 1, sizes)
+    sub = order[several]
+    order[several] = sub[np.lexsort((b[sub], pair[sub]))]
     return _Tokens(token_angles, window, keys % n_tok, np.bincount(window, minlength=w),
-                   flat[np.lexsort((b, pair))], sizes)
+                   flat[order], sizes)
 
 
 def _ground(k: int, q: int) -> Tensor:

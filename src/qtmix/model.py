@@ -87,7 +87,8 @@ def init_params(cfg: ModelConfig, vocab_size: int, n_classes: int,
     reproducibility contract: table, projection, mixing coefficients,
     polynomial coefficients, template angles, head weights. Biases and
     the attention vector start at zero (zero attention scores make the
-    pool an exact uniform average, so both aggregations start equal)."""
+    pool an exact uniform average, so both aggregations start equal).
+    Every group but the two coefficient vectors is a real parameter."""
     if n_classes < 2:
         raise InputError(f"need at least 2 classes, got {n_classes}")
     if vocab_size < 2:

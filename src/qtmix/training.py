@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as datamod
-from .autodiff import Tape, backward, parameter
+from .autodiff import Tape, Tensor, backward, parameter
 from .circuits import AnsatzAngles
 from .config import RunConfig, from_dict as config_from_dict
 from .data import Vocab
@@ -162,17 +162,29 @@ def evaluate(docs: list, params: Params, model_cfg) -> dict:
 # ---------------------------------------------------------------------------
 
 def _encode_array(arr: np.ndarray) -> dict:
-    c = np.ascontiguousarray(arr, dtype="<c16")
-    return {"shape": list(c.shape),
-            "data": base64.b64encode(c.view("<f8").tobytes()).decode("ascii")}
+    """A float64 array with its dtype tag, any other as untagged (re, im) pairs."""
+    tag = {"dtype": "<f8"} if arr.dtype == np.float64 else {}
+    c = np.ascontiguousarray(arr, dtype="<f8" if tag else "<c16")
+    return {"shape": list(c.shape), **tag, "data": base64.b64encode(c).decode("ascii")}
+
+
+def _stored(t: Tensor) -> np.ndarray:
+    """A real parameter whose imaginary parts are all +0.0 (all bits zero)
+    as its real half; any other array as it is."""
+    real = t.is_real and not t.values.imag.view(np.uint64).any()
+    return t.values.real if real else t.values
 
 
 def _decode_array(payload: dict) -> np.ndarray:
-    # the bytes are read back as (re, im) pairs, not recombined with
-    # arithmetic, so every value (-0.0, inf and NaN too) round-trips bitwise
+    # the bytes are read back as stored, not recombined with arithmetic, so
+    # every value (-0.0, inf and NaN too) round-trips bitwise; an untagged
+    # array is (re, im) pairs, as every array was before the tag existed
     shape = tuple(payload["shape"])
-    flat = np.frombuffer(base64.b64decode(payload["data"]), dtype="<c16")
-    return flat.astype(np.complex128).reshape(shape)
+    dtype = payload.get("dtype", "<c16")
+    if dtype not in ("<f8", "<c16"):
+        raise ValueError(f"unknown dtype {dtype!r}")
+    flat = np.frombuffer(base64.b64decode(payload["data"]), dtype=dtype)
+    return flat.astype(dtype[1:]).reshape(shape)
 
 
 def save_checkpoint(path: str | Path, params: Params, cfg: RunConfig,
@@ -183,8 +195,7 @@ def save_checkpoint(path: str | Path, params: Params, cfg: RunConfig,
         "n_classes": n_classes,
         "vocab": vocab.to_dict(),
         "progress": progress,
-        "params": {name: _encode_array(t.values)
-                   for name, t in params.named().items()},
+        "params": {name: _encode_array(_stored(t)) for name, t in params.named().items()},
     }
     _write_atomic(Path(path), json.dumps(payload))
 
@@ -240,6 +251,7 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, Params, Vocab, int, di
             raise ParseError(f"checkpoint {p}: parameter array '{name}' must be real")
         if not np.isfinite(arr.view(np.float64)).all():
             raise ParseError(f"checkpoint {p}: parameter array '{name}' is not finite")
+        # a float64 array builds a real parameter; ff_angles is real even as pairs
         t[name] = parameter(arr.real if name == "ff_angles" else arr)
     mc = cfg.model
     mixer = MixerParams(t.pop("lcu_coeffs"), t.pop("poly_coeffs"),
@@ -271,7 +283,7 @@ def _write_metrics(path: Path, records: list) -> None:
 
 
 def _snapshot(params: Params) -> dict:
-    return {name: t.values.copy() for name, t in params.named().items()}
+    return {name: _stored(t).copy() for name, t in params.named().items()}
 
 
 def _restore(params: Params, arrays: dict) -> None:

@@ -246,6 +246,24 @@ def test_segment_sum_independent_of_padding_bitwise(shape):
             assert np.array_equal(alone, batch.values[1]), (length, longest)
 
 
+@pytest.mark.parametrize("shape", [(), (7,), (4, 3)])
+def test_segment_sum_is_reduceat_bitwise_on_ragged_runs(shape):
+    # pins the sums' bits, -0.0 included, for any faster form of the op:
+    # np.add.reduceat adds each column of a run pairwise, not row by row
+    rng = np.random.default_rng(12)
+    counts = [1, 3, 9, 2, 70, 5]
+    full = (sum(counts),) + shape
+    rows = (rng.standard_normal(full) * 10.0 ** rng.integers(-12, 12, size=full)
+            + 1j * rng.standard_normal(full))
+    rows.real[rng.random(full) < 0.3] = -0.0
+    rows.imag[rng.random(full) < 0.3] = -0.0
+    rows[0] = -0.0                        # a one-row run is its row
+    out = ad.segment_sum(ad.tensor(rows), counts).values
+    expect = np.add.reduceat(rows, np.cumsum(counts) - counts, axis=0)
+    assert out.tobytes() == expect.tobytes()
+    assert out[0].tobytes() == rows[0].tobytes()
+
+
 def test_softmax_segments_match_separate_softmaxes():
     rng = np.random.default_rng(6)
     x = rng.standard_normal(7)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, artifacts."""
 
+import base64
 import json
 import os
 import subprocess
@@ -257,6 +258,16 @@ def _short_ff_angles(payload):
     return payload
 
 
+def _head_w1_dtype(tag):
+    def corrupt(payload):
+        if tag is None:
+            del payload["params"]["head_w1"]["dtype"]    # float64 bytes read as pairs
+        else:
+            payload["params"]["head_w1"]["dtype"] = tag
+        return payload
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt,named", [
     (lambda payload: [1, 2], "root"),
     (lambda payload: {"format": payload["format"]}, "'config'"),
@@ -265,8 +276,10 @@ def _short_ff_angles(payload):
     (_vocab_id_out_of_range, "'vocab.token_to_id'"),
     (_model_key("qubits", "8"), "key 'config' is invalid: 'model.qubits' must be int"),
     (_model_key("stride", 99), "key 'config' is invalid: model.stride"),
+    (_head_w1_dtype("<f4"), "'head_w1' is malformed"),
+    (_head_w1_dtype(None), "'head_w1' is malformed"),
 ], ids=["root-list", "format-only", "head_w1-dropped", "ff_angles-12-of-24", "vocab-id",
-        "qubits-string", "stride-99"])
+        "qubits-string", "stride-99", "head_w1-dtype-f4", "head_w1-dtype-dropped"])
 def test_eval_malformed_checkpoint_exit_3(good_checkpoint, corrupt, named, tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(corrupt(json.loads(json.dumps(good_checkpoint)))))
@@ -274,6 +287,35 @@ def test_eval_malformed_checkpoint_exit_3(good_checkpoint, corrupt, named, tmp_p
     assert cli.main(["eval", "--checkpoint", str(p)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"data error: checkpoint {p}") and named in err
+
+
+def _all_pairs(arr):
+    # every array as (re, im) pairs, as checkpoints were written before
+    # float64 arrays carried a dtype tag
+    c = np.ascontiguousarray(arr, dtype="<c16")
+    return {"shape": list(c.shape),
+            "data": base64.b64encode(c.view("<f8").tobytes()).decode("ascii")}
+
+
+def test_checkpoint_in_the_all_pairs_encoding_loads_bitwise_and_evaluates(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    assert cli.main(["train", "--config", str(cfg)]) == 0
+    ckpt = tmp_path / "run" / "checkpoint.json"
+    final = json.loads((tmp_path / "run" / "metrics.jsonl").read_text().splitlines()[-1])
+    payload = json.loads(ckpt.read_text())
+    tagged = sorted(name for name, arr in payload["params"].items() if "dtype" in arr)
+    assert tagged == sorted(set(payload["params"]) - {"lcu_coeffs", "poly_coeffs"})
+    _, params, _, _, _ = training.load_checkpoint(ckpt)
+    payload["params"] = {name: _all_pairs(t.values) for name, t in params.named().items()}
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(payload))
+    _, old_params, _, _, _ = training.load_checkpoint(old)
+    for name, t in params.named().items():
+        loaded = old_params.named()[name].values
+        assert loaded.dtype == t.values.dtype and loaded.tobytes() == t.values.tobytes(), name
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(old)]) == 0
+    assert json.loads(capsys.readouterr().out)["metrics"] == final["test"]
 
 
 def test_eval_label_outside_checkpoint_classes_exit_3(good_checkpoint, tmp_path, capsys):

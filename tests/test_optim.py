@@ -91,3 +91,36 @@ def test_unknown_gradient_name_raises_and_changes_nothing():
     with pytest.raises(ValueError, match="unknown parameter.*typo"):
         opt.step({"a": np.array([0.5, -0.5]), "typo": np.zeros(2)}, lr=0.1)
     assert _state(opt, params) == before
+
+
+def test_real_leaf_steps_its_real_half_as_the_float64_view_would_bitwise():
+    # a leaf built from a real array keeps moments of its real half only;
+    # the whole-array formula on its complex storage gives the same values,
+    # the same real moments, and an imaginary half that stays +0.0
+    rng = np.random.default_rng(7)
+    cfg = OptimizerConfig(weight_decay=0.01)
+    shape = (CHUNK // 16 + 3, 24)        # 1.5 * CHUNK + 72 real floats
+    init = rng.normal(size=shape)
+    init[0, :5] = -0.0
+    real = parameter(init.copy())
+    assert real.is_real and not parameter(init + 0j).is_real
+    opt = AdamW({"table": real}, cfg)
+    values = {"table": init.astype(complex)}
+    m = {"table": np.zeros_like(values["table"].view(np.float64))}
+    v = {"table": np.zeros_like(values["table"].view(np.float64))}
+    assert opt.m["table"].nbytes == m["table"].nbytes // 2
+    assert opt.v["table"].nbytes == v["table"].nbytes // 2
+    t = 0
+    for step in range(5):
+        grads = {}
+        if step != 2:                     # step 2 has no gradient: decay alone
+            g = rng.normal(size=shape)
+            g[1, :3] = -0.0
+            grads["table"] = g.astype(complex)
+        lr = 0.01 / (step + 1)
+        opt.step(grads, lr)
+        t = reference_step(values, m, v, t, grads, lr, cfg, ())
+        assert real.values.tobytes() == values["table"].tobytes()
+        assert opt.m["table"].tobytes() == m["table"][:, 0::2].tobytes()
+        assert opt.v["table"].tobytes() == v["table"][:, 0::2].tobytes()
+    assert not (real.values.imag.any() or np.signbit(real.values.imag).any())

@@ -4,6 +4,7 @@ round-trip bitwise."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -171,7 +172,9 @@ def checkpoints(draw):
     for name, t in params.named().items():
         size = int(np.prod(shapes[name]))
         re = np.array(draw(st.lists(any_float, min_size=size, max_size=size)))
-        if name == "ff_angles":      # real angles: zero imaginary parts
+        # real angles have zero imaginary parts; another real group may, and
+        # is then written as float64, or may not, and is written as pairs
+        if name == "ff_angles" or (t.is_real and draw(st.booleans())):
             t.values[...] = re.reshape(t.shape)
         else:
             im = np.array(draw(st.lists(any_float, min_size=size, max_size=size)))
@@ -187,6 +190,7 @@ def test_checkpoint_round_trips_bitwise(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "checkpoint.json"
         save_checkpoint(path, params, cfg, vocab, n_classes, progress)
+        stored = json.loads(path.read_text())["params"]
         cfg2, params2, vocab2, n_classes2, progress2 = load_checkpoint(path)
     assert cfg2 == cfg and vocab2 == vocab
     assert (n_classes2, progress2) == (n_classes, progress)
@@ -196,3 +200,6 @@ def test_checkpoint_round_trips_bitwise(case):
         a, b = t.values, loaded[name].values
         assert a.shape == b.shape and a.dtype == b.dtype, name
         assert a.tobytes() == b.tobytes(), name
+        as_float64 = t.is_real and not (a.imag.any() or np.signbit(a.imag).any())
+        assert stored[name].get("dtype") == ("<f8" if as_float64 else None), name
+        assert loaded[name].is_real == (as_float64 or name == "ff_angles"), name

@@ -96,6 +96,30 @@ def test_batch_gradients_mean_of_single_docs():
         assert np.max(np.abs(both[name] - expect)) <= 1e-15, name
 
 
+@pytest.mark.parametrize("aggregation", ["mean_logits", "attention_pool"])
+def test_batch_gradients_of_real_groups_are_real(aggregation):
+    # AdamW steps only the real half of a real parameter, so its gradient
+    # must carry no imaginary part; dropout is on, as in training, and the
+    # documents span several windows, so the attention scores matter
+    cfg = tiny_cfg("/tmp/unused",
+                   model=ModelConfig(qubits=3, window=4, stride=2, degree=2, embed_dim=8,
+                                     embed_layers=1, ff_layers=1, hidden=8, dropout=0.3,
+                                     aggregation=aggregation),
+                   data=DataConfig(kind="synthetic", task="sentiment", size=40,
+                                   data_seed=1, min_freq=1))
+    b = load_bundle(cfg)
+    params = init_params(cfg.model, len(b.vocab), b.n_classes, cfg.seed)
+    grads, _ = batch_gradients([(i, b.train[i]) for i in range(6)], params, cfg, epoch=1)
+    named = params.named()
+    real = sorted(name for name, t in named.items() if t.is_real)
+    assert real == sorted(set(named) - {"lcu_coeffs", "poly_coeffs"})
+    assert set(real) <= set(grads)
+    for name in real:
+        assert np.any(grads[name].real != 0), name
+        assert not grads[name].imag.any(), name
+    assert all(np.any(grads[name].imag != 0) for name in ("lcu_coeffs", "poly_coeffs"))
+
+
 def test_batch_gradients_order_independent_merge():
     cfg = tiny_cfg("/tmp/unused")
     b = load_bundle(cfg)
@@ -423,6 +447,23 @@ def test_checkpoint_with_worker_count_still_loads(tmp_path):
     assert not hasattr(cfg2, "workers")
     for name, t in out.params.named().items():
         assert np.array_equal(t.values, params2.named()[name].values), name
+
+
+@pytest.mark.parametrize("imag", [-0.0, 0.25])
+def test_real_group_with_an_imaginary_part_round_trips_as_pairs(tmp_path, imag):
+    # only a real group whose imaginary parts are all +0.0 is written as
+    # float64; any other keeps every bit as (re, im) pairs
+    cfg = tiny_cfg(tmp_path / "run", optimizer=OptimizerConfig(epochs=1))
+    out = train(cfg)
+    out.params.head_w1.values.imag[1, 2] = imag
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, out.params, cfg, out.bundle.vocab, out.bundle.n_classes, {})
+    stored = json.loads(path.read_text())["params"]
+    assert "dtype" not in stored["head_w1"] and stored["head_w2"]["dtype"] == "<f8"
+    _, params2, _, _, _ = load_checkpoint(path)
+    for name, t in out.params.named().items():
+        assert t.values.tobytes() == params2.named()[name].values.tobytes(), name
+    assert params2.head_w2.is_real and not params2.head_w1.is_real
 
 
 def test_checkpoint_rejects_unknown_format(tmp_path):
