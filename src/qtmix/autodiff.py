@@ -19,7 +19,10 @@ record holds its output's node id, not the output, and its parents' ids
 the caller or a vjp that needs its values holds it. Ops executed with no
 active tape run eagerly and produce untracked outputs, which is the
 intended fast path for evaluation loops. Leaving the ``with`` block drops
-the tape's records; ``backward`` must run inside the block.
+the tape's records; ``backward`` must run inside the block. A constant is
+an untracked ``tensor`` operand of the same ops (``mul``, ``add``,
+``scalar_mul``): each op has one adjoint rule, and the sweep drops the
+contributions to untracked operands.
 
 Ops that take a batch treat the leading axis (or axes) as independent
 windows: each window's forward arithmetic has the same shapes whatever
@@ -33,21 +36,21 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import ArityError, AutodiffError, LabelError, ShapeError
+from .errors import AutodiffError, LabelError, ShapeError
 
 _COMPLEX = np.complex128
 _ids = itertools.count()
 
 __all__ = [
     "Tensor", "Tape", "tensor", "parameter", "backward",
-    "add", "sub", "mul", "mul_const", "add_const", "scalar_mul",
+    "add", "sub", "mul", "scalar_mul",
     "matvec", "reshape",
     "real_part", "absval", "sum_last", "square_norm",
-    "spow", "weighted_sum", "segment_sum", "take_rows",
+    "spow", "segment_sum", "take_rows",
     "relu", "tanh", "softmax",
     "cross_entropy",
 ]
@@ -226,11 +229,6 @@ def backward(scalar: Tensor, populate_leaves: bool = True) -> dict[Tensor, np.nd
 # ---------------------------------------------------------------------------
 # helpers
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-
-
 def _sum_leading(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum ``g`` over the leading axes it has beyond ``shape``, in index
     order (the adjoint of broadcasting over leading axes)."""
@@ -283,7 +281,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
+    if a.shape != b.shape:
+        raise ShapeError(f"sub: shape mismatch {a.shape} vs {b.shape}")
     return _make(a.values - b.values, (a, b), lambda g: (g, -g))
 
 
@@ -296,22 +295,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     av, bv, shape = a.values, b.values, b.shape
     return _make(av * bv, (a, b),
                  lambda g: (np.conj(bv) * g, _sum_leading(np.conj(av) * g, shape)))
-
-
-def mul_const(a: Tensor, c) -> Tensor:
-    """Multiply by a constant scalar or a constant same-shape array."""
-    carr = np.asarray(c, dtype=_COMPLEX)
-    if carr.shape not in ((), a.shape):
-        raise ShapeError(f"mul_const: constant shape {carr.shape} does not match {a.shape}")
-    cc = np.conj(carr)
-    return _make(a.values * carr, (a,), lambda g: (cc * g,))
-
-
-def add_const(a: Tensor, c) -> Tensor:
-    carr = np.asarray(c, dtype=_COMPLEX)
-    if carr.shape not in ((), a.shape):
-        raise ShapeError(f"add_const: constant shape {carr.shape} does not match {a.shape}")
-    return _make(a.values + carr, (a,), lambda g: (g,))
 
 
 def scalar_mul(s: Tensor, t: Tensor) -> Tensor:
@@ -416,36 +399,6 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"reshape: cannot view {old} as {shape}") from e
     return _make(values.copy(), (a,), lambda g: (g.reshape(old).copy(),))
-
-
-def weighted_sum(coeffs: Tensor, terms: Sequence[Tensor]) -> Tensor:
-    """sum_j coeffs[j] * terms[j] over a list of same-shape tensors.
-
-    The terms are added in list order, one ``np.add.reduce`` over the term
-    axis, so the bits depend on the order the caller gives.
-    """
-    terms = list(terms)
-    if not terms:
-        raise ArityError("weighted_sum: empty term list")
-    if coeffs.values.ndim != 1 or coeffs.shape[0] != len(terms):
-        raise ShapeError(
-            f"weighted_sum: got {len(terms)} terms but coefficient shape {coeffs.shape}"
-        )
-    shape = terms[0].shape
-    for t in terms[1:]:
-        _check_same_shape(terms[0], t, "weighted_sum")
-    cv = coeffs.values
-    stack = np.stack([t.values.reshape(-1) for t in terms])  # (k, flat)
-    out = np.add.reduce(cv[:, None] * stack, axis=0).reshape(shape)
-
-    def vjp(g):
-        gf = g.reshape(-1)
-        gc = np.add.reduce(np.conj(stack) * gf, axis=1)
-        contribs = [np.asarray(gc, dtype=_COMPLEX)]
-        contribs.extend((np.conj(cv[j]) * gf).reshape(shape) for j in range(len(terms)))
-        return tuple(contribs)
-
-    return _make(out, (coeffs, *terms), vjp)
 
 
 def take_rows(a: Tensor, indices) -> Tensor:

@@ -23,7 +23,7 @@ from .errors import (BudgetError, CollapsedStateError, ConfigError, DataIOError,
                      LabelError, ParseError, QtmixError, TrainingDiverged)
 from .gradcheck import format_report, run_gradcheck
 from .model import count_attention_params
-from .training import evaluate, load_checkpoint, train
+from .training import evaluate, load_checkpoint, split_documents, split_rows, train
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -58,27 +58,15 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg, params, vocab, n_classes, progress = load_checkpoint(args.checkpoint)
-    mc = cfg.model
-    if args.data:
-        rows = datamod.load_tsv(args.data)
-    elif cfg.data.kind == "tsv":
-        rows = datamod.load_tsv(cfg.data.test)
-    elif cfg.data.task == "majority":
-        rows = datamod.synth_majority(cfg.data.data_seed, cfg.data.size,
-                                      mc.window, cfg.data.distractor_vocab)[2]
-    else:
-        rows = datamod.synth_sentiment(cfg.data.data_seed, cfg.data.size)[2]
+    rows = datamod.load_tsv(args.data) if args.data else split_rows(cfg, "test")[0]
     bad = sorted({lab for _, lab in rows if not (0 <= lab < n_classes)})
     if bad:
         raise LabelError(f"label(s) {bad} outside the checkpoint's "
                          f"{n_classes} classes")
     if not rows:
         raise InputError("no documents to evaluate")
-    docs = datamod.build_documents(rows, vocab, mc.window, mc.effective_stride)
-    empty = [i for i, d in enumerate(docs) if not d.windows]
-    if empty:
-        raise InputError(f"document(s) {empty[:10]} have no tokens")
-    metrics = evaluate(docs, params, mc)
+    docs = split_documents(rows, vocab, cfg.model, args.data or "test split")
+    metrics = evaluate(docs, params, cfg.model)
     print(json.dumps({"checkpoint": str(args.checkpoint),
                       "progress": progress, "metrics": metrics}, indent=2))
     return EXIT_OK

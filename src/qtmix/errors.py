@@ -1,7 +1,9 @@
 """Exception taxonomy shared across the package.
 
 Every failure mode that callers are expected to handle gets its own class so
-tests and the CLI can match on type rather than message text.
+tests and the CLI can match on type rather than message text. Each class is
+raised somewhere in the package and maps to a documented exit code; the
+package tests check both.
 """
 
 from __future__ import annotations
@@ -13,10 +15,6 @@ class QtmixError(Exception):
 
 class ShapeError(QtmixError):
     """Operands have incompatible or unexpected shapes."""
-
-
-class ArityError(QtmixError):
-    """An operation received the wrong number of operands."""
 
 
 class AutodiffError(QtmixError):

@@ -18,9 +18,7 @@ from .autodiff import Tape, backward
 from .config import LossConfig, ModelConfig
 from .data import Document, make_windows
 from .errors import ConfigError
-from .model import document_loss, init_params, param_shapes
-
-COMPLEX_GROUPS = frozenset({"lcu_coeffs", "poly_coeffs"})
+from .model import COMPLEX_GROUPS, document_loss, init_params, param_shapes
 
 
 @dataclass

@@ -8,11 +8,11 @@ the mixing operator
 
 is applied as a sum of statevector evolutions (M itself is never
 materialized). A degree-d polynomial sum_k c_k M^k is evaluated on |0...0>
-by power accumulation: exactly d applications of M, accumulating the
-partial powers with the polynomial coefficients. The squared norm of the
-resulting (sub-normalized) state is recorded as ``pre_norm`` before the
-state is renormalized, pushed through a trainable feed-forward template,
-and read out as per-qubit X/Y/Z expectations.
+by power accumulation: exactly d applications of M, each power scaled by
+its coefficient and added to a running sum, in power order. The squared
+norm of the resulting (sub-normalized) state is recorded as ``pre_norm``
+before the state is renormalized, pushed through a trainable feed-forward
+template, and read out as per-qubit X/Y/Z expectations.
 
 A batch of W windows runs at once, through one token path. Its token
 angles come as (U, L), one row per distinct token, with a (W, n) index
@@ -228,8 +228,9 @@ def _ground(k: int, q: int) -> Tensor:
 def apply_polynomial(b_norm: Tensor, token_angles: Tensor, poly_coeffs: Tensor,
                      q: int, layers: int, active=None, tokens=None) -> Tensor:
     """Evaluate sum_k c_k M^k |0...0> for each window of a batch, with
-    exactly ``degree`` applications of its M = sum_j b_norm[w, j] U_j,
-    accumulating the running powers: (W, 2**q) states for (W, n) weights.
+    exactly ``degree`` applications of its M = sum_j b_norm[w, j] U_j:
+    (W, 2**q) states for (W, n) weights. The sum is a running total, one
+    ``add`` of c_k * M^k |0...0> (a ``scalar_mul``) per power, in power order.
     The angles come per position, (W, n, L), made tokens by their rows'
     bytes; or, with ``tokens``, a (W, n) index, as (U, L). ``active``
     optionally masks, in ``b_norm``'s shape, the positions to run; dropped
@@ -254,17 +255,19 @@ def apply_polynomial(b_norm: Tensor, token_angles: Tensor, poly_coeffs: Tensor,
     tok = _tokens(token_angles, tokens, keep, b_norm.values, q, layers)
     flat = ad.reshape(b_norm, (b_norm.shape[0] * b_norm.shape[1],))
     coeffs = ad.segment_sum(ad.take_rows(flat, tok.positions), tok.sizes)
-    powers = [_ground(b_norm.shape[0], q)]
+    power = _ground(b_norm.shape[0], q)
+    total = ad.scalar_mul(ad.take_rows(poly_coeffs, 0), power)
     if poly_coeffs.shape[0] > 1:
         ops = kernels.template_operands(q, layers, tok.angles.values)
         evolved = ad.take_rows(ansatz_rows(_ground(tok.angles.shape[0], q), tok.angles, q,
                                            layers, operands=ops), tok.token)
         for k in range(1, poly_coeffs.shape[0]):
             if k > 1:
-                evolved = ansatz_rows(ad.take_rows(powers[-1], tok.window), tok.angles, q,
+                evolved = ansatz_rows(ad.take_rows(power, tok.window), tok.angles, q,
                                       layers, angle_index=tok.token, operands=ops)
-            powers.append(ad.segment_sum(ad.scalar_mul(coeffs, evolved), tok.counts))
-    return ad.weighted_sum(poly_coeffs, powers)
+            power = ad.segment_sum(ad.scalar_mul(coeffs, evolved), tok.counts)
+            total = ad.add(total, ad.scalar_mul(ad.take_rows(poly_coeffs, k), power))
+    return total
 
 
 def mix_window(token_angles: Tensor, params: MixerParams, mask, *, q: int,

@@ -67,6 +67,10 @@ def _xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
+# the complex parameter groups; every other group is a real parameter
+COMPLEX_GROUPS = frozenset({"lcu_coeffs", "poly_coeffs"})
+
+
 def param_shapes(cfg: ModelConfig, vocab_size: int, n_classes: int) -> dict[str, tuple]:
     """The shape of each parameter array, keyed by its ``Params.named`` name."""
     feats = 3 * cfg.qubits
@@ -187,15 +191,14 @@ def _forward(docs: list, params: Params, cfg: ModelConfig, training: bool,
                      normalize_lcu=cfg.normalize_lcu)
     feats = out.features
     if cfg.measurement_mask is not None:
-        feats = ad.mul_const(feats, np.broadcast_to(
-            np.asarray(cfg.measurement_mask, dtype=np.float64), feats.shape))
+        feats = ad.mul(feats, ad.tensor(cfg.measurement_mask))
     h = ad.add(ad.matvec(params.head_w1, feats), params.head_b1)
     h = ad.relu(h) if cfg.activation == "relu" else ad.tanh(h)
     if dropout:
         # one draw per window, in window order, from the document's own rng
         keep = np.stack([(rng.random(cfg.hidden) >= cfg.dropout) / (1.0 - cfg.dropout)
                          for rng, c in zip(rngs, counts) for _ in range(c)])
-        h = ad.mul_const(h, keep)
+        h = ad.mul(h, ad.tensor(keep))
     window_logits = ad.add(ad.matvec(params.head_w2, h), params.head_b2)
 
     if cfg.aggregation == "attention_pool":
@@ -204,8 +207,8 @@ def _forward(docs: list, params: Params, cfg: ModelConfig, training: bool,
         agg = ad.segment_sum(ad.scalar_mul(attn, window_logits), counts)
     else:
         total = ad.segment_sum(window_logits, counts)
-        agg = ad.mul_const(total, np.broadcast_to((1.0 / counts)[:, None], total.shape))
-    mean_pre = ad.mul_const(ad.segment_sum(out.pre_norm, counts), 1.0 / counts)
+        agg = ad.scalar_mul(ad.tensor(1.0 / counts), total)
+    mean_pre = ad.mul(ad.segment_sum(out.pre_norm, counts), ad.tensor(1.0 / counts))
     return ForwardResult(logits=agg, mean_pre_norm=mean_pre, pre_norms=out.pre_norm,
                          lcu_weights=out.lcu_weights, window_logits=window_logits,
                          windows=counts)
@@ -247,27 +250,27 @@ def loss_terms(result: ForwardResult, labels, loss_cfg: LossConfig,
     shared = {"psr": 0.0, "l1c": 0.0, "smooth": 0.0, "l2": 0.0}
 
     if loss_cfg.lambda_ps > 0.0:
-        dev = ad.add_const(result.mean_pre_norm, -loss_cfg.tau)
-        terms["psr"] = ad.mul_const(ad.mul(dev, dev), loss_cfg.lambda_ps)
+        dev = ad.add(result.mean_pre_norm, ad.tensor(-loss_cfg.tau))
+        terms["psr"] = ad.mul(ad.mul(dev, dev), ad.tensor(loss_cfg.lambda_ps))
         total = ad.add(total, terms["psr"])
 
     if loss_cfg.lambda_l1 > 0.0:
-        dev = ad.add_const(ad.sum_last(ad.absval(result.lcu_weights)), -1.0)
+        dev = ad.add(ad.sum_last(ad.absval(result.lcu_weights)), ad.tensor(-1.0))
         per_doc = ad.segment_sum(ad.mul(dev, dev), result.windows)
-        mean_dev = ad.mul_const(per_doc, 1.0 / result.windows)
-        terms["l1c"] = ad.mul_const(mean_dev, loss_cfg.lambda_l1)
+        mean_dev = ad.mul(per_doc, ad.tensor(1.0 / result.windows))
+        terms["l1c"] = ad.mul(mean_dev, ad.tensor(loss_cfg.lambda_l1))
         total = ad.add(total, terms["l1c"])
 
     c = mixer.poly_coeffs
     if loss_cfg.lambda_smooth > 0.0:
         k = c.shape[0]
         diffs = ad.sub(ad.take_rows(c, np.arange(1, k)), ad.take_rows(c, np.arange(k - 1)))
-        pen = ad.mul_const(ad.square_norm(diffs), loss_cfg.lambda_smooth)
+        pen = ad.mul(ad.square_norm(diffs), ad.tensor(loss_cfg.lambda_smooth))
         shared["smooth"] = pen.real_item()
         total = ad.add(total, pen)
 
     if loss_cfg.lambda_l2 > 0.0:
-        pen = ad.mul_const(ad.square_norm(c), loss_cfg.lambda_l2)
+        pen = ad.mul(ad.square_norm(c), ad.tensor(loss_cfg.lambda_l2))
         shared["l2"] = pen.real_item()
         total = ad.add(total, pen)
 
@@ -288,7 +291,7 @@ def document_loss(docs, params: Params, model_cfg: ModelConfig,
     result = _forward(batch, params, model_cfg, training, rngs, doc_ids)
     totals, parts = loss_terms(result, [doc.label for doc in batch], loss_cfg,
                                params.mixer)
-    loss = ad.mul_const(ad.sum_last(totals), 1.0 / len(batch))
+    loss = ad.mul(ad.sum_last(totals), ad.tensor(1.0 / len(batch)))
     return loss, (parts[0] if single else parts)
 
 

@@ -32,7 +32,8 @@ from .data import Vocab
 from .errors import (ConfigError, DataIOError, InputError, LabelError, ParseError,
                      TrainingDiverged)
 from .mixer import MixerParams
-from .model import Params, document_loss, forward_document, init_params, param_shapes
+from .model import (COMPLEX_GROUPS, Params, document_loss, forward_document, init_params,
+                    param_shapes)
 from .optim import AdamW, cosine_lr
 
 CHECKPOINT_FORMAT = "qtmix-checkpoint-v1"
@@ -50,45 +51,48 @@ class DataBundle:
     n_classes: int
 
 
-def _require_windows(docs: list, split: str) -> None:
+SPLITS = ("train", "val", "test")
+
+
+def split_rows(cfg: RunConfig, *splits: str) -> list[list]:
+    """The (text, label) rows of each named split: its tsv file, read for
+    the named splits only, or its part of the synthetic task's draw."""
+    d = cfg.data
+    if d.kind == "tsv":
+        return [datamod.load_tsv(getattr(d, split)) for split in splits]
+    if d.task == "majority":
+        drawn = datamod.synth_majority(d.data_seed, d.size, cfg.model.window,
+                                       d.distractor_vocab)
+    else:
+        drawn = datamod.synth_sentiment(d.data_seed, d.size)
+    return [drawn[SPLITS.index(split)] for split in splits]
+
+
+def split_documents(rows: list, vocab: Vocab, model_cfg, source: str) -> list:
+    """``rows`` tokenized and windowed; a document with no tokens is an
+    ``InputError`` naming ``source`` and the document's index."""
+    docs = datamod.build_documents(rows, vocab, model_cfg.window, model_cfg.effective_stride)
     empty = [i for i, d in enumerate(docs) if not d.windows]
     if empty:
         shown = ", ".join(str(i) for i in empty[:10])
         raise InputError(
-            f"{split} split has document(s) with no tokens at index(es) {shown}; "
+            f"{source} has document(s) with no tokens at index(es) {shown}; "
             "remove them or fix the source rows")
+    return docs
 
 
 def load_bundle(cfg: RunConfig) -> DataBundle:
-    d = cfg.data
-    if d.kind == "tsv":
-        rows_train = datamod.load_tsv(d.train)
-        rows_val = datamod.load_tsv(d.val)
-        rows_test = datamod.load_tsv(d.test)
-    elif d.task == "majority":
-        rows_train, rows_val, rows_test = datamod.synth_majority(
-            d.data_seed, d.size, cfg.model.window, d.distractor_vocab)
-    else:
-        rows_train, rows_val, rows_test = datamod.synth_sentiment(d.data_seed, d.size)
-
-    if not rows_train or not rows_val or not rows_test:
+    rows = split_rows(cfg, *SPLITS)
+    if not all(rows):
         raise InputError("every split needs at least one document")
-    vocab = Vocab.build([datamod.tokenize(t) for t, _ in rows_train],
-                        min_freq=d.min_freq, max_vocab=d.max_vocab)
-    labels = [lab for rows in (rows_train, rows_val, rows_test) for _, lab in rows]
-    n_classes = max(labels) + 1
+    vocab = Vocab.build([datamod.tokenize(t) for t, _ in rows[0]],
+                        min_freq=cfg.data.min_freq, max_vocab=cfg.data.max_vocab)
+    n_classes = max(lab for split in rows for _, lab in split) + 1
     if n_classes < 2:
         raise LabelError("corpus has a single class; nothing to classify")
-    stride = cfg.model.effective_stride
-    out = DataBundle(
-        train=datamod.build_documents(rows_train, vocab, cfg.model.window, stride),
-        val=datamod.build_documents(rows_val, vocab, cfg.model.window, stride),
-        test=datamod.build_documents(rows_test, vocab, cfg.model.window, stride),
-        vocab=vocab, n_classes=n_classes)
-    _require_windows(out.train, "train")
-    _require_windows(out.val, "val")
-    _require_windows(out.test, "test")
-    return out
+    train, val, test = (split_documents(r, vocab, cfg.model, f"{name} split")
+                        for name, r in zip(SPLITS, rows))
+    return DataBundle(train=train, val=val, test=test, vocab=vocab, n_classes=n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +251,13 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, Params, Vocab, int, di
         if arr.shape != shape:
             raise ParseError(f"checkpoint {p}: parameter array '{name}' has shape "
                              f"{arr.shape}, its config needs {shape}")
-        if name == "ff_angles" and np.any(arr.imag != 0):
+        real = name not in COMPLEX_GROUPS
+        if real and np.iscomplexobj(arr) and np.any(arr.imag != 0):
             raise ParseError(f"checkpoint {p}: parameter array '{name}' must be real")
         if not np.isfinite(arr.view(np.float64)).all():
             raise ParseError(f"checkpoint {p}: parameter array '{name}' is not finite")
-        # a float64 array builds a real parameter; ff_angles is real even as pairs
-        t[name] = parameter(arr.real if name == "ff_angles" else arr)
+        # a group is real or complex by COMPLEX_GROUPS, however it was stored
+        t[name] = parameter(arr.real if real else arr.astype(complex))
     mc = cfg.model
     mixer = MixerParams(t.pop("lcu_coeffs"), t.pop("poly_coeffs"),
                         AnsatzAngles(t.pop("ff_angles"), q=mc.qubits, layers=mc.ff_layers))

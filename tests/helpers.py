@@ -2,9 +2,12 @@
 reference single-gate kernels.
 
 The probe loss for an op with output T is L = Re(sum(w * T)) for a frozen
-random complex weight w. Its building blocks (mul, reshape, sum_last,
-real_part) have closed-form or finite-difference tests of their own in
-test_autodiff.py, so using them as the reducer here is not circular.
+random complex weight w, which enters ``mul`` as an untracked tensor, the
+way every constant enters the tape. Its building blocks (mul, reshape,
+sum_last, real_part) have closed-form or finite-difference tests of their
+own in test_autodiff.py, so using them as the reducer here is not circular.
+A test checks an op against a constant operand by closing over an
+untracked tensor, since ``check_op_gradients`` tracks every leaf it is given.
 
 The single-gate kernels (``ry_rows``, ``crx_rows`` and their derivatives)
 apply one gate to every row of a (k, 2**q) batch through strided views,

@@ -138,8 +138,8 @@ def test_criterion_05_psr_descent_and_zero_gradient():
     def penalty(tau):
         params = MixerParams(b, c, AnsatzAngles(ff, q=q, layers=ff_layers))
         out = mix_window(rows, params, mask, q=q, embed_layers=layers)
-        dev = ad.add_const(out.pre_norm, -tau)
-        return ad.mul_const(ad.mul(dev, dev), lam), out.pre_norm
+        dev = ad.add(out.pre_norm, tensor(-tau))
+        return ad.mul(ad.mul(dev, dev), tensor(lam)), out.pre_norm
 
     tau = 0.5
     gaps = []

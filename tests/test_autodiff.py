@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtmix import autodiff as ad
-from qtmix.errors import ArityError, AutodiffError, LabelError, ShapeError
+from qtmix.errors import AutodiffError, LabelError, ShapeError
 
 from helpers import check_op_gradients, fd_gradients, probe_loss, rand_complex
 
@@ -90,9 +90,10 @@ def test_fd_elementwise_ops(seed):
     check_op_gradients(lambda ls: ad.add(ls[0], ls[1]), [ad.tensor(a), ad.tensor(b)], rng)
     check_op_gradients(lambda ls: ad.sub(ls[0], ls[1]), [ad.tensor(a), ad.tensor(b)], rng)
     check_op_gradients(lambda ls: ad.mul(ls[0], ls[1]), [ad.tensor(a), ad.tensor(b)], rng)
-    c = rand_complex(rng, (5,))
-    check_op_gradients(lambda ls: ad.mul_const(ls[0], c), [ad.tensor(a)], rng)
-    check_op_gradients(lambda ls: ad.add_const(ls[0], 1.5 - 0.5j), [ad.tensor(a)], rng)
+    # a constant is an untracked operand: a same-shape array or a 0-d scalar
+    for const in (ad.tensor(rand_complex(rng, (5,))), ad.tensor(1.5 - 0.5j)):
+        check_op_gradients(lambda ls, c=const: ad.mul(ls[0], c), [ad.tensor(a)], rng)
+        check_op_gradients(lambda ls, c=const: ad.add(ls[0], c), [ad.tensor(a)], rng)
     check_op_gradients(lambda ls: ad.real_part(ls[0]), [ad.tensor(a)], rng)
 
 
@@ -129,15 +130,23 @@ def test_fd_linear_algebra(seed):
     check_op_gradients(lambda ls: ad.reshape(ls[0], (2, 6)), [ad.tensor(a)], rng)
 
 
+def running_sum(coeffs, terms):
+    """sum_j coeffs[j] * terms[j] as the mixer's polynomial forms it: a
+    running total, one scalar_mul and one add per term, in list order."""
+    total = ad.scalar_mul(ad.take_rows(coeffs, 0), terms[0])
+    for j, term in enumerate(terms[1:], start=1):
+        total = ad.add(total, ad.scalar_mul(ad.take_rows(coeffs, j), term))
+    return total
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_fd_weighted_sum_and_collapse(seed):
     rng = np.random.default_rng(800 + seed)
     k = int(rng.integers(1, 5))
     coeffs = rand_complex(rng, (k,))
     terms = [rand_complex(rng, (6,)) for _ in range(k)]
-    check_op_gradients(
-        lambda ls: ad.weighted_sum(ls[0], ls[1:]),
-        [ad.tensor(coeffs)] + [ad.tensor(t) for t in terms], rng)
+    check_op_gradients(lambda ls: running_sum(ls[0], ls[1:]),
+                       [ad.tensor(coeffs)] + [ad.tensor(t) for t in terms], rng)
     rows = rand_complex(rng, (k, 6))
     check_op_gradients(lambda ls: ad.segment_sum(ad.scalar_mul(ls[0], ls[1]), [k]),
                        [ad.tensor(coeffs), ad.tensor(rows)], rng)
@@ -211,6 +220,7 @@ def test_fd_batched_ops(seed):
                        [ad.tensor(x), ad.tensor(rand_complex(rng, ()))], rng)
     s = rand_complex(rng, (3,))
     check_op_gradients(lambda ls: ad.scalar_mul(ls[0], ls[1]), [ad.tensor(s), ad.tensor(x)], rng)
+    check_op_gradients(lambda ls: ad.scalar_mul(ad.tensor(s), ls[0]), [ad.tensor(x)], rng)
     check_op_gradients(lambda ls: ad.sum_last(ls[0]), [ad.tensor(x)], rng)
     check_op_gradients(lambda ls: ad.square_norm(ls[0]), [ad.tensor(x)], rng)
     base = ad.tensor(1.3 + rng.random(3))
@@ -306,13 +316,6 @@ def test_cross_entropy_value():
 # ---------------------------------------------------------------------------
 # tape semantics
 
-def test_weighted_sum_picks_single_term():
-    rng = np.random.default_rng(3)
-    t0, t1 = rand_complex(rng, (5,)), rand_complex(rng, (5,))
-    out = ad.weighted_sum(ad.tensor([1.0, 0.0]), [ad.tensor(t0), ad.tensor(t1)])
-    assert np.array_equal(out.values, t0)
-
-
 def test_backward_accumulates_on_second_call():
     with ad.Tape():
         p = ad.parameter(np.array([1.0 + 0j, 2.0]))
@@ -333,7 +336,7 @@ def test_backward_linearity():
             p = ad.parameter(vals)
             f = ad.square_norm(p)
             g = ad.real_part(ad.sum_last(p))
-            total = ad.add(ad.mul_const(f, scale_f), ad.mul_const(g, scale_g))
+            total = ad.add(ad.mul(f, ad.tensor(scale_f)), ad.mul(g, ad.tensor(scale_g)))
             ad.backward(total)
         return p.grad
 
@@ -346,7 +349,7 @@ def test_backward_linearity():
 def test_backward_rejects_nonscalar():
     with ad.Tape():
         p = ad.parameter(np.array([1.0, 2.0]))
-        out = ad.mul_const(p, 2.0)
+        out = ad.mul(p, ad.tensor(2.0))
         with pytest.raises(AutodiffError):
             ad.backward(out)
 
@@ -393,7 +396,7 @@ def test_backward_of_a_tracked_leaf_raises():
 
 
 def test_tape_frees_an_output_that_no_vjp_captures():
-    # take_rows' and add_const's vjps keep no values, so the gathered rows
+    # take_rows' and add's vjps keep no values, so the gathered rows
     # live only while their name does; the gradients do not change
     vals = rand_complex(np.random.default_rng(23), (4,))
 
@@ -402,7 +405,7 @@ def test_tape_frees_an_output_that_no_vjp_captures():
             p = ad.parameter(vals)
             rows = ad.take_rows(p, [2, 0, 2])
             alive = weakref.ref(rows.values)
-            shifted = ad.add_const(rows, 1.0)
+            shifted = ad.add(rows, ad.tensor(1.0))
             if drop:
                 del rows
                 assert alive() is None
@@ -414,7 +417,7 @@ def test_tape_frees_an_output_that_no_vjp_captures():
 
 def test_ops_outside_tape_are_untracked():
     p = ad.parameter(np.array([1.0, 2.0]))
-    out = ad.mul_const(p, 3.0)
+    out = ad.mul(p, ad.tensor(3.0))
     assert not out.tracked and out.is_leaf
 
 
@@ -449,10 +452,6 @@ def test_shape_errors():
         ad.matvec(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((1, 4))))
     with pytest.raises(ShapeError):
         ad.matvec(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros(3)))
-    with pytest.raises(ArityError):
-        ad.weighted_sum(ad.tensor(np.zeros(0)), [])
-    with pytest.raises(ShapeError):
-        ad.weighted_sum(ad.tensor(np.zeros(2)), [a])
     with pytest.raises(LabelError):
         ad.cross_entropy(ad.tensor(np.zeros(3)), 3)
     with pytest.raises(ShapeError):

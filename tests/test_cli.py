@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qtmix.cli as cli
-from qtmix import errors, training
+from qtmix import data as datamod, errors, training
 from qtmix.errors import TrainingDiverged
 from qtmix.training import _encode_array
 
@@ -268,6 +268,13 @@ def _head_w1_dtype(tag):
     return corrupt
 
 
+def _head_w1_imaginary(payload):
+    # a real group stored as (re, im) pairs with a nonzero imaginary part
+    arr = training._decode_array(payload["params"]["head_w1"])
+    payload["params"]["head_w1"] = _encode_array(arr + 0.5j)
+    return payload
+
+
 @pytest.mark.parametrize("corrupt,named", [
     (lambda payload: [1, 2], "root"),
     (lambda payload: {"format": payload["format"]}, "'config'"),
@@ -278,8 +285,10 @@ def _head_w1_dtype(tag):
     (_model_key("stride", 99), "key 'config' is invalid: model.stride"),
     (_head_w1_dtype("<f4"), "'head_w1' is malformed"),
     (_head_w1_dtype(None), "'head_w1' is malformed"),
+    (_head_w1_imaginary, "'head_w1' must be real"),
 ], ids=["root-list", "format-only", "head_w1-dropped", "ff_angles-12-of-24", "vocab-id",
-        "qubits-string", "stride-99", "head_w1-dtype-f4", "head_w1-dtype-dropped"])
+        "qubits-string", "stride-99", "head_w1-dtype-f4", "head_w1-dtype-dropped",
+        "head_w1-imaginary"])
 def test_eval_malformed_checkpoint_exit_3(good_checkpoint, corrupt, named, tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(corrupt(json.loads(json.dumps(good_checkpoint)))))
@@ -311,10 +320,40 @@ def test_checkpoint_in_the_all_pairs_encoding_loads_bitwise_and_evaluates(tmp_pa
     old.write_text(json.dumps(payload))
     _, old_params, _, _, _ = training.load_checkpoint(old)
     for name, t in params.named().items():
-        loaded = old_params.named()[name].values
-        assert loaded.dtype == t.values.dtype and loaded.tobytes() == t.values.tobytes(), name
+        loaded = old_params.named()[name]
+        assert loaded.values.dtype == t.values.dtype, name
+        assert loaded.values.tobytes() == t.values.tobytes(), name
+        # a real group read as pairs loads as a real parameter
+        assert loaded.is_real == (name not in {"lcu_coeffs", "poly_coeffs"}), name
     capsys.readouterr()
     assert cli.main(["eval", "--checkpoint", str(old)]) == 0
+    assert json.loads(capsys.readouterr().out)["metrics"] == final["test"]
+
+
+def test_coefficient_group_stored_as_float64_loads_complex(good_checkpoint, tmp_path):
+    # a group's kind comes from the model, not from how the array was stored
+    payload = json.loads(json.dumps(good_checkpoint))
+    arr = training._decode_array(payload["params"]["lcu_coeffs"]).real.copy()
+    payload["params"]["lcu_coeffs"] = _encode_array(arr)
+    p = tmp_path / "ck.json"
+    p.write_text(json.dumps(payload))
+    _, params, _, _, _ = training.load_checkpoint(p)
+    assert not params.mixer.lcu_coeffs.is_real
+    assert np.array_equal(params.mixer.lcu_coeffs.values, arr)
+
+
+def test_eval_on_a_tsv_config_reads_only_the_test_file(tmp_path, capsys):
+    paths = {}
+    for split, rows in zip(("train", "val", "test"), datamod.synth_majority(3, 60, 6)):
+        paths[split] = str(tmp_path / f"{split}.tsv")
+        datamod.write_tsv(paths[split], rows)
+    cfg = write_cfg(tmp_path, data={"kind": "tsv", **paths, "min_freq": 1})
+    assert cli.main(["train", "--config", str(cfg)]) == 0
+    final = json.loads((tmp_path / "run" / "metrics.jsonl").read_text().splitlines()[-1])
+    os.remove(paths["train"])
+    os.remove(paths["val"])
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json")]) == 0
     assert json.loads(capsys.readouterr().out)["metrics"] == final["test"]
 
 

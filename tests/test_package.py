@@ -1,5 +1,6 @@
-"""Package surface: every exported name resolves, and the package imports
-nothing beyond the standard library and numpy."""
+"""Package surface: every exported name resolves, the package imports
+nothing beyond the standard library and numpy, and every error class is
+raised somewhere in it."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import qtmix
+from qtmix import errors
 
 MODULES = ["qtmix"] + [f"qtmix.{m.name}" for m in pkgutil.iter_modules(qtmix.__path__)]
 SOURCES = sorted(Path(qtmix.__file__).parent.glob("*.py"))
@@ -44,3 +46,34 @@ def test_import_check_sees_every_import_form():
     tree = ast.parse("import os.path\nfrom scipy import linalg\nfrom . import kernels\n"
                      "def f():\n    import pandas as pd\n")
     assert imported_roots(tree) == {"os", "scipy", "pandas"}
+
+
+def raised_names(tree: ast.AST) -> set[str]:
+    """Class names in ``raise Name``, ``raise Name(...)`` and
+    ``raise module.Name(...)`` statements, anywhere in the module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_every_error_class_is_raised_in_the_package():
+    # a class no code raises is a failure mode that cannot happen
+    raised = set().union(*(raised_names(ast.parse(p.read_text(), filename=str(p)))
+                           for p in SOURCES))
+    classes = {c.__name__ for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.QtmixError)
+               and c is not errors.QtmixError}
+    assert classes - raised == set(), f"never raised: {sorted(classes - raised)}"
+
+
+def test_raise_scan_sees_every_raise_form():
+    tree = ast.parse("raise KeyError\nraise ValueError('x')\n"
+                     "def f():\n    raise errors.ParseError('y') from None\n"
+                     "try:\n    pass\nexcept OSError:\n    raise\n")
+    assert raised_names(tree) == {"KeyError", "ValueError", "ParseError"}

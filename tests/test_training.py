@@ -16,7 +16,7 @@ from qtmix.config import (DataConfig, ModelConfig, OptimizerConfig, RunConfig,
                           from_dict)
 from qtmix.data import write_tsv
 from qtmix.errors import DataIOError, InputError, LabelError, ParseError, TrainingDiverged
-from qtmix.model import init_params
+from qtmix.model import COMPLEX_GROUPS, init_params
 from qtmix.training import (batch_gradients, evaluate, load_bundle,
                             load_checkpoint, save_checkpoint, train)
 
@@ -77,6 +77,14 @@ def test_load_bundle_single_class_rejected(tmp_path):
         val=str(tmp_path / "val.tsv"), test=str(tmp_path / "test.tsv")))
     with pytest.raises(LabelError, match="single class"):
         load_bundle(cfg)
+
+
+def test_split_documents_names_a_document_with_no_tokens():
+    vocab = load_bundle(tiny_cfg("/tmp/unused")).vocab
+    model = tiny_cfg("/tmp/unused").model
+    assert len(training.split_documents([("alpha beta", 0)], vocab, model, "val split")) == 1
+    with pytest.raises(InputError, match="test split has document.* at index.es. 1; "):
+        training.split_documents([("alpha", 0), ("", 1)], vocab, model, "test split")
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +458,10 @@ def test_checkpoint_with_worker_count_still_loads(tmp_path):
 
 
 @pytest.mark.parametrize("imag", [-0.0, 0.25])
-def test_real_group_with_an_imaginary_part_round_trips_as_pairs(tmp_path, imag):
+def test_real_group_with_imaginary_bits_is_written_as_pairs(tmp_path, imag):
     # only a real group whose imaginary parts are all +0.0 is written as
-    # float64; any other keeps every bit as (re, im) pairs
+    # float64; any other is written as (re, im) pairs, and loads only if
+    # every imaginary part equals 0 (-0.0 does), as a real parameter
     cfg = tiny_cfg(tmp_path / "run", optimizer=OptimizerConfig(epochs=1))
     out = train(cfg)
     out.params.head_w1.values.imag[1, 2] = imag
@@ -460,10 +469,15 @@ def test_real_group_with_an_imaginary_part_round_trips_as_pairs(tmp_path, imag):
     save_checkpoint(path, out.params, cfg, out.bundle.vocab, out.bundle.n_classes, {})
     stored = json.loads(path.read_text())["params"]
     assert "dtype" not in stored["head_w1"] and stored["head_w2"]["dtype"] == "<f8"
+    if imag != 0:
+        with pytest.raises(ParseError, match="parameter array 'head_w1' must be real"):
+            load_checkpoint(path)
+        return
     _, params2, _, _, _ = load_checkpoint(path)
+    out.params.head_w1.values.imag[1, 2] = 0.0
     for name, t in out.params.named().items():
         assert t.values.tobytes() == params2.named()[name].values.tobytes(), name
-    assert params2.head_w2.is_real and not params2.head_w1.is_real
+    assert params2.head_w1.is_real and params2.head_w2.is_real
 
 
 def test_checkpoint_rejects_unknown_format(tmp_path):
@@ -473,17 +487,21 @@ def test_checkpoint_rejects_unknown_format(tmp_path):
         load_checkpoint(p)
 
 
-def test_checkpoint_rejects_complex_ff_angles(tmp_path):
-    # the feed-forward angles are real; an imaginary part would be dropped,
-    # loading a different model
+def test_checkpoint_rejects_a_real_group_with_an_imaginary_part(tmp_path):
+    # every group but the two coefficient vectors is real; an imaginary part
+    # would be dropped on load, loading a different model
     out = train(tiny_cfg(tmp_path / "run", optimizer=OptimizerConfig(epochs=1)))
     payload = json.loads(open(out.checkpoint_path).read())
-    angles = training._decode_array(payload["params"]["ff_angles"])
-    payload["params"]["ff_angles"] = training._encode_array(angles + 0.5j)
+    real = sorted(set(payload["params"]) - COMPLEX_GROUPS)
+    assert {"ff_angles", "head_w1", "embed_table"} <= set(real)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(payload))
-    with pytest.raises(ParseError, match="parameter array 'ff_angles' must be real"):
-        load_checkpoint(bad)
+    for name in real:
+        arr = training._decode_array(payload["params"][name]).astype(complex)
+        arr.flat[-1] += 0.5j
+        bad.write_text(json.dumps({**payload, "params": {
+            **payload["params"], name: training._encode_array(arr)}}))
+        with pytest.raises(ParseError, match=f"parameter array '{name}' must be real"):
+            load_checkpoint(bad)
 
 
 @pytest.mark.parametrize("name, value", [("head_w2", np.nan), ("lcu_coeffs", np.inf)])
