@@ -1,8 +1,11 @@
 """Tape-based reverse-mode autodiff over dense complex tensors.
 
-All values are complex128 numpy arrays, including quantities that happen to
-be real (they simply carry zero imaginary parts). Gradient convention: for a
-real scalar loss L and a complex leaf z = x + iy, the stored gradient is
+A ``Tensor`` stores complex values, including quantities that happen to be
+real (they simply carry zero imaginary parts). Each op returns the array its
+own arithmetic produces, and a vjp the gradient its arithmetic produces,
+real for a real op; only ``Tensor`` (for values) and ``backward`` (for leaf
+gradients) convert to complex. Gradient convention: for a real scalar loss
+L and a complex leaf z = x + iy, the stored gradient is
 
     grad(z) = dL/dx + 1j * dL/dy
 
@@ -42,7 +45,6 @@ import numpy as np
 
 from .errors import AutodiffError, LabelError, ShapeError
 
-_COMPLEX = np.complex128
 _ids = itertools.count()
 
 __all__ = [
@@ -57,7 +59,7 @@ __all__ = [
 
 
 class Tensor:
-    """A dense complex128 array plus gradient bookkeeping.
+    """A dense complex array plus gradient bookkeeping.
 
     Leaves are created with ``tensor``/``parameter``; everything else comes
     out of ops. ``grad`` is populated on tracked leaves by ``backward`` and
@@ -68,7 +70,7 @@ class Tensor:
     __slots__ = ("values", "grad", "tracked", "is_real", "node_id", "_tape", "_index")
 
     def __init__(self, values, tracked: bool = False):
-        arr = np.asarray(values, dtype=_COMPLEX)
+        arr = np.asarray(values, dtype=np.complex128)
         if arr.ndim and not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)   # 0-d arrays are left alone
         self.values = arr
@@ -111,7 +113,7 @@ def tensor(values) -> Tensor:
 
 def parameter(values) -> Tensor:
     """Create a trainable leaf: tracked, with persistent ``grad``, and
-    ``is_real`` when ``values`` is not complex. Its values are complex128
+    ``is_real`` when ``values`` is not complex. Its values are stored complex
     all the same; a real leaf's gradient has a zero imaginary part."""
     out = Tensor(values, tracked=True)
     out.is_real = not np.iscomplexobj(values)
@@ -199,7 +201,7 @@ def backward(scalar: Tensor, populate_leaves: bool = True) -> dict[Tensor, np.nd
     if tape.closed:
         raise AutodiffError("backward called after its tape closed; call it "
                             "inside the `with Tape():` block")
-    grads: dict[int, np.ndarray] = {scalar.node_id: np.ones((), dtype=_COMPLEX)}
+    grads: dict[int, np.ndarray] = {scalar.node_id: np.ones((), dtype=np.complex128)}
     leaves: dict[int, Tensor] = {}
     for out, parents, vjp in reversed(tape._records[: scalar._index + 1]):
         g = grads.pop(out, None)
@@ -217,10 +219,10 @@ def backward(scalar: Tensor, populate_leaves: bool = True) -> dict[Tensor, np.nd
 
     result: dict[Tensor, np.ndarray] = {}
     for i, p in leaves.items():
-        total = np.asarray(grads[i], dtype=_COMPLEX)
+        total = np.asarray(grads[i], dtype=np.complex128)
         if populate_leaves:
             if p.grad is None:
-                p.grad = np.zeros(p.shape, dtype=_COMPLEX)
+                p.grad = np.zeros(p.shape, dtype=np.complex128)
             p.grad = p.grad + total
         result[p] = total
     return result
@@ -310,15 +312,14 @@ def scalar_mul(s: Tensor, t: Tensor) -> Tensor:
 
     def vjp(g):
         gs = (np.conj(tv) * g).reshape(shape + (-1,)).sum(axis=-1)
-        return (np.asarray(gs, dtype=_COMPLEX), np.conj(sv) * g)
+        return (np.asarray(gs), np.conj(sv) * g)
 
     return _make(sv * tv, (s, t), vjp)
 
 
 def real_part(a: Tensor) -> Tensor:
     """Real part, as a real-valued tensor."""
-    return _make(a.values.real.astype(_COMPLEX), (a,),
-                 lambda g: (g.real.astype(_COMPLEX),))
+    return _make(a.values.real, (a,), lambda g: (g.real,))
 
 
 def absval(a: Tensor) -> Tensor:
@@ -330,7 +331,7 @@ def absval(a: Tensor) -> Tensor:
         phase = np.divide(av, mags, out=np.zeros_like(av), where=mags > 0)
         return (g.real * phase,)
 
-    return _make(mags.astype(_COMPLEX), (a,), vjp)
+    return _make(mags, (a,), vjp)
 
 
 def sum_last(a: Tensor) -> Tensor:
@@ -344,8 +345,7 @@ def sum_last(a: Tensor) -> Tensor:
         raise ShapeError("sum_last: operand must have at least one axis")
     shape = a.shape
     val = np.add.reduce(np.sort(a.values, axis=-1), axis=-1)
-    return _make(np.asarray(val, dtype=_COMPLEX), (a,),
-                 lambda g: (np.repeat(g[..., None], shape[-1], axis=-1),))
+    return _make(val, (a,), lambda g: (np.repeat(g[..., None], shape[-1], axis=-1),))
 
 
 def square_norm(a: Tensor) -> Tensor:
@@ -356,8 +356,7 @@ def square_norm(a: Tensor) -> Tensor:
         raise ShapeError("square_norm: operand must have at least one axis")
     parts = av.view(np.float64)
     val = np.add.reduce(parts * parts, axis=-1)
-    return _make(val.astype(_COMPLEX), (a,),
-                 lambda g: (2.0 * g.real[..., None] * av,))
+    return _make(val, (a,), lambda g: (2.0 * g.real[..., None] * av,))
 
 
 def spow(s: Tensor, p: float) -> Tensor:
@@ -370,7 +369,7 @@ def spow(s: Tensor, p: float) -> Tensor:
         raise AutodiffError(f"spow requires a positive base, got {float(bad.min()):.3e}")
     val = np.power(base, p)
     dval = p * np.power(base, p - 1.0)
-    return _make(val.astype(_COMPLEX), (s,), lambda g: ((g.real * dval).astype(_COMPLEX),))
+    return _make(val, (s,), lambda g: (g.real * dval,))
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +413,7 @@ def take_rows(a: Tensor, indices) -> Tensor:
     shape = a.shape
 
     def vjp(g):
-        buf = np.zeros(shape, dtype=_COMPLEX)
+        buf = np.zeros(shape, dtype=g.dtype)
         _scatter_rows(buf, idx, g)
         return (buf,)
 
@@ -467,21 +466,22 @@ def softmax(a: Tensor, counts) -> Tensor:
     def vjp(g):
         gr = g.real
         inner = np.add.reduceat(gr * y, starts)[seg]
-        return ((y * (gr - inner)).astype(_COMPLEX),)
+        return (y * (gr - inner),)
 
-    return _make(y.astype(_COMPLEX), (a,), vjp)
+    return _make(y, (a,), vjp)
 
 
-def cross_entropy(logits: Tensor, label) -> Tensor:
-    """Softmax cross-entropy of a real logit vector against an index label
-    (0-d), or of each row of a (D, C) batch against its label (D,)."""
-    if logits.values.ndim not in (1, 2):
-        raise ShapeError(f"cross_entropy: logits must be 1-d or 2-d, got {logits.shape}")
-    x = logits.values.real.reshape(-1, logits.shape[-1])
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Softmax cross-entropy of each row of a real (D, C) logit batch
+    against its index label (D,): one loss per row, (D,)."""
+    if logits.values.ndim != 2:
+        raise ShapeError(f"cross_entropy: logits must be (D, C), got {logits.shape}")
+    x = logits.values.real
     n = x.shape[1]
-    labels = np.asarray(label, dtype=np.int64).reshape(-1)
+    labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (x.shape[0],):
-        raise ShapeError(f"cross_entropy: {labels.size} label(s) for {x.shape[0]} row(s)")
+        raise ShapeError(f"cross_entropy: labels of shape {labels.shape} for "
+                         f"{x.shape[0]} row(s)")
     bad = labels[(labels < 0) | (labels >= n)]
     if bad.size:
         raise LabelError(f"label {int(bad[0])} outside [0, {n})")
@@ -490,11 +490,10 @@ def cross_entropy(logits: Tensor, label) -> Tensor:
     lse = m + np.log(np.exp(x - m[:, None]).sum(axis=1))
     loss = lse - x[rows, labels]
     probs = np.exp(x - lse[:, None])
-    shape = logits.shape
 
     def vjp(g):
         gx = probs.copy()
         gx[rows, labels] -= 1.0
-        return ((g.real.reshape(-1, 1) * gx).reshape(shape).astype(_COMPLEX),)
+        return (g.real[:, None] * gx,)
 
-    return _make(loss.reshape(shape[:-1]).astype(_COMPLEX), (logits,), vjp)
+    return _make(loss, (logits,), vjp)

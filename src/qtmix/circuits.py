@@ -96,22 +96,22 @@ def ansatz_rows(states: Tensor, angles: Tensor, q: int, layers: int, *,
         if rows is not None:
             per_row, g_ang = g_ang, np.zeros(angle_shape)
             ad._scatter_rows(g_ang, rows, per_row)
-        return (g_rows, g_ang.astype(np.complex128))
+        return (g_rows, g_ang)
 
     return ad._make(out, (states, angles), vjp)
 
 
 def pauli_expectations(amps: Tensor, q: int) -> Tensor:
-    """Readout features: [<X_0>..<X_{q-1}>, <Y_0>.., <Z_0>..] of the
-    normalized input, a real (3q,) tensor for one (2**q,) state, or (k, 3q)
-    for a (k, 2**q) batch.
+    """Readout features: [<X_0>..<X_{q-1}>, <Y_0>.., <Z_0>..] of each
+    normalized row of a (k, 2**q) batch, a real (k, 3q) tensor.
 
     Differentiated with the full quotient rule (the internal normalization
     by <psi|psi> is part of the op), so gradients are exact even when the
     caller passes a not-quite-normalized state.
     """
-    psi = amps.values
-    rows = psi.reshape(-1, 1 << q)
+    rows = amps.values
+    if rows.ndim != 2 or rows.shape[1] != (1 << q):
+        raise ShapeError(f"pauli_expectations: states must be (k, {1 << q}), got {amps.shape}")
     norm_sq = np.add.reduce(rows.real * rows.real + rows.imag * rows.imag, axis=1)
     if np.any(norm_sq <= 1e-12):
         raise DegenerateStateError(
@@ -122,9 +122,8 @@ def pauli_expectations(amps: Tensor, q: int) -> Tensor:
     def vjp(g):
         # d<P>/dpsi* = (P psi - <P> psi) / <psi|psi>, summed over the 3q
         # Paulis with the output gradient as weights
-        gr = g.real.reshape(rows.shape[0], 3 * q)
+        gr = g.real
         acc = kernels.pauli_apply(rows, q, gr) - np.add.reduce(gr * feats, axis=1)[:, None] * rows
-        return (((2.0 / norm_sq)[:, None] * acc).reshape(psi.shape),)
+        return ((2.0 / norm_sq)[:, None] * acc,)
 
-    return ad._make(feats.reshape(psi.shape[:-1] + (3 * q,)).astype(np.complex128),
-                    (amps,), vjp)
+    return ad._make(feats, (amps,), vjp)

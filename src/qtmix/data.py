@@ -95,7 +95,6 @@ def make_windows(ids: list[int], window: int,
 class Document:
     label: int
     windows: list[tuple[np.ndarray, np.ndarray]]
-    n_tokens: int
 
 
 def load_tsv(path: str | Path) -> list[tuple[str, int]]:
@@ -113,18 +112,11 @@ def load_tsv(path: str | Path) -> list[tuple[str, int]]:
         if not line.strip():
             continue
         head, sep, body = line.partition("\t")
-        if not sep or not body.strip():
+        # ASCII digits only: int() also takes signs, spaces, "_" and other scripts' digits
+        if not sep or not body.strip() or not (head.isascii() and head.isdigit()):
             bad.append(lineno)
             continue
-        try:
-            label = int(head)
-        except ValueError:
-            bad.append(lineno)
-            continue
-        if label < 0:
-            bad.append(lineno)
-            continue
-        rows.append((body, label))
+        rows.append((body, int(head)))
     if bad:
         shown = ", ".join(str(n) for n in bad[:20])
         more = "" if len(bad) <= 20 else f" (+{len(bad) - 20} more)"
@@ -149,8 +141,7 @@ def build_documents(rows: list[tuple[str, int]], vocab: Vocab, window: int,
     docs = []
     for text, label in rows:
         ids = vocab.encode(tokenize(text))
-        docs.append(Document(label=label, windows=make_windows(ids, window, stride),
-                             n_tokens=len(ids)))
+        docs.append(Document(label=label, windows=make_windows(ids, window, stride)))
     return docs
 
 

@@ -46,6 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ShapeError
+
 _C = np.complex128
 
 
@@ -276,9 +278,8 @@ def _readout(width: int, gates: tuple):
 @dataclass(frozen=True)
 class _Group:
     """The blocks of one shape (width and gate wiring) in a plan. The
-    fields from ``fwd`` on depend on the shape alone and are shared by
-    every plan (``_shared``): one set of constant gate-pattern products and
-    one generator readout."""
+    fields from ``fwd`` on depend on the shape alone: one set of constant
+    gate-pattern products and one generator readout."""
 
     ids: tuple              # block ids
     angles: np.ndarray      # (nb, m) angle index of each gate, in block order
@@ -287,12 +288,6 @@ class _Group:
     coef: np.ndarray        # (E,) their readout coefficients
     starts: np.ndarray      # (n,) each readout column's first entry
     at_input: int           # entries [0, at_input) read the Gram at the block's input
-
-
-@functools.lru_cache(maxsize=None)
-def _shared(width: int, gates: tuple) -> tuple:
-    qa = _part_matrices(gates, width)
-    return (_represent(qa).swapaxes(-1, -2).reshape(len(qa), -1),) + _readout(width, gates)
 
 
 @dataclass(frozen=True)
@@ -313,11 +308,13 @@ def _plan(q: int, layers: int) -> _Plan:
     for i, b in enumerate(blocks):
         shapes.setdefault((b.width, tuple(g[:2] for g in b.gates)), []).append(i)
     groups, where = [], [None] * len(blocks)
-    for key, ids in shapes.items():
+    for (width, gates), ids in shapes.items():
         for j, i in enumerate(ids):
             where[i] = (len(groups), j)
         angles = np.array([[g[2] for g in blocks[i].gates] for i in ids])
-        groups.append(_Group(tuple(ids), angles, *_shared(*key)))
+        qa = _part_matrices(gates, width)
+        fwd = _represent(qa).swapaxes(-1, -2).reshape(len(qa), -1)
+        groups.append(_Group(tuple(ids), angles, fwd, *_readout(width, gates)))
     return _Plan(tuple(blocks), tuple(groups), tuple(where))
 
 
@@ -540,12 +537,14 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x.reshape(x.shape[0], -1), axis=1)
 
 
-def pauli_expectations_raw(vec: np.ndarray, q: int) -> np.ndarray:
-    """All 3q expectations [X_0..X_{q-1}, Y_0.., Z_0..] of vec / ||vec||,
-    as float64, for a (2**q,) vector (shape (3q,)) or for each row of a
-    (k, 2**q) batch (shape (k, 3q)). Each row's values are reduced from
-    that row alone. Caller guarantees the norms are usable."""
-    arr = vec.reshape(-1, 1 << q)
+def pauli_expectations_raw(arr: np.ndarray, q: int) -> np.ndarray:
+    """All 3q expectations [X_0..X_{q-1}, Y_0.., Z_0..] of each row of a
+    (k, 2**q) batch over its norm, as float64 (k, 3q). Each row's values
+    are reduced from that row alone. Caller guarantees the norms are
+    usable."""
+    if arr.ndim != 2 or arr.shape[1] != (1 << q):
+        raise ShapeError(f"pauli_expectations_raw: states must be (k, {1 << q}), "
+                         f"got {arr.shape}")
     sq = arr.real * arr.real + arr.imag * arr.imag
     norm_sq = _row_sums(sq)
     out = np.empty((arr.shape[0], 3 * q), dtype=np.float64)
@@ -557,4 +556,4 @@ def pauli_expectations_raw(vec: np.ndarray, q: int) -> np.ndarray:
         out[:, q + k] = 2.0 * cross.imag
         out[:, 2 * q + k] = _row_sums(s0) - _row_sums(s1)
     out /= norm_sq[:, None]
-    return out.reshape(vec.shape[:-1] + (3 * q,))
+    return out

@@ -119,8 +119,7 @@ def batch_gradients(batch: list, params: Params, cfg: RunConfig, *,
         loss, parts = document_loss([doc for _, doc in ordered], params, cfg.model,
                                     cfg.loss, training=True, rng=rngs, doc_ids=indices)
         raw = backward(loss, populate_leaves=False)
-    by_id = {id(t): g for t, g in raw.items()}
-    grads = {name: by_id[id(t)] for name, t in params.named().items() if id(t) in by_id}
+    grads = {name: raw[t] for name, t in params.named().items() if t in raw}
     return grads, parts
 
 
@@ -220,10 +219,13 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, Params, Vocab, int, di
         raise ParseError(f"checkpoint {p}: the root must be an object")
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ParseError(f"checkpoint {p}: unknown format {payload.get('format')!r}")
-    for key, kind in (("config", dict), ("vocab", dict), ("n_classes", int), ("params", dict)):
-        if not isinstance(payload.get(key), kind):
-            raise ParseError(f"checkpoint {p}: key '{key}' is missing or not "
-                             f"{'an object' if kind is dict else 'an integer'}")
+    for key in ("config", "vocab", "params"):
+        if not isinstance(payload.get(key), dict):
+            raise ParseError(f"checkpoint {p}: key '{key}' is missing or not an object")
+    n_classes = payload.get("n_classes")
+    if type(n_classes) is not int or n_classes < 2:
+        raise ParseError(f"checkpoint {p}: key 'n_classes' must be an integer of at "
+                         f"least 2, got {n_classes!r}")
     saved = dict(payload["config"])
     # checkpoints written before the worker pool was removed carry its count
     saved.pop("workers", None)
@@ -236,7 +238,6 @@ def load_checkpoint(path: str | Path) -> tuple[RunConfig, Params, Vocab, int, di
     if ids is None or ids != list(range(2, len(table) + 2)):
         raise ParseError(f"checkpoint {p}: key 'vocab.token_to_id' must map tokens to ids 2..n+1")
     vocab = Vocab.from_dict(payload["vocab"])
-    n_classes = payload["n_classes"]
     shapes = param_shapes(cfg.model, len(vocab), n_classes)
     odd = sorted(set(shapes) ^ set(payload["params"]))
     if odd:

@@ -300,16 +300,16 @@ def test_fd_nonlinearities(seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_fd_cross_entropy(seed):
     rng = np.random.default_rng(1400 + seed)
-    logits = rng.standard_normal(4)
-    label = int(rng.integers(0, 4))
+    logits = rng.standard_normal((1, 4))
+    label = [int(rng.integers(0, 4))]
     check_op_gradients(lambda ls: ad.cross_entropy(ls[0], label),
                        [ad.tensor(logits)], rng, complex_leaves=set())
 
 
 def test_cross_entropy_value():
     # uniform logits over C classes cost log(C)
-    logits = ad.tensor(np.zeros(4))
-    loss = ad.cross_entropy(logits, 2)
+    logits = ad.tensor(np.zeros((1, 4)))
+    loss = ad.cross_entropy(logits, [2])
     assert loss.real_item() == pytest.approx(np.log(4.0))
 
 
@@ -453,7 +453,10 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         ad.matvec(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros(3)))
     with pytest.raises(LabelError):
-        ad.cross_entropy(ad.tensor(np.zeros(3)), 3)
+        ad.cross_entropy(ad.tensor(np.zeros((1, 3))), [3])
+    for logits, labels in ((np.zeros(3), 1), (np.zeros((1, 3)), 1), (np.zeros((2, 3)), [1])):
+        with pytest.raises(ShapeError):     # a (D, C) batch with (D,) labels only
+            ad.cross_entropy(ad.tensor(logits), labels)
     with pytest.raises(ShapeError):
         ad.scalar_mul(a, b)
     rows = ad.tensor(np.zeros((4, 3)))

@@ -268,6 +268,13 @@ def _head_w1_dtype(tag):
     return corrupt
 
 
+def _n_classes(value):
+    def corrupt(payload):
+        payload["n_classes"] = value
+        return payload
+    return corrupt
+
+
 def _head_w1_imaginary(payload):
     # a real group stored as (re, im) pairs with a nonzero imaginary part
     arr = training._decode_array(payload["params"]["head_w1"])
@@ -286,9 +293,11 @@ def _head_w1_imaginary(payload):
     (_head_w1_dtype("<f4"), "'head_w1' is malformed"),
     (_head_w1_dtype(None), "'head_w1' is malformed"),
     (_head_w1_imaginary, "'head_w1' must be real"),
+    (_n_classes(True), "key 'n_classes' must be an integer of at least 2, got True"),
+    (_n_classes(1), "key 'n_classes' must be an integer of at least 2, got 1"),
 ], ids=["root-list", "format-only", "head_w1-dropped", "ff_angles-12-of-24", "vocab-id",
         "qubits-string", "stride-99", "head_w1-dtype-f4", "head_w1-dtype-dropped",
-        "head_w1-imaginary"])
+        "head_w1-imaginary", "n_classes-true", "n_classes-1"])
 def test_eval_malformed_checkpoint_exit_3(good_checkpoint, corrupt, named, tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(corrupt(json.loads(json.dumps(good_checkpoint)))))

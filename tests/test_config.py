@@ -1,6 +1,8 @@
 """Config parsing: defaults, strict keys, validation, file loading."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +156,13 @@ def test_to_dict_round_trip():
     echo = cfg.to_dict()
     again = from_dict(echo)
     assert again.to_dict() == echo
+
+
+def test_readme_config_block_is_the_defaults():
+    # the README says every field defaults as shown in its config block
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("default as shown:\n\n```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(re.sub(r"\s*//.*", "", block)) == RunConfig().to_dict()
 
 
 def test_load_file(tmp_path):

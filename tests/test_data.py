@@ -141,6 +141,16 @@ def test_load_tsv_reports_line_numbers(tmp_path):
         load_tsv(p)
 
 
+def test_load_tsv_takes_ascii_digit_labels_only(tmp_path):
+    # int() reads these as 10, 1, 0 and 1 (an Arabic-Indic one)
+    p = tmp_path / "d.tsv"
+    p.write_text("0\tok\n1_0\ta\n+1\tb\n 0\tc\n\u0661\td\n12\tok\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"line\(s\) 2, 3, 4, 5;"):
+        load_tsv(p)
+    p.write_text("0\tzero\n12\ttwelve\n", encoding="utf-8")
+    assert load_tsv(p) == [("zero", 0), ("twelve", 12)]
+
+
 def test_load_tsv_empty_text_is_malformed(tmp_path):
     p = tmp_path / "d.tsv"
     p.write_text("0\t   \n")
@@ -160,7 +170,6 @@ def test_build_documents():
     v = Vocab.build([tokenize(rows[0][0])], min_freq=1)
     docs = build_documents(rows, v, window=2)
     assert docs[0].label == 1
-    assert docs[0].n_tokens == 3
     assert len(docs[0].windows) == 2
 
 

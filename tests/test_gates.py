@@ -441,10 +441,21 @@ def test_block_operands_match_dense_gate_products(q, rows):
 def test_pauli_expectations_match_dense(q):
     rng = np.random.default_rng(30 + q)
     v = random_state(rng, q)
-    got = circuits.pauli_expectations(ad.tensor(v), q)
+    got = circuits.pauli_expectations(ad.tensor(v[None]), q)
     want = oracle.pauli_expectations_dense(v, q)
+    assert got.shape == (1, 3 * q)
     assert np.max(np.abs(got.values.real - want)) <= 1e-12
     assert np.max(np.abs(got.values.imag)) == 0.0
+
+
+def test_pauli_expectations_take_batches_only():
+    v = basis_state(2)[0]
+    with pytest.raises(ShapeError):
+        circuits.pauli_expectations(ad.tensor(v), 2)
+    with pytest.raises(ShapeError):
+        kernels.pauli_expectations_raw(v, 2)
+    with pytest.raises(ShapeError):
+        circuits.pauli_expectations(ad.tensor(v[None]), 3)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
@@ -470,13 +481,13 @@ def test_pauli_expectations_bounded():
     for _ in range(25):
         q = int(rng.integers(1, 5))
         v = random_state(rng, q) * float(rng.uniform(0.5, 2.0))
-        feats = circuits.pauli_expectations(ad.tensor(v), q)
+        feats = circuits.pauli_expectations(ad.tensor(v[None]), q)
         assert np.all(np.abs(feats.values.real) <= 1.0 + 1e-12)
 
 
 def test_pauli_expectations_degenerate_state():
-    tiny = np.zeros(4, dtype=complex)
-    tiny[0] = 1e-8
+    tiny = np.zeros((1, 4), dtype=complex)
+    tiny[0, 0] = 1e-8
     with pytest.raises(DegenerateStateError):
         circuits.pauli_expectations(ad.tensor(tiny), 2)
 
@@ -567,7 +578,7 @@ def test_shared_angle_gradients_sum_over_rows():
 def test_fd_pauli_expectations(seed):
     rng = np.random.default_rng(1300 + seed)
     q = int(rng.integers(1, 4))
-    v = rand_complex(rng, (1 << q,))  # deliberately unnormalized
+    v = rand_complex(rng, (1, 1 << q))  # deliberately unnormalized
 
     def build(ls):
         return circuits.pauli_expectations(ls[0], q)

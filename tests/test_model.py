@@ -22,8 +22,7 @@ def small_cfg(**kw):
 
 
 def doc_of(ids, label=0, window=4, stride=None):
-    return Document(label=label, windows=make_windows(list(ids), window, stride),
-                    n_tokens=len(ids))
+    return Document(label=label, windows=make_windows(list(ids), window, stride))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +123,7 @@ def test_forward_empty_document_rejected():
     cfg = small_cfg()
     p = init_params(cfg, 11, 2, seed=0)
     with pytest.raises(InputError, match="no windows"):
-        forward_document(Document(label=0, windows=[], n_tokens=0), p, cfg)
+        forward_document(Document(label=0, windows=[]), p, cfg)
 
 
 def test_forward_is_deterministic_in_eval_mode():
@@ -481,7 +480,7 @@ def test_batch_gradients_match_central_differences_attention_pool():
 def test_batch_errors_name_document_and_window():
     cfg = small_cfg()
     p = init_params(cfg, 11, 2, seed=0)
-    docs = [doc_of([2, 3]), Document(label=0, windows=[], n_tokens=0)]
+    docs = [doc_of([2, 3]), Document(label=0, windows=[])]
     with pytest.raises(InputError, match="document 12 has no windows"):
         forward_document(docs, p, cfg, doc_ids=[11, 12])
     # a polynomial with no terms collapses every window; the first is named

@@ -1,9 +1,11 @@
 """Package surface: every exported name resolves, the package imports
-nothing beyond the standard library and numpy, and every error class is
-raised somewhere in it."""
+nothing beyond the standard library and numpy, every error class is
+raised somewhere in it, and ``pyproject.toml`` points its console script
+and package search at the code here."""
 
 import ast
 import importlib
+import json
 import pkgutil
 import sys
 from pathlib import Path
@@ -77,3 +79,30 @@ def test_raise_scan_sees_every_raise_form():
                      "def f():\n    raise errors.ParseError('y') from None\n"
                      "try:\n    pass\nexcept OSError:\n    raise\n")
     assert raised_names(tree) == {"KeyError", "ValueError", "ParseError"}
+
+
+def pyproject_section(name: str) -> dict:
+    """The one-line ``key = value`` entries of a ``[name]`` table of
+    ``pyproject.toml``, values read as JSON (tomllib needs Python 3.11)."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    entries, current = {}, None
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            current = line.strip("[]")
+        elif current == name and "=" in line:
+            key, value = (part.strip() for part in line.split("=", 1))
+            entries[key] = json.loads(value)
+    return entries
+
+
+def test_console_script_resolves_to_cli_main():
+    module, func = pyproject_section("project.scripts")["qtmix"].split(":")
+    from qtmix import cli
+    assert getattr(importlib.import_module(module), func) is cli.main
+
+
+def test_package_search_is_src():
+    where = pyproject_section("tool.setuptools.packages.find")["where"]
+    assert where == ["src"]
+    assert (Path(__file__).resolve().parents[1] / "src" / "qtmix" / "cli.py").is_file()

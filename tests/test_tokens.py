@@ -326,8 +326,7 @@ def model_cfg(**kw):
 
 
 def doc_of(ids, label, cfg):
-    return Document(label=label, windows=make_windows(list(ids), cfg.window, cfg.stride),
-                    n_tokens=len(ids))
+    return Document(label=label, windows=make_windows(list(ids), cfg.window, cfg.stride))
 
 
 # ids repeat inside windows and across documents
